@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, HeadroomError
 from .quant import apply_output_scales
-from .tensor import IntTensor, Tensor
+from .tensor import IntTensor, Tensor, ceil_log2, code_matmul
 
 # Shifted weight codes must stay within a 32-bit lane so the 64-bit
 # accumulator keeps headroom for the reduction.
@@ -23,8 +23,8 @@ WEIGHT_LANE_BITS = 32
 ACCUMULATOR_BITS = 64
 
 
-def _ceil_log2(n: int) -> int:
-    return (n - 1).bit_length() if n > 1 else 0
+# The former local name; perfbench/spans.py imports it from here.
+_ceil_log2 = ceil_log2
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,8 @@ def execute(x: IntTensor, w: ShiftedWeights) -> IntTensor:
 
     The accumulator is 64-bit; the call is rejected unless
     bits_x + bits_w + max_shift + ceil(log2(C_in)) <= 63, which bounds the
-    worst-case partial sum strictly below 2^63.
+    worst-case partial sum strictly below 2^63. Within 53 bits the product
+    runs exactly on BLAS (see tensor.code_matmul), above it in int64.
     """
     if not isinstance(x, IntTensor):
         raise DomainError("execute expects IntTensor activations")
@@ -94,13 +95,13 @@ def execute(x: IntTensor, w: ShiftedWeights) -> IntTensor:
             f"reduction mismatch: activations have C_in={c_in}, "
             f"weights {w.codes.shape[0]}"
         )
-    budget = x.nominal_bits + w.source_bits + w.max_shift + _ceil_log2(c_in)
+    budget = x.nominal_bits + w.source_bits + w.max_shift + ceil_log2(c_in)
     if budget > ACCUMULATOR_BITS - 1:
         raise HeadroomError(
             f"accumulator headroom exceeded: {x.nominal_bits} + {w.source_bits} "
             f"+ {w.max_shift} + log2({c_in}) = {budget} > {ACCUMULATOR_BITS - 1}"
         )
-    acc = np.einsum("ik,kj->ij", x.codes, w.codes, optimize=False)
+    acc = code_matmul(x.codes, w.codes, budget).astype(np.int64, copy=False)
     return IntTensor(acc, ACCUMULATOR_BITS)
 
 

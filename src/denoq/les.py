@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .quant import QuantParams, minmax_scale
-from .tensor import Rng, Tensor, as_real, channel_mul, matmul
+from .quant import QuantParams, apply_output_scales, minmax_scale
+from .tensor import Rng, Tensor, as_real, ceil_log2, channel_mul, code_matmul, matmul
 from .timestep_weighting import TimestepWeighter
 
 # Descent safeguards: gradients are norm-clipped and log factors bounded to
@@ -220,16 +220,28 @@ class LesResult:
     state: LesState
 
 
+def _codes(v: Tensor, params: QuantParams) -> np.ndarray:
+    """Integer-valued float64 codes: clip(rint(v / scale), l, u)."""
+    l, u = params.bounds
+    return np.clip(np.rint(v / params.scale_for(v.shape)), l, u)
+
+
 def _mean_full_loss(
     ref: Tensor, x: Tensor, w: Tensor, tau: np.ndarray,
     bits_a: int, bits_w: int, act_signed: bool,
 ) -> float:
-    """Deployment-faithful mean loss: fresh MinMax at this tau, real rounding."""
+    """Deployment-faithful mean loss: fresh MinMax at this tau, real rounding.
+
+    The quantized product is the deployed one: a code product with both
+    scales applied outside the accumulation.
+    """
     x_hat, w_hat = _scaled_pair(x, w, tau)
     act_p, wgt_p = _default_params(x_hat, w_hat, bits_a, bits_w, act_signed)
-    qx, _ = _fake_quant(x_hat, act_p, True)
-    qw, _ = _fake_quant(w_hat, wgt_p, True)
-    err = ref - matmul(qx, qw)
+    acc = code_matmul(
+        _codes(x_hat, act_p), _codes(w_hat, wgt_p),
+        bits_a + bits_w + ceil_log2(x.shape[1]),
+    )
+    err = ref - apply_output_scales(acc, act_p.scale, wgt_p.scale)
     return float(np.mean(np.einsum("ij,ij->i", err, err, optimize=False)))
 
 
@@ -289,7 +301,7 @@ def optimize_layer(
         losses = les_loss(
             xb, w, tau, bits_a, bits_w, act_p, wgt_p, act_signed=act_signed
         )
-        lam = np.array([weighter.weight(int(t)) for t in tb])
+        lam = weighter.weights(tb)
         grad = les_grad(xb, w, tau, act_p, wgt_p, sample_weights=lam)
         weighter.weighted_mean(losses, tb)
         # Outlier layers produce enormous early gradients; a norm clip keeps

@@ -7,7 +7,8 @@ byte-identical model files and byte-identical reports.
 Config file format: one `key = value` per line, `#` starts a comment, keys
 are exactly the Config field names below, unknown keys are fatal. Every
 field has a default; `checkpoint` is the one field with no useful default,
-so in practice a config file names at least that.
+so in practice a config file names at least that. A relative `checkpoint`
+in a config file is relative to that file's directory.
 
 Quantization is layer-sequential in checkpoint order, each layer calibrated
 against full-precision inputs by default. With propagate_quantized_inputs
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import io
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,8 +179,14 @@ def parse_config_text(text: str, source: str = "<config>") -> Config:
 
 
 def parse_config(path) -> Config:
+    """Parse a config file; a relative checkpoint path is taken relative to
+    the directory of the config file, not to the working directory."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), source=str(path))
+        config = parse_config_text(fh.read(), source=str(path))
+    if config.checkpoint and not os.path.isabs(config.checkpoint):
+        checkpoint = os.path.join(os.path.dirname(str(path)), config.checkpoint)
+        config = dataclasses.replace(config, checkpoint=os.path.normpath(checkpoint))
+    return config
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, DomainError, IntegrityError
-from .tensor import IntTensor, Tensor, as_real
+from .tensor import IntTensor, Tensor, as_real, ceil_log2, code_matmul
 
 SCALE_FLOOR = 1e-12
 
@@ -243,16 +243,22 @@ def quantized_matmul_reference(x: Tensor, layer: QuantizedLayer) -> Tensor:
     exponents are folded onto the weight codes (exactly, since scaling by 2^d
     is exponent arithmetic). While codes and partial sums stay below 2^53 the
     whole accumulation is exact integer arithmetic, which is what makes the
-    bit-shift integer path reproducible against this function bit for bit.
+    bit-shift integer path reproducible against this function bit for bit,
+    and what lets the product run on BLAS (see tensor.code_matmul).
     """
     x = as_real(x, "layer input")
     if x.ndim != 2 or x.shape[1] != layer.c_in:
         raise DimensionError(
             f"layer input must be [B x {layer.c_in}], got {x.shape}"
         )
-    codes_x = activation_codes(x, layer).codes.astype(np.float64)
+    codes_x = activation_codes(x, layer)
     shifted_w = layer.weight_codes.codes.astype(np.float64) * np.exp2(
         layer.pts_exponents.astype(np.float64)
     )[:, None]
-    acc = np.einsum("ik,kj->ij", codes_x, shifted_w, optimize=False)
+    max_shift = int(layer.pts_exponents.max()) if layer.c_in else 0
+    budget = (
+        codes_x.nominal_bits + layer.weight_codes.nominal_bits + max_shift
+        + ceil_log2(layer.c_in)
+    )
+    acc = code_matmul(codes_x.codes.astype(np.float64), shifted_w, budget)
     return apply_output_scales(acc, layer.act_params.scale, layer.weight_scale_vector())

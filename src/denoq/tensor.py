@@ -2,9 +2,16 @@
 
 Arrays are plain numpy ndarrays in row-major layout; every public helper
 normalizes its inputs to float64 so downstream numerics behave identically
-everywhere. Matrix products go through :func:`matmul`, which uses a fixed
-accumulation order (ascending reduction index, no BLAS dispatch) so repeated
-calls with identical inputs are bit-identical regardless of thread count.
+everywhere. Products of real values go through :func:`matmul`, which uses a
+fixed accumulation order (ascending reduction index, no BLAS dispatch) so
+repeated calls with identical inputs are bit-identical regardless of thread
+count.
+
+Products of integer codes go through :func:`code_matmul` instead. While the
+worst-case budget bits_a + bits_w + max_shift + ceil(log2 C_in) is at most
+53 bits, every partial sum is an integer that float64 holds exactly, so the
+product runs on BLAS and is still the same in any summation order and at any
+thread count. Beyond that budget it falls back to the fixed order.
 """
 
 from __future__ import annotations
@@ -70,11 +77,12 @@ class IntTensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product with a fixed, deterministic accumulation order.
+    """Matrix product of real values with a fixed accumulation order.
 
     einsum (non-optimized) walks the reduction index in ascending order with
     no BLAS involvement, so the result is reproducible bit-for-bit across
-    runs and thread counts. Shapes must be [M x K] . [K x N].
+    runs and thread counts. Shapes must be [M x K] . [K x N]. Products of
+    integer codes use :func:`code_matmul`, which may take BLAS exactly.
     """
     a = as_real(a, "matmul lhs")
     b = as_real(b, "matmul rhs")
@@ -82,6 +90,29 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError("matmul expects two 2-d tensors")
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"inner dimensions differ: {a.shape} . {b.shape}")
+    return np.einsum("ik,kj->ij", a, b, optimize=False)
+
+
+# float64 holds every integer of magnitude up to 2^53 exactly.
+EXACT_FLOAT_BITS = 53
+
+
+def ceil_log2(n: int) -> int:
+    """Bits a sum of n terms can add on top of its largest term."""
+    return (n - 1).bit_length() if n > 1 else 0
+
+
+def code_matmul(a: np.ndarray, b: np.ndarray, budget_bits: int) -> np.ndarray:
+    """Product of two integer-valued code matrices, [M x K] . [K x N].
+
+    budget_bits bounds every partial sum below 2^budget_bits (code widths of
+    both operands, any folded shift, plus ceil(log2 K)). Within 53 bits each
+    partial sum is an exactly representable integer, so the float64 BLAS
+    product is exact and identical in any order; the result is float64.
+    Above it, the fixed-order einsum runs in the operands' own dtype.
+    """
+    if budget_bits <= EXACT_FLOAT_BITS:
+        return a.astype(np.float64, copy=False) @ b.astype(np.float64, copy=False)
     return np.einsum("ik,kj->ij", a, b, optimize=False)
 
 

@@ -69,12 +69,22 @@ class TimestepWeighter:
         derive, so the weight falls back to 1 uniformly.
         """
         self._check_known(t)
-        if self.alpha == 0.0:
-            return 1.0
+        return self._weight_from(self._avg[t], sum(self._avg.values()))
+
+    def weights(self, timesteps: Sequence[int]) -> np.ndarray:
+        """weight(t) for every entry of timesteps, summing the averages once."""
+        steps = [int(t) for t in np.asarray(timesteps).reshape(-1)]
+        distinct = dict.fromkeys(steps)
+        for t in distinct:
+            self._check_known(t)
         total = sum(self._avg.values())
-        if total == 0.0:
+        table = {t: self._weight_from(self._avg[t], total) for t in distinct}
+        return np.array([table[t] for t in steps], dtype=np.float64)
+
+    def _weight_from(self, avg: float, total: float) -> float:
+        if self.alpha == 0.0 or total == 0.0:
             return 1.0
-        base = 1.0 - self._avg[t] / total
+        base = 1.0 - avg / total
         if base < 0.0:  # guard against float dust; averages are non-negative
             base = 0.0
         return base**self.alpha
@@ -108,7 +118,7 @@ class TimestepWeighter:
             raise DimensionError("weighted_mean needs a non-empty batch")
         if not np.all(np.isfinite(losses)) or np.any(losses < 0.0):
             raise DomainError("per-sample losses must be finite and >= 0")
-        weights = np.array([self.weight(int(t)) for t in steps])
+        weights = self.weights(steps)
         result = float(np.mean(weights * losses))
         for t in sorted(set(int(t) for t in steps)):
             group = losses[steps == t]

@@ -655,9 +655,9 @@ def load_checkpoint(path) -> tuple[ToyDenoiser, NoiseSchedule]:
         try:
             (name_len,) = struct.unpack_from("<H", raw, pos)
             pos += 2
-            name = raw[pos : pos + name_len].decode("utf-8")
             if len(raw) < pos + name_len:
                 raise struct.error
+            name = raw[pos : pos + name_len].decode("utf-8")
             pos += name_len
             (ndim,) = struct.unpack_from("<B", raw, pos)
             pos += 1
@@ -668,6 +668,11 @@ def load_checkpoint(path) -> tuple[ToyDenoiser, NoiseSchedule]:
         except struct.error as exc:
             raise FormatError(
                 f"{path}: truncated table entry {i} at offset {pos}"
+            ) from exc
+        except UnicodeDecodeError as exc:
+            raise FormatError(
+                f"{path}: tensor name of table entry {i} at offset {pos} "
+                "is not UTF-8"
             ) from exc
         size = int(np.prod(dims, dtype=np.int64)) if dims else 1
         end = offset + 4 * size

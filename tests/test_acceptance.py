@@ -361,9 +361,10 @@ def test_c07_learned_scaling_beats_identity_and_tracks_grid_oracle():
 
 def test_c08_end_to_end_ordering_and_golden_report():
     t0 = time.perf_counter()
-    # The config names the checkpoint relative to the repository root; pin it
-    # to ROOT like CONFIG and GOLDEN so the test does not depend on the cwd.
-    base = dataclasses.replace(parse_config(CONFIG), checkpoint=str(CHECKPOINT))
+    # The config names the checkpoint relative to its own directory, so this
+    # resolves to CHECKPOINT from any cwd.
+    base = parse_config(CONFIG)
+    assert base.checkpoint == str(CHECKPOINT)
     variants = {
         "minmax": dict(les=False, pts_layers="none"),
         "les_only": dict(les=True, pts_layers="none"),

@@ -13,7 +13,7 @@ from denoq.quant import (
     quantize,
     quantized_matmul_reference,
 )
-from denoq.tensor import IntTensor, Rng
+from denoq.tensor import IntTensor, Rng, ceil_log2
 
 
 def test_shift_examples():
@@ -82,6 +82,29 @@ class TestAccumulatorHeadroom:
         x, w = self._inputs(1 << 16)  # 16+16+16+16 = 64 > 63
         with pytest.raises(HeadroomError, match="63"):
             execute(x, w)
+
+
+@pytest.mark.parametrize("budget", range(54, 64))
+def test_budgets_past_53_bits_stay_exact_in_int64(budget):
+    """Past the exact-float budget execute() falls back to int64 and still
+    equals arbitrary-precision integer arithmetic, up to the 63-bit limit."""
+    c_in, shift, source_bits = 64, 3, 20
+    bits_x = budget - ceil_log2(c_in) - shift - source_bits
+    rng = Rng(budget)
+    lo_x, hi_x = -(1 << (bits_x - 1)), (1 << (bits_x - 1)) - 1
+    x_codes = np.where(rng.integers(0, 2, (6, c_in)) == 1, hi_x, lo_x)
+    x_codes[0, :] = lo_x  # the worst-case row
+    lo_w, hi_w = -(1 << (source_bits - 1)), (1 << (source_bits - 1)) - 1
+    w_codes = np.where(rng.integers(0, 2, (c_in, 5)) == 1, hi_w, lo_w)
+    w_codes[:, 0] = lo_w
+    delta = rng.integers(0, shift + 1, c_in)
+    delta[0] = shift
+    x = IntTensor(x_codes, bits_x)
+    w = shift_weights(IntTensor(w_codes, source_bits), delta)
+    out = execute(x, w)
+    assert out.codes.dtype == np.int64
+    exact = x.codes.astype(object) @ w.codes.astype(object)
+    assert [int(v) for v in out.codes.ravel()] == [int(v) for v in exact.ravel()]
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,4 +1,7 @@
 import dataclasses
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,13 +12,15 @@ from denoq.errors import ConfigError, DomainError, HeadroomError, NumericalError
 from denoq.modelfile import QuantizedModel, export_model, import_model
 from denoq.pipeline import (
     Config,
+    parse_config,
     parse_config_text,
     quantize_to_file,
     run_eval,
     run_quantize,
 )
 
-CHECKPOINT = Path(__file__).resolve().parent.parent / "checkpoints" / "toy2d.ckpt"
+ROOT = Path(__file__).resolve().parent.parent
+CHECKPOINT = ROOT / "checkpoints" / "toy2d.ckpt"
 
 
 def tiny_config(**kw):
@@ -96,6 +101,39 @@ class TestConfigParsing:
     def test_boolean_words(self):
         for word, want in (("on", True), ("yes", True), ("0", False), ("Off", False)):
             assert parse_config_text(f"les = {word}\n").les is want
+
+
+class TestConfigCheckpointPath:
+    """A relative checkpoint in a config file resolves against the file's
+    directory, so a config works from any working directory."""
+
+    def test_bundled_config_works_from_another_cwd(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = parse_config(ROOT / "configs" / "w4a8.cfg")
+        assert cfg.checkpoint == str(CHECKPOINT)
+
+    def test_bundled_config_echoes_the_repo_relative_path(self, monkeypatch):
+        monkeypatch.chdir(ROOT)
+        assert parse_config("configs/w4a8.cfg").checkpoint == "checkpoints/toy2d.ckpt"
+
+    def test_relative_to_the_config_directory(self, tmp_path, monkeypatch):
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "sub" / "run.cfg").write_text("checkpoint = ../ck/a.ckpt\n")
+        monkeypatch.chdir(tmp_path)
+        assert parse_config("sub/run.cfg").checkpoint == "ck/a.ckpt"
+        monkeypatch.chdir(tmp_path / "sub")
+        assert parse_config("run.cfg").checkpoint == os.path.join("..", "ck", "a.ckpt")
+
+    def test_absolute_and_empty_paths_are_kept(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        p = tmp_path / "run.cfg"
+        p.write_text(f"checkpoint = {CHECKPOINT}\n")
+        assert parse_config(p).checkpoint == str(CHECKPOINT)
+        p.write_text("T = 5\n")
+        assert parse_config(p).checkpoint == ""
+
+    def test_text_parser_keeps_the_path_as_written(self):
+        assert parse_config_text("checkpoint = ../x.ckpt\n").checkpoint == "../x.ckpt"
 
 
 @pytest.fixture(scope="module")
@@ -284,6 +322,18 @@ class TestCli:
         assert rc == 2
         assert "unknown key" in capsys.readouterr().err
 
+    def test_non_utf8_checkpoint_name_exits_3(self, tmp_path, capsys):
+        raw = bytearray(CHECKPOINT.read_bytes())
+        raw[12] ^= 0x80  # first byte of the first tensor name
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes(bytes(raw))
+        cfgp = self.write_cfg(tmp_path, checkpoint=str(ckpt))
+        rc = cli.main(
+            ["quantize", "--config", str(cfgp), "--out", str(tmp_path / "x.dmq")]
+        )
+        assert rc == 3
+        assert "not UTF-8" in capsys.readouterr().err
+
     def test_garbage_model_file_exits_3(self, tmp_path, capsys):
         p = tmp_path / "junk.dmq"
         p.write_bytes(b"this is not a model")
@@ -302,3 +352,35 @@ class TestCli:
             )
             assert rc == 4
             assert "error:" in capsys.readouterr().err
+
+
+_QUANTIZE_SCRIPT = """
+import sys
+from denoq.pipeline import Config, quantize_to_file
+out = sys.argv[1]
+cfg = Config(checkpoint=sys.argv[2], T=4, n=32, B=8, iterations=4, D=2, seed=3)
+quantize_to_file(cfg, out + "/model.dmq", out + "/report.txt")
+"""
+
+
+def test_output_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """Code products may run on BLAS, so the same run with one and with two
+    BLAS threads must write the same model and report bytes. 128 calibration
+    rows against 64x64 weights is large enough for OpenBLAS to split."""
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        subprocess.run(
+            [sys.executable, "-c", _QUANTIZE_SCRIPT, str(out), str(CHECKPOINT)],
+            env=env, check=True, timeout=120,
+        )
+        outputs.append(
+            [(out / name).read_bytes() for name in
+             ("model.dmq", "report.txt", "report_layers.tsv", "report_summary.tsv")]
+        )
+    assert outputs[0] == outputs[1]

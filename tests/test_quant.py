@@ -7,6 +7,7 @@ from denoq.errors import DimensionError, DomainError, IntegrityError
 from denoq.quant import (
     QuantParams,
     QuantizedLayer,
+    activation_codes,
     apply_output_scales,
     code_bounds,
     dequantize,
@@ -178,6 +179,22 @@ class TestQuantizedLayer:
         want = matmul(x / tau[None, :], w_real)
         bound = 0.5 * layer.act_params.scale * np.sum(np.abs(w_real), axis=0)
         assert np.all(np.abs(got - want) <= bound[None, :] + 1e-12)
+
+    def test_32_bit_layer_keeps_the_fixed_order_product(self):
+        """bits_w = bits_a = 32 on 64 channels is a 70-bit budget, past what
+        float64 holds exactly, so the product keeps its fixed einsum order."""
+        layer = self._layer(c_in=64, c_out=5, bits_w=32, bits_a=32, seed=6)
+        x = Rng(6).standard_normal((11, 64)) * 1e7
+        got = quantized_matmul_reference(x, layer)
+        codes = activation_codes(x, layer).codes.astype(np.float64)
+        acc = np.einsum(
+            "ik,kj->ij", codes, layer.weight_codes.codes.astype(np.float64),
+            optimize=False,
+        )
+        want = apply_output_scales(
+            acc, layer.act_params.scale, layer.weight_scale_vector()
+        )
+        assert np.array_equal(got, want)
 
     def test_reference_path_exact_when_input_representable(self):
         layer = self._layer(seed=4)

@@ -4,7 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from denoq.errors import DimensionError, DomainError
-from denoq.tensor import IntTensor, Rng, as_real, channel_div, channel_mul, matmul
+from denoq.tensor import (
+    IntTensor,
+    Rng,
+    as_real,
+    ceil_log2,
+    channel_div,
+    channel_mul,
+    code_matmul,
+    matmul,
+)
 
 
 def naive_matmul(a, b):
@@ -29,6 +38,59 @@ def test_matmul_matches_triple_loop():
     got = matmul(a, b)
     want = naive_matmul(a, b)
     assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+
+class TestCodeMatmul:
+    """Products of integer codes: BLAS within the 53-bit budget, the fixed
+    einsum order above it."""
+
+    def _extreme_codes(self, seed, shape, bits):
+        # every entry at the lowest or the highest code of its width
+        lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+        pick = Rng(seed).integers(0, 2, shape)
+        return np.where(pick == 1, hi, lo).astype(np.int64)
+
+    def test_ceil_log2(self):
+        assert [ceil_log2(n) for n in (0, 1, 2, 3, 4, 5, 64, 65)] == [
+            0, 0, 1, 2, 2, 3, 6, 7,
+        ]
+
+    def test_exact_at_a_budget_of_53_bits(self):
+        c_in = 64  # 24 + 23 + log2(64) = 53
+        a = self._extreme_codes(1, (40, c_in), 24)
+        b = self._extreme_codes(2, (c_in, 30), 23)
+        a[0, :] = -(1 << 23)  # one row and column at the worst case, 2^51
+        b[:, 0] = -(1 << 22)
+        got = code_matmul(a.astype(np.float64), b.astype(np.float64), 53)
+        assert got.dtype == np.float64
+        fixed = np.einsum(
+            "ik,kj->ij", a.astype(np.float64), b.astype(np.float64), optimize=False
+        )
+        assert np.array_equal(got, fixed)
+        assert np.array_equal(got, np.einsum("ik,kj->ij", a, b, optimize=False))
+        assert got[0, 0] == float(1 << 51)
+        exact = a.astype(object) @ b.astype(object)
+        assert all(int(v) == e for v, e in zip(got.ravel(), exact.ravel()))
+
+    def test_int_codes_within_budget_come_back_as_float64(self):
+        a = self._extreme_codes(3, (4, 8), 8)
+        b = self._extreme_codes(4, (8, 5), 4)
+        got = code_matmul(a, b, 8 + 4 + 3)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, (a @ b).astype(np.float64))
+
+    def test_above_the_budget_takes_the_fixed_order_in_the_operand_dtype(self):
+        rng = Rng(5)
+        a = rng.integers(-(1 << 31), 1 << 31, (9, 64))
+        b = rng.integers(-(1 << 31), 1 << 31, (64, 7))
+        fa, fb = a.astype(np.float64), b.astype(np.float64)
+        got = code_matmul(fa, fb, 54)
+        assert np.array_equal(got, np.einsum("ik,kj->ij", fa, fb, optimize=False))
+        small_a = rng.integers(-100, 100, (3, 4))
+        small_b = rng.integers(-100, 100, (4, 2))
+        ints = code_matmul(small_a, small_b, 54)
+        assert ints.dtype == np.int64
+        assert np.array_equal(ints, small_a @ small_b)
 
 
 def test_matmul_is_reproducible_not_blas_order_dependent():

@@ -304,6 +304,25 @@ class TestCheckpointFile:
         with pytest.raises(FormatError, match="table entry"):
             load_checkpoint(p)
 
+    def test_rejects_non_utf8_tensor_name(self, tmp_path):
+        """Byte 12 is the first byte of the first tensor name."""
+        raw = bytearray(CHECKPOINT.read_bytes())
+        raw[12] ^= 0x80
+        p = tmp_path / "x.ckpt"
+        p.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="not UTF-8"):
+            load_checkpoint(p)
+
+    def test_rejects_tensor_name_past_the_end(self, tmp_path):
+        model, sched = tiny_model()
+        p = tmp_path / "x.ckpt"
+        save_checkpoint(p, model, sched)
+        raw = p.read_bytes()
+        name_len = int.from_bytes(raw[10:12], "little")
+        p.write_bytes(raw[: 12 + name_len - 1])
+        with pytest.raises(FormatError, match="table entry 0"):
+            load_checkpoint(p)
+
 
 class TestBundledCheckpoint:
     def test_bytes_match_the_pinned_sha256(self):

@@ -130,6 +130,21 @@ def test_weights_stay_in_unit_interval(seed, alpha):
         assert 0.0 <= w.weight(t) <= 1.0
 
 
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**31), alpha=st.floats(0.0, 4.0))
+def test_batch_weights_equal_per_step_weights_bit_for_bit(seed, alpha):
+    rng = np.random.default_rng(seed)
+    ts = [7, 3, 11, 5]
+    w = TimestepWeighter(ts, alpha=alpha)
+    batch = rng.choice(ts, 32)
+    assert np.array_equal(w.weights(batch), np.ones(32))
+    for t in ts[:3]:  # one timestep never updated keeps a zero average
+        w.update(t, float(rng.uniform(0, 100)))
+    assert np.array_equal(w.weights(batch), np.array([w.weight(t) for t in batch]))
+    with pytest.raises(DomainError):
+        w.weights([7, 4])
+
+
 def test_larger_alpha_damps_high_loss_steps_harder():
     w1 = TimestepWeighter([1, 2], alpha=1.0)
     w2 = TimestepWeighter([1, 2], alpha=3.0)
