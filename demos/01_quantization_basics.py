@@ -7,7 +7,7 @@ and what per-channel scales buy over a single per-tensor scale.
 
 import numpy as np
 
-from denoq import QuantParams, code_bounds, dequantize, minmax_scale, quantize
+from denoq.quant import QuantParams, code_bounds, dequantize, minmax_scale, quantize
 from denoq.tensor import Rng
 
 

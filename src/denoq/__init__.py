@@ -8,118 +8,4 @@ starved. Quantized layers execute as integer matmuls with the rescue folded
 into the weights as bit shifts.
 """
 
-from .errors import (
-    ConfigError,
-    DenoqError,
-    DimensionError,
-    DomainError,
-    FormatError,
-    HeadroomError,
-    IntegrityError,
-    NumericalError,
-)
-from .igemm import ShiftedWeights, execute, shift_weights
-from .les import (
-    LayerCalibRecord,
-    LesResult,
-    fuse,
-    les_grad,
-    les_loss,
-    optimize_layer,
-    smoothquant_tau,
-)
-from .modelfile import QuantizedModel, export_model, import_model, inspect_model
-from .pipeline import Config, EvalReport, parse_config, run_eval, run_quantize
-from .pts import (
-    PtsFactors,
-    calibrate_activation_scaling,
-    per_sample_best,
-    per_sample_matrix,
-    quantize_with_pts,
-    vote,
-)
-from .quant import (
-    QuantParams,
-    QuantizedLayer,
-    code_bounds,
-    dequantize,
-    minmax_scale,
-    quantize,
-    quantized_matmul_reference,
-)
-from .tensor import IntTensor, Rng, matmul
-from .timestep_weighting import TimestepWeighter
-from .toydiff import (
-    NoiseSchedule,
-    ToyDenoiser,
-    collect_calibration,
-    ddim_step,
-    ddim_timesteps,
-    fit_toy_denoiser,
-    forward_noise,
-    load_checkpoint,
-    ring_data,
-    sample,
-    save_checkpoint,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ConfigError",
-    "DenoqError",
-    "DimensionError",
-    "DomainError",
-    "FormatError",
-    "HeadroomError",
-    "IntegrityError",
-    "NumericalError",
-    "ShiftedWeights",
-    "execute",
-    "shift_weights",
-    "LayerCalibRecord",
-    "LesResult",
-    "fuse",
-    "les_grad",
-    "les_loss",
-    "optimize_layer",
-    "smoothquant_tau",
-    "QuantizedModel",
-    "export_model",
-    "import_model",
-    "inspect_model",
-    "Config",
-    "EvalReport",
-    "parse_config",
-    "run_eval",
-    "run_quantize",
-    "PtsFactors",
-    "calibrate_activation_scaling",
-    "per_sample_best",
-    "per_sample_matrix",
-    "quantize_with_pts",
-    "vote",
-    "QuantParams",
-    "QuantizedLayer",
-    "code_bounds",
-    "dequantize",
-    "minmax_scale",
-    "quantize",
-    "quantized_matmul_reference",
-    "IntTensor",
-    "Rng",
-    "matmul",
-    "TimestepWeighter",
-    "NoiseSchedule",
-    "ToyDenoiser",
-    "collect_calibration",
-    "ddim_step",
-    "ddim_timesteps",
-    "fit_toy_denoiser",
-    "forward_noise",
-    "load_checkpoint",
-    "ring_data",
-    "sample",
-    "save_checkpoint",
-    "__version__",
-]

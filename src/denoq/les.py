@@ -105,6 +105,37 @@ def _default_params(
     return act, wgt
 
 
+def _les_pass(
+    x: np.ndarray, w: np.ndarray, tau: np.ndarray, act_params: QuantParams,
+    weight_params: QuantParams, rounded: bool, sample_weights=None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """One forward pass of the scaled, quantized layer on validated inputs.
+
+    Returns the per-sample losses and, when sample_weights is given, the
+    straight-through gradient of their weighted mean with respect to
+    log_tau (None otherwise).
+    """
+    ref = matmul(x, w)
+    x_hat, w_hat = _scaled_pair(x, w, tau)
+    qx, mask_x = _fake_quant(x_hat, act_params, rounded)
+    qw, mask_w = _fake_quant(w_hat, weight_params, rounded)
+    err = ref - matmul(qx, qw)
+    losses = np.einsum("ij,ij->i", err, err, optimize=False)
+    if sample_weights is None:
+        return losses, None
+    # d(loss)/d(Qx Qw) with the -2/B and per-sample weights folded in.
+    g = (-2.0 / x.shape[0]) * (sample_weights[:, None] * err)
+    # Activation route: d x_hat / d log_tau_c = -x_hat[:, c].
+    act_side = np.einsum(
+        "ic,ic->c", matmul(g, qw.T), np.where(mask_x, -x_hat, 0.0), optimize=False
+    )
+    # Weight route: d w_hat / d log_tau_c = +w_hat[c, :].
+    wgt_side = np.einsum(
+        "cj,cj->c", matmul(qx.T, g), np.where(mask_w, w_hat, 0.0), optimize=False
+    )
+    return losses, act_side + wgt_side
+
+
 def les_loss(
     x: Tensor,
     w: Tensor,
@@ -131,16 +162,11 @@ def les_loss(
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
         raise DimensionError(f"incompatible layer shapes {x.shape} and {w.shape}")
     tau = _check_tau(tau, x.shape[1])
-    ref = matmul(x, w)
-    x_hat, w_hat = _scaled_pair(x, w, tau)
     if act_params is None or weight_params is None:
         act_params, weight_params = _default_params(
-            x_hat, w_hat, bits_a, bits_w, act_signed
+            *_scaled_pair(x, w, tau), bits_a, bits_w, act_signed
         )
-    qx, _ = _fake_quant(x_hat, act_params, rounded)
-    qw, _ = _fake_quant(w_hat, weight_params, rounded)
-    err = ref - matmul(qx, qw)
-    return np.einsum("ij,ij->i", err, err, optimize=False)
+    return _les_pass(x, w, tau, act_params, weight_params, rounded)[0]
 
 
 def les_grad(
@@ -170,22 +196,7 @@ def les_grad(
         lam = as_real(sample_weights, "sample weights").reshape(-1)
         if lam.shape[0] != b:
             raise DimensionError("one sample weight per activation row required")
-    ref = matmul(x, w)
-    x_hat, w_hat = _scaled_pair(x, w, tau)
-    qx, mask_x = _fake_quant(x_hat, act_params, rounded)
-    qw, mask_w = _fake_quant(w_hat, weight_params, rounded)
-    err = ref - matmul(qx, qw)
-    # d(loss)/d(Qx Qw) with the -2/B and per-sample weights folded in.
-    g = (-2.0 / b) * (lam[:, None] * err)
-    # Activation route: d x_hat / d log_tau_c = -x_hat[:, c].
-    act_side = np.einsum(
-        "ic,ic->c", matmul(g, qw.T), np.where(mask_x, -x_hat, 0.0), optimize=False
-    )
-    # Weight route: d w_hat / d log_tau_c = +w_hat[c, :].
-    wgt_side = np.einsum(
-        "cj,cj->c", matmul(qx.T, g), np.where(mask_w, w_hat, 0.0), optimize=False
-    )
-    return act_side + wgt_side
+    return _les_pass(x, w, tau, act_params, weight_params, rounded, lam)[1]
 
 
 @dataclass
@@ -294,15 +305,14 @@ def optimize_layer(
         cursor += batch_size
         tau = state.tau
         if state.iteration % scale_refresh == 0 or act_p is None:
-            x_hat, w_hat = _scaled_pair(x, w, tau)
-            act_p, wgt_p = _default_params(x_hat, w_hat, bits_a, bits_w, act_signed)
-        xb = x[batch]
+            act_p, wgt_p = _default_params(
+                *_scaled_pair(x, w, tau), bits_a, bits_w, act_signed
+            )
         tb = record.timesteps[batch]
-        losses = les_loss(
-            xb, w, tau, bits_a, bits_w, act_p, wgt_p, act_signed=act_signed
-        )
+        # The record and the clipped log_tau already guarantee what
+        # les_loss / les_grad would validate.
         lam = weighter.weights(tb)
-        grad = les_grad(xb, w, tau, act_p, wgt_p, sample_weights=lam)
+        losses, grad = _les_pass(x[batch], w, tau, act_p, wgt_p, True, lam)
         weighter.weighted_mean(losses, tb)
         # Outlier layers produce enormous early gradients; a norm clip keeps
         # log-space steps sane without touching the descent direction.

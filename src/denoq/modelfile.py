@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DenoqError, DomainError, FormatError
-from .quant import QuantParams, QuantizedLayer
+from .quant import MAX_BITS, QuantParams, QuantizedLayer
 from .tensor import IntTensor
 
 MODEL_MAGIC = b"DMQ1"
@@ -198,6 +198,9 @@ def import_model(path) -> QuantizedModel:
     version, bits_w, bits_a, flags, count = r.unpack("<HBBBI")
     if version != MODEL_VERSION:
         r.fail(f"unsupported version {version}")
+    for what, bits in (("weight", bits_w), ("activation", bits_a)):
+        if not (2 <= bits <= MAX_BITS):
+            r.fail(f"unsupported {what} bit-width {bits}")
     layers = []
     for i in range(count):
         r.context = f"layer record {i}"

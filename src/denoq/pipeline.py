@@ -32,12 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, NumericalError
-from .les import (
-    LayerCalibRecord,
-    fuse,
-    optimize_layer,
-    smoothquant_tau,
-)
+from .les import fuse, optimize_layer, smoothquant_tau
 from .modelfile import QuantizedModel, export_model, import_model
 from .pts import calibrate_activation_scaling
 from .quant import (
@@ -298,15 +293,9 @@ def _check_finite(arr, what: str):
         raise NumericalError(f"{what} contains non-finite values")
 
 
-def _calib_error_rows(record: LayerCalibRecord, qlayer: QuantizedLayer, tset):
-    rows = []
-    for t in tset:
-        mask = record.timesteps == t
-        x = record.activations[mask]
-        ref = matmul(x, record.weight)
-        got = quantized_matmul_reference(x, qlayer)
-        rows.append((qlayer.name, int(t), float(np.mean((ref - got) ** 2))))
-    return rows
+def _layer_mse(x, w, qlayer: QuantizedLayer) -> float:
+    """Mean squared error of one quantized layer against its weight on x."""
+    return float(np.mean((matmul(x, w) - quantized_matmul_reference(x, qlayer)) ** 2))
 
 
 def run_quantize(config: Config) -> tuple[QuantizedModel, EvalReport]:
@@ -394,7 +383,9 @@ def run_quantize(config: Config) -> tuple[QuantizedModel, EvalReport]:
         )
         qlayers.append(qlayer)
         overrides[spec.name] = _layer_runner(qlayer)
-        rows.extend(_calib_error_rows(record, qlayer, tset_desc))
+        for t in tset_desc:
+            x = record.activations[record.timesteps == t]
+            rows.append((spec.name, t, _layer_mse(x, record.weight, qlayer)))
         summaries.append(
             LayerSummary(
                 spec.name,
@@ -413,9 +404,12 @@ def run_quantize(config: Config) -> tuple[QuantizedModel, EvalReport]:
     return qmodel, report
 
 
-def _paired_endpoint_mse(model, schedule, config: Config, overrides, root: Rng) -> float:
+def _paired_endpoint_mse(
+    model, schedule, config: Config, overrides, root: Rng, capture=None
+) -> float:
     """Endpoint MSE between quantized and full-precision trajectories that
-    share initial noise (and, when eta > 0, the injected noise sequence)."""
+    share initial noise (and, when eta > 0, the injected noise sequence).
+    capture, when given, receives the quantized trajectory's layer inputs."""
     init = root.child("eval-init").standard_normal((config.n, model.dim))
     traj_fp = sample(
         model, schedule, config.T, config.n, root.child("eval-noise"),
@@ -423,7 +417,7 @@ def _paired_endpoint_mse(model, schedule, config: Config, overrides, root: Rng) 
     )
     traj_q = sample(
         model, schedule, config.T, config.n, root.child("eval-noise"),
-        eta=config.eta, overrides=overrides, x_init=init,
+        eta=config.eta, overrides=overrides, capture=capture, x_init=init,
     )
     _check_finite(traj_q.endpoint, "quantized trajectory endpoint")
     return float(np.mean((traj_q.endpoint - traj_fp.endpoint) ** 2))
@@ -454,25 +448,13 @@ def run_eval(model_path, config: Config) -> EvalReport:
         raise DomainError(f"model file misses quantizable layers: {absent}")
     root = Rng(config.seed)
     overrides = {l.name: _layer_runner(l) for l in qmodel.layers}
-    init = root.child("eval-init").standard_normal((config.n, model.dim))
-    traj_fp = sample(
-        model, schedule, config.T, config.n, root.child("eval-noise"),
-        eta=config.eta, x_init=init,
-    )
     cap = {l.name: [] for l in qmodel.layers}
-    traj_q = sample(
-        model, schedule, config.T, config.n, root.child("eval-noise"),
-        eta=config.eta, overrides=overrides, capture=cap, x_init=init,
-    )
-    _check_finite(traj_q.endpoint, "quantized trajectory endpoint")
-    endpoint = float(np.mean((traj_q.endpoint - traj_fp.endpoint) ** 2))
-    rows = []
-    for l in qmodel.layers:
-        w = model.layer_weight(l.name)
-        for a, t in cap[l.name]:
-            ref = matmul(a, w)
-            got = quantized_matmul_reference(a, l)
-            rows.append((l.name, int(t), float(np.mean((ref - got) ** 2))))
+    endpoint = _paired_endpoint_mse(model, schedule, config, overrides, root, cap)
+    rows = [
+        (l.name, int(t), _layer_mse(a, model.layer_weight(l.name), l))
+        for l in qmodel.layers
+        for a, t in cap[l.name]
+    ]
     summaries = tuple(
         LayerSummary(
             l.name,

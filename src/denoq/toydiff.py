@@ -27,7 +27,9 @@ Checkpoint format (all integers little-endian):
                    ndim, u8
                    dims, u32 each
                    data offset, u64 (absolute, points into the data region)
-    data       float32 values, row-major, at the recorded offsets
+    data       float32 values, row-major, at the recorded offsets; the
+               records follow each other in table order from the end of
+               the table to the end of the file, with no gap or overlap
 
 Weights live in the file as float32; everything is widened to float64 on
 load and math runs in float64 throughout.
@@ -35,6 +37,7 @@ load and math runs in float64 throughout.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -393,6 +396,18 @@ def collect_calibration(
     return records
 
 
+class _BumpedModel:
+    """A model whose noise prediction at one timestep gets a fixed offset."""
+
+    def __init__(self, model: ToyDenoiser, t: int, bump: np.ndarray):
+        self.dim = model.dim
+        self._model, self._t, self._bump = model, t, bump
+
+    def forward(self, x, t: int, overrides=None, capture=None) -> np.ndarray:
+        eps_hat = self._model.forward(x, t, overrides=overrides, capture=capture)
+        return eps_hat + self._bump if t == self._t else eps_hat
+
+
 def perturbation_sensitivity(
     model: ToyDenoiser,
     schedule: NoiseSchedule,
@@ -418,21 +433,12 @@ def perturbation_sensitivity(
         for name in ("early", "late")
     }
 
-    def run(bump_at=None, bump=None):
-        x = x_init
-        idx = 0
-        for i in range(len(grid) - 1, 0, -1):
-            t, t_prev = int(grid[i]), int(grid[i - 1])
-            eps_hat = model.forward(x, t)
-            if bump_at is not None and idx == bump_at:
-                eps_hat = eps_hat + bump
-            x = ddim_step(x, eps_hat, t, t_prev, schedule)
-            idx += 1
-        return x
+    def endpoint(m):
+        return sample(m, schedule, grid, n, rng, x_init=x_init).endpoint
 
-    clean = run()
-    early = run(0, bumps["early"])
-    late = run(len(grid) - 2, bumps["late"])
+    clean = endpoint(model)
+    early = endpoint(_BumpedModel(model, int(grid[-1]), bumps["early"]))
+    late = endpoint(_BumpedModel(model, int(grid[1]), bumps["late"]))
     return {
         "early": float(np.mean((early - clean) ** 2)),
         "late": float(np.mean((late - clean) ** 2)),
@@ -641,7 +647,8 @@ def save_checkpoint(path, model: ToyDenoiser, schedule: NoiseSchedule) -> None:
 
 
 def load_checkpoint(path) -> tuple[ToyDenoiser, NoiseSchedule]:
-    """Read a checkpoint back; rejects bad magic, versions, and truncation."""
+    """Read a checkpoint back; rejects bad magic, versions, truncation,
+    repeated tensor names, and data that does not tile the rest of the file."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 10 or raw[:4] != CHECKPOINT_MAGIC:
@@ -650,7 +657,7 @@ def load_checkpoint(path) -> tuple[ToyDenoiser, NoiseSchedule]:
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"{path}: unsupported checkpoint version {version}")
     pos = 10
-    tensors = {}
+    entries = {}
     for i in range(count):
         try:
             (name_len,) = struct.unpack_from("<H", raw, pos)
@@ -674,8 +681,19 @@ def load_checkpoint(path) -> tuple[ToyDenoiser, NoiseSchedule]:
                 f"{path}: tensor name of table entry {i} at offset {pos} "
                 "is not UTF-8"
             ) from exc
-        size = int(np.prod(dims, dtype=np.int64)) if dims else 1
-        end = offset + 4 * size
+        if name in entries:
+            raise FormatError(f"{path}: tensor {name!r} appears twice in the table")
+        entries[name] = (dims, offset)
+    # The data records tile [end of table, end of file) in table order.
+    tensors = {}
+    for name, (dims, offset) in entries.items():
+        if offset != pos:
+            raise FormatError(
+                f"{path}: tensor {name!r} data starts at offset {offset}, "
+                f"expected {pos} (records must follow each other with no gap "
+                "or overlap)"
+            )
+        end = offset + 4 * math.prod(dims)
         if end > len(raw):
             raise FormatError(
                 f"{path}: tensor {name!r} data truncated "
@@ -683,6 +701,9 @@ def load_checkpoint(path) -> tuple[ToyDenoiser, NoiseSchedule]:
             )
         arr = np.frombuffer(raw[offset:end], dtype="<f4").astype(np.float64)
         tensors[name] = arr.reshape(dims)
+        pos = end
+    if pos != len(raw):
+        raise FormatError(f"{path}: {len(raw) - pos} unexpected trailing bytes")
     if "betas" not in tensors:
         raise FormatError(f"{path}: checkpoint carries no schedule")
     schedule = NoiseSchedule(tensors.pop("betas"))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from denoq import cli
 from denoq.errors import DomainError, FormatError
 from denoq.modelfile import (
     QuantizedModel,
@@ -160,6 +161,24 @@ class TestCorruptFiles:
         p.write_bytes(p.read_bytes() + b"\x00")
         with pytest.raises(FormatError, match="trailing"):
             import_model(p)
+
+    @pytest.mark.parametrize("byte,what", [(6, "weight"), (7, "activation")])
+    @pytest.mark.parametrize("bits", [1, 33, 200])
+    def test_unsupported_bit_width_in_header(self, tmp_path, byte, what, bits):
+        p = self.write_good(tmp_path)
+        raw = bytearray(p.read_bytes())
+        raw[byte] = bits
+        p.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match=f"unsupported {what} bit-width {bits}"):
+            import_model(p)
+
+    def test_unsupported_bit_width_exits_3(self, tmp_path, capsys):
+        p = self.write_good(tmp_path)
+        raw = bytearray(p.read_bytes())
+        raw[6] = 200  # bits_w
+        p.write_bytes(bytes(raw))
+        assert cli.main(["export-inspect", "--model", str(p)]) == 3
+        assert "unsupported weight bit-width 200" in capsys.readouterr().err
 
     def test_invalid_scale_surfaces_as_format_error(self, tmp_path):
         p = self.write_good(tmp_path)

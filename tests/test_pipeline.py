@@ -334,6 +334,16 @@ class TestCli:
         assert rc == 3
         assert "not UTF-8" in capsys.readouterr().err
 
+    def test_checkpoint_with_trailing_bytes_exits_3(self, tmp_path, capsys):
+        ckpt = tmp_path / "long.ckpt"
+        ckpt.write_bytes(CHECKPOINT.read_bytes() + b"\x00\x00")
+        cfgp = self.write_cfg(tmp_path, checkpoint=str(ckpt))
+        rc = cli.main(
+            ["quantize", "--config", str(cfgp), "--out", str(tmp_path / "x.dmq")]
+        )
+        assert rc == 3
+        assert "trailing bytes" in capsys.readouterr().err
+
     def test_garbage_model_file_exits_3(self, tmp_path, capsys):
         p = tmp_path / "junk.dmq"
         p.write_bytes(b"this is not a model")

@@ -1,4 +1,5 @@
 import hashlib
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,19 @@ from denoq.toydiff import (
 CHECKPOINT = Path(__file__).resolve().parent.parent / "checkpoints" / "toy2d.ckpt"
 # sha256 of the file scripts/make_checkpoint.py writes (seed 1337).
 CHECKPOINT_SHA256 = "b39ec81d30819a94d569b40dfc738cee973297a669bc5e126e34d61083fd6783"
+
+
+def offset_fields(raw: bytes) -> list[int]:
+    """Byte position of each checkpoint table entry's u64 data offset."""
+    (count,) = struct.unpack_from("<I", raw, 6)
+    pos, fields = 10, []
+    for _ in range(count):
+        (name_len,) = struct.unpack_from("<H", raw, pos)
+        pos += 2 + name_len
+        pos += 1 + 4 * raw[pos]
+        fields.append(pos)
+        pos += 8
+    return fields
 
 
 @pytest.fixture(scope="module")
@@ -321,6 +335,44 @@ class TestCheckpointFile:
         name_len = int.from_bytes(raw[10:12], "little")
         p.write_bytes(raw[: 12 + name_len - 1])
         with pytest.raises(FormatError, match="table entry 0"):
+            load_checkpoint(p)
+
+
+    def test_rejects_trailing_bytes(self, tmp_path):
+        p = tmp_path / "x.ckpt"
+        p.write_bytes(CHECKPOINT.read_bytes() + b"\x00\x00")
+        with pytest.raises(FormatError, match="2 unexpected trailing bytes"):
+            load_checkpoint(p)
+
+    def test_rejects_repeated_tensor_name(self, tmp_path):
+        # the table precedes the data, so the first match is head_w's name
+        raw = CHECKPOINT.read_bytes().replace(b"head_w", b"head_b", 1)
+        p = tmp_path / "x.ckpt"
+        p.write_bytes(raw)
+        with pytest.raises(FormatError, match="'head_b' appears twice"):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("entry,shift", [(0, 4), (1, -4), (1, 4), (10, -4)])
+    def test_rejects_records_that_do_not_tile_the_data(self, tmp_path, entry, shift):
+        """A gap before a record, or an overlap with the one before it."""
+        raw = bytearray(CHECKPOINT.read_bytes())
+        field = offset_fields(raw)[entry]
+        (offset,) = struct.unpack_from("<Q", raw, field)
+        struct.pack_into("<Q", raw, field, offset + shift)
+        p = tmp_path / "x.ckpt"
+        p.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="no gap or overlap"):
+            load_checkpoint(p)
+
+    def test_rejects_dims_past_the_file(self, tmp_path):
+        """embed is 2-d; dims whose product overflows int64 are still too big."""
+        raw = bytearray(CHECKPOINT.read_bytes())
+        field = offset_fields(raw)[1]
+        assert raw[field - 9] == 2
+        raw[field - 8 : field] = b"\xff" * 8
+        p = tmp_path / "x.ckpt"
+        p.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="'embed' data truncated"):
             load_checkpoint(p)
 
 
