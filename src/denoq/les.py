@@ -106,16 +106,16 @@ def _default_params(
 
 
 def _les_pass(
-    x: np.ndarray, w: np.ndarray, tau: np.ndarray, act_params: QuantParams,
-    weight_params: QuantParams, rounded: bool, sample_weights=None,
+    x: np.ndarray, w: np.ndarray, ref: np.ndarray, tau: np.ndarray,
+    act_params: QuantParams, weight_params: QuantParams, rounded: bool,
+    sample_weights=None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """One forward pass of the scaled, quantized layer on validated inputs.
 
-    Returns the per-sample losses and, when sample_weights is given, the
-    straight-through gradient of their weighted mean with respect to
-    log_tau (None otherwise).
+    ref is the full-precision product matmul(x, w). Returns the per-sample
+    losses and, when sample_weights is given, the straight-through gradient
+    of their weighted mean with respect to log_tau (None otherwise).
     """
-    ref = matmul(x, w)
     x_hat, w_hat = _scaled_pair(x, w, tau)
     qx, mask_x = _fake_quant(x_hat, act_params, rounded)
     qw, mask_w = _fake_quant(w_hat, weight_params, rounded)
@@ -166,7 +166,7 @@ def les_loss(
         act_params, weight_params = _default_params(
             *_scaled_pair(x, w, tau), bits_a, bits_w, act_signed
         )
-    return _les_pass(x, w, tau, act_params, weight_params, rounded)[0]
+    return _les_pass(x, w, matmul(x, w), tau, act_params, weight_params, rounded)[0]
 
 
 def les_grad(
@@ -196,7 +196,9 @@ def les_grad(
         lam = as_real(sample_weights, "sample weights").reshape(-1)
         if lam.shape[0] != b:
             raise DimensionError("one sample weight per activation row required")
-    return _les_pass(x, w, tau, act_params, weight_params, rounded, lam)[1]
+    return _les_pass(
+        x, w, matmul(x, w), tau, act_params, weight_params, rounded, lam
+    )[1]
 
 
 @dataclass
@@ -231,29 +233,38 @@ class LesResult:
     state: LesState
 
 
-def _codes(v: Tensor, params: QuantParams) -> np.ndarray:
-    """Integer-valued float64 codes: clip(rint(v / scale), l, u)."""
+def _codes_inplace(v: Tensor, params: QuantParams) -> np.ndarray:
+    """Overwrite v with its float64 codes, clip(rint(v / scale), l, u)."""
     l, u = params.bounds
-    return np.clip(np.rint(v / params.scale_for(v.shape)), l, u)
+    np.divide(v, params.scale_for(v.shape), out=v)
+    np.rint(v, out=v)
+    return np.clip(v, l, u, out=v)
 
 
 def _mean_full_loss(
     ref: Tensor, x: Tensor, w: Tensor, tau: np.ndarray,
-    bits_a: int, bits_w: int, act_signed: bool,
-) -> float:
+    bits_a: int, bits_w: int, act_signed: bool, work: tuple,
+) -> tuple[float, tuple[QuantParams, QuantParams]]:
     """Deployment-faithful mean loss: fresh MinMax at this tau, real rounding.
 
     The quantized product is the deployed one: a code product with both
-    scales applied outside the accumulation.
+    scales applied outside the accumulation. work is a pair of float64
+    buffers shaped like x and ref that every step of the check writes into,
+    so the per-iteration check allocates nothing the size of the set.
+    Returns the loss and the MinMax grid fitted at tau.
     """
-    x_hat, w_hat = _scaled_pair(x, w, tau)
+    x_buf, acc_buf = work
+    x_hat = np.divide(x, tau[None, :], out=x_buf)
+    w_hat = w * tau[:, None]
     act_p, wgt_p = _default_params(x_hat, w_hat, bits_a, bits_w, act_signed)
     acc = code_matmul(
-        _codes(x_hat, act_p), _codes(w_hat, wgt_p),
-        bits_a + bits_w + ceil_log2(x.shape[1]),
+        _codes_inplace(x_hat, act_p), _codes_inplace(w_hat, wgt_p),
+        bits_a + bits_w + ceil_log2(x.shape[1]), out=acc_buf,
     )
-    err = ref - apply_output_scales(acc, act_p.scale, wgt_p.scale)
-    return float(np.mean(np.einsum("ij,ij->i", err, err, optimize=False)))
+    err = apply_output_scales(acc, act_p.scale, wgt_p.scale, out=acc)
+    np.subtract(ref, err, out=err)
+    loss = float(np.mean(np.einsum("ij,ij->i", err, err, optimize=False)))
+    return loss, (act_p, wgt_p)
 
 
 def optimize_layer(
@@ -290,11 +301,13 @@ def optimize_layer(
     c_in = x.shape[1]
     n_rows = x.shape[0]
     ref = matmul(x, w)
+    work = (np.empty_like(x), np.empty_like(ref))
     state = LesState(np.zeros(c_in), lr)
     best_tau = np.ones(c_in)
-    initial = _mean_full_loss(ref, x, w, best_tau, bits_a, bits_w, act_signed)
+    initial, fitted = _mean_full_loss(
+        ref, x, w, best_tau, bits_a, bits_w, act_signed, work
+    )
     best = initial
-    act_p = wgt_p = None
     order = rng.permutation(n_rows)
     cursor = 0
     while state.iteration < iterations:
@@ -304,15 +317,17 @@ def optimize_layer(
         batch = order[cursor : cursor + batch_size]
         cursor += batch_size
         tau = state.tau
-        if state.iteration % scale_refresh == 0 or act_p is None:
-            act_p, wgt_p = _default_params(
-                *_scaled_pair(x, w, tau), bits_a, bits_w, act_signed
-            )
+        if state.iteration % scale_refresh == 0:
+            # The last keep-best check already fitted MinMax at this tau.
+            act_p, wgt_p = fitted
         tb = record.timesteps[batch]
         # The record and the clipped log_tau already guarantee what
-        # les_loss / les_grad would validate.
+        # les_loss / les_grad would validate. Rows of the fixed-order ref
+        # equal the batch's own product bit for bit.
         lam = weighter.weights(tb)
-        losses, grad = _les_pass(x[batch], w, tau, act_p, wgt_p, True, lam)
+        losses, grad = _les_pass(
+            x[batch], w, ref[batch], tau, act_p, wgt_p, True, lam
+        )
         weighter.weighted_mean(losses, tb)
         # Outlier layers produce enormous early gradients; a norm clip keeps
         # log-space steps sane without touching the descent direction.
@@ -333,7 +348,9 @@ def optimize_layer(
             state.log_tau = state.log_tau - lr * m_hat / (np.sqrt(v_hat) + eps)
         np.clip(state.log_tau, -_LOG_TAU_BOUND, _LOG_TAU_BOUND, out=state.log_tau)
         state.iteration += 1
-        candidate = _mean_full_loss(ref, x, w, state.tau, bits_a, bits_w, act_signed)
+        candidate, fitted = _mean_full_loss(
+            ref, x, w, state.tau, bits_a, bits_w, act_signed, work
+        )
         if candidate < best:
             best = candidate
             best_tau = state.tau

@@ -187,7 +187,8 @@ def import_model(path) -> QuantizedModel:
 
     Any structural problem raises FormatError and names the record being
     parsed; integrity problems in otherwise well-formed records (scales not
-    positive, codes out of range) surface the same way.
+    positive, codes out of range, a repeated layer name) surface the same
+    way.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -202,11 +203,15 @@ def import_model(path) -> QuantizedModel:
         if not (2 <= bits <= MAX_BITS):
             r.fail(f"unsupported {what} bit-width {bits}")
     layers = []
+    seen = set()
     for i in range(count):
         r.context = f"layer record {i}"
         (name_len,) = r.unpack("<H")
         name = r.take(name_len).decode("utf-8", errors="replace")
         r.context = f"layer record {i} ({name!r})"
+        if name in seen:
+            r.fail("duplicate layer name")
+        seen.add(name)
         c_in, c_out = r.unpack("<II")
         (act_scale,) = r.unpack("<d")
         w_scales = np.frombuffer(r.take(8 * c_out), dtype="<f8").copy()

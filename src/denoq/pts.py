@@ -53,24 +53,25 @@ class PtsFactors:
         object.__setattr__(self, "agreement", agree)
 
 
-def _candidate_errors(
-    x: np.ndarray, base_scale: float, max_exponent: int, bits: int, signed: bool
-) -> np.ndarray:
-    """Squared error of every candidate exponent, elementwise.
-
-    Returns err[d, ...] = (x - dequant(quant(x, base_scale * 2^d)))^2.
-    """
+def _check_ladder(base_scale: float, max_exponent: int) -> None:
     if not (base_scale > 0.0 and np.isfinite(base_scale)):
         raise DomainError(f"base scale must be a positive real, got {base_scale}")
     if max_exponent < 0:
         raise DomainError("max exponent must be >= 0")
-    l, u = code_bounds(bits, signed)
-    out = np.empty((max_exponent + 1,) + x.shape)
-    for d in range(max_exponent + 1):
-        s = base_scale * float(2**d)
-        deq = s * np.clip(np.rint(x / s), l, u)
-        out[d] = (x - deq) ** 2
-    return out
+
+
+def _candidate_error(x: np.ndarray, scale, l: int, u: int, out=None) -> np.ndarray:
+    """Squared reconstruction error (x - scale * clip(rint(x / scale), l, u))^2.
+
+    Elementwise; scale is a scalar or broadcasts against x. Written into out
+    (allocated when None) one operation at a time, so no temporary is made.
+    """
+    out = np.divide(x, scale, out=out)
+    np.rint(out, out=out)
+    np.clip(out, l, u, out=out)
+    np.multiply(out, scale, out=out)
+    np.subtract(x, out, out=out)
+    return np.square(out, out=out)
 
 
 def per_sample_best(
@@ -83,7 +84,12 @@ def per_sample_best(
     error at scale base_scale * 2^d; ties break toward the smaller exponent.
     """
     v = as_real(values, "channel values").reshape(-1)
-    errs = _candidate_errors(v, base_scale, max_exponent, bits, signed).sum(axis=1)
+    _check_ladder(base_scale, max_exponent)
+    l, u = code_bounds(bits, signed)
+    errs = [
+        _candidate_error(v, base_scale * float(2**d), l, u).sum()
+        for d in range(max_exponent + 1)
+    ]
     return int(np.argmin(errs))
 
 
@@ -93,14 +99,31 @@ def per_sample_matrix(
     """Preferred exponents of every (sample, channel) pair at once.
 
     Each row of x is treated as one calibration sample; entry [i, c] equals
-    per_sample_best(x[i, c], ...). Vectorized so selection over a full
-    calibration record stays cheap.
+    per_sample_best(x[i, c], ...). The candidates are scored one error plane
+    at a time against a running minimum, so memory stays O(N x C) whatever
+    max_exponent is; a later exponent wins only on a strictly smaller error,
+    which breaks ties toward the smaller exponent.
     """
     x = as_real(x, "activations")
     if x.ndim != 2:
         raise DimensionError("per_sample_matrix expects a 2-d activation tensor")
-    errs = _candidate_errors(x, base_scale, max_exponent, bits, signed)
-    return np.argmin(errs, axis=0).astype(np.int64)
+    _check_ladder(base_scale, max_exponent)
+    l, u = code_bounds(bits, signed)
+    best = _candidate_error(x, base_scale, l, u)
+    err = np.empty_like(best)
+    better = np.empty(x.shape, dtype=bool)
+    winner = np.zeros(x.shape, dtype=np.min_scalar_type(max_exponent))
+    step = np.empty_like(winner)
+    for d in range(1, max_exponent + 1):
+        _candidate_error(x, base_scale * float(2**d), l, u, out=err)
+        np.less(err, best, out=better)
+        # d exceeds every earlier winner, so max(winner, d * better) sets
+        # exactly the improved entries to d.
+        np.multiply(better, winner.dtype.type(d), out=step)
+        np.maximum(winner, step, out=winner)
+        np.minimum(best, err, out=best)
+    del best, err, better, step  # free the planes before widening
+    return winner.astype(np.int64)
 
 
 def vote(per_sample: np.ndarray, kappa: float) -> PtsFactors:
@@ -120,15 +143,13 @@ def vote(per_sample: np.ndarray, kappa: float) -> PtsFactors:
     if not (0.0 < kappa <= 1.0):
         raise DomainError(f"kappa must lie in (0, 1], got {kappa}")
     n, c = votes.shape
-    exponents = np.zeros(c, dtype=np.int64)
-    agreement = np.zeros(c)
-    for k in range(c):
-        counts = np.bincount(votes[:, k])
-        mode = int(np.argmax(counts))  # first max: smaller exponent wins ties
-        share = counts[mode] / n
-        agreement[k] = share
-        if share > kappa:
-            exponents[k] = mode
+    top = int(votes.max()) if votes.size else 0
+    counts = np.stack(
+        [np.count_nonzero(votes == d, axis=0) for d in range(top + 1)]
+    )
+    mode = np.argmax(counts, axis=0)  # first max: smaller exponent wins ties
+    agreement = counts[mode, np.arange(c)] / n
+    exponents = np.where(agreement > kappa, mode, 0).astype(np.int64)
     return PtsFactors(exponents, agreement, float(kappa))
 
 
@@ -187,8 +208,6 @@ def calibrate_activation_scaling(
     x_hat = as_real(x_hat, "scaled activations")
     if x_hat.ndim != 2:
         raise DimensionError("expected a 2-d activation tensor")
-    c = x_hat.shape[1]
-    ones = np.ones(c)
     s0 = minmax_scale(x_hat, bits, signed=signed).scale
     l, u = code_bounds(bits, signed)
     best = None
@@ -198,12 +217,10 @@ def calibrate_activation_scaling(
             per_sample_matrix(x_hat, s_g, max_exponent, bits=bits, signed=signed),
             kappa,
         )
-        codes = quantize_with_pts(
-            x_hat, ones, s_g, factors.exponents, bits=bits, signed=signed
-        )
+        # The same divisor and codes quantize_with_pts(x_hat, ones, s_g, ...)
+        # would give, dequantized without the int64 round trip.
         channel_scale = np.exp2(factors.exponents.astype(np.float64)) * s_g
-        deq = codes.codes.astype(np.float64) * channel_scale[None, :]
-        err = float(np.sum((x_hat - deq) ** 2))
+        err = float(np.sum(_candidate_error(x_hat, channel_scale, l, u)))
         if best is None or err < best[0]:
             best = (err, s_g, factors)
     return best[1], best[2]

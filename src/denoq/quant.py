@@ -91,13 +91,14 @@ def quantize(x: Tensor, params: QuantParams) -> IntTensor:
     """Quantize a real tensor to integer codes.
 
     Rounds half to even (numpy rint), then clamps to the representable
-    range. Returns an IntTensor tagged with the nominal bit-width.
+    range. Returns an IntTensor tagged with the nominal bit-width and
+    signedness.
     """
     x = as_real(x, "quantize input")
     s = params.scale_for(x.shape)
     l, u = params.bounds
     codes = np.clip(np.rint(x / s), l, u).astype(np.int64)
-    return IntTensor(codes, params.bits)
+    return IntTensor(codes, params.bits, params.signed)
 
 
 def dequantize(q: IntTensor, params: QuantParams) -> Tensor:
@@ -128,10 +129,13 @@ def minmax_scale(
     """
     x = as_real(x, "minmax input")
     _, u = code_bounds(bits, signed)
-    mags = np.abs(x) if signed else np.maximum(x, 0.0)
     if axis is None:
-        m = float(np.max(mags)) if x.size else 0.0
+        # max |x| (max(x, 0) when unsigned) with no temporary the size of x
+        m = 0.0
+        if x.size:
+            m = max(float(x.max()), -float(x.min()) if signed else 0.0)
         return QuantParams(max(m / u, SCALE_FLOOR), bits, signed, None)
+    mags = np.abs(x) if signed else np.maximum(x, 0.0)
     reduce_axes = tuple(i for i in range(x.ndim) if i != axis % x.ndim)
     m = np.max(mags, axis=reduce_axes)
     scale = np.maximum(m / u, SCALE_FLOOR)
@@ -225,14 +229,17 @@ def activation_codes(x: Tensor, layer: QuantizedLayer) -> IntTensor:
     return quantize(x, params)
 
 
-def apply_output_scales(acc, act_scale: float, weight_scales: np.ndarray) -> Tensor:
+def apply_output_scales(
+    acc, act_scale: float, weight_scales: np.ndarray, out=None
+) -> Tensor:
     """Scale a raw accumulator into real outputs: (s_x * s_w_j) * acc_ij.
 
     The product of the two scales is formed first, exactly like the integer
-    path's dequantization, so both paths agree bit for bit.
+    path's dequantization, so both paths agree bit for bit. out, when
+    given, receives the result (it may be acc itself).
     """
     combined = float(act_scale) * np.asarray(weight_scales, dtype=np.float64)
-    return np.asarray(acc, dtype=np.float64) * combined[None, :]
+    return np.multiply(np.asarray(acc, dtype=np.float64), combined[None, :], out=out)
 
 
 def quantized_matmul_reference(x: Tensor, layer: QuantizedLayer) -> Tensor:

@@ -49,11 +49,14 @@ class IntTensor:
     """Integer codes plus the nominal bit-width they were produced under.
 
     Codes are stored as int64 regardless of nominal_bits; the declared width
-    is what range checks and accumulator headroom math reason about.
+    and signedness are what range checks reason about: [-2^(b-1), 2^(b-1) - 1]
+    for signed codes, [0, 2^b - 1] for unsigned ones. Either way every code
+    has magnitude below 2^b, which is all the accumulator headroom math needs.
     """
 
     codes: np.ndarray
     nominal_bits: int
+    signed: bool = True
 
     def __post_init__(self):
         codes = np.asarray(self.codes)
@@ -61,15 +64,17 @@ class IntTensor:
             raise DomainError("IntTensor codes must be integers")
         codes = codes.astype(np.int64)
         object.__setattr__(self, "codes", codes)
-        if not (2 <= self.nominal_bits <= 64):
-            raise DomainError(f"nominal_bits out of range: {self.nominal_bits}")
-        if self.nominal_bits < 64:
-            lo = -(1 << (self.nominal_bits - 1))
-            hi = (1 << (self.nominal_bits - 1)) - 1
-            if codes.size and (codes.min() < lo or codes.max() > hi):
-                raise DomainError(
-                    f"codes exceed the {self.nominal_bits}-bit two's complement range"
-                )
+        b = self.nominal_bits
+        if not (2 <= b <= 64):
+            raise DomainError(f"nominal_bits out of range: {b}")
+        if self.signed:
+            lo, hi, what = -(1 << (b - 1)), (1 << (b - 1)) - 1, "two's complement"
+        else:
+            lo, hi, what = 0, (1 << b) - 1, "unsigned"
+        # int64 storage already bounds signed 64-bit codes (accumulators).
+        if codes.size and not (self.signed and b == 64):
+            if int(codes.min()) < lo or int(codes.max()) > hi:
+                raise DomainError(f"codes exceed the {b}-bit {what} range")
 
     @property
     def shape(self) -> tuple:
@@ -102,18 +107,24 @@ def ceil_log2(n: int) -> int:
     return (n - 1).bit_length() if n > 1 else 0
 
 
-def code_matmul(a: np.ndarray, b: np.ndarray, budget_bits: int) -> np.ndarray:
+def code_matmul(
+    a: np.ndarray, b: np.ndarray, budget_bits: int, out=None
+) -> np.ndarray:
     """Product of two integer-valued code matrices, [M x K] . [K x N].
 
     budget_bits bounds every partial sum below 2^budget_bits (code widths of
     both operands, any folded shift, plus ceil(log2 K)). Within 53 bits each
     partial sum is an exactly representable integer, so the float64 BLAS
     product is exact and identical in any order; the result is float64.
-    Above it, the fixed-order einsum runs in the operands' own dtype.
+    Above it, the fixed-order einsum runs in the operands' own dtype. out,
+    when given, receives the result and must have that dtype.
     """
     if budget_bits <= EXACT_FLOAT_BITS:
-        return a.astype(np.float64, copy=False) @ b.astype(np.float64, copy=False)
-    return np.einsum("ik,kj->ij", a, b, optimize=False)
+        return np.matmul(
+            a.astype(np.float64, copy=False), b.astype(np.float64, copy=False),
+            out=out,
+        )
+    return np.einsum("ik,kj->ij", a, b, optimize=False, out=out)
 
 
 def channel_div(x: Tensor, v) -> Tensor:

@@ -161,3 +161,24 @@ def test_bit_shift_path_bit_exact_against_reference(seed):
         acc, layer.act_params.scale, layer.weight_scale_vector()
     )
     assert np.array_equal(ref, got)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**31), bits_a=st.sampled_from([4, 8, 16]))
+def test_unsigned_activation_codes_run_bit_exact(seed, bits_a):
+    """Unsigned activation codes reach 2^bits - 1, one bit past the signed
+    range; the headroom budget still bounds them and the integer path
+    still equals the reference bit for bit."""
+    layer, x = _random_w4a8_layer(seed)
+    act = QuantParams(layer.act_params.scale, bits_a, signed=False)
+    layer = QuantizedLayer(
+        "u", layer.weight_codes, layer.weight_params, act, layer.fused_tau,
+        layer.pts_exponents,
+    )
+    x[0], x[1] = 1e12, -1.0  # clip to the top and to the bottom code
+    codes_x = activation_codes(x, layer)
+    assert codes_x.signed is False
+    assert codes_x.codes.min() == 0 and codes_x.codes.max() == (1 << bits_a) - 1
+    acc = execute(codes_x, shift_weights(layer.weight_codes, layer.pts_exponents))
+    got = dequantize_output(acc, layer.act_params.scale, layer.weight_scale_vector())
+    assert np.array_equal(got, quantized_matmul_reference(x, layer))

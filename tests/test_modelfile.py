@@ -180,6 +180,31 @@ class TestCorruptFiles:
         assert cli.main(["export-inspect", "--model", str(p)]) == 3
         assert "unsupported weight bit-width 200" in capsys.readouterr().err
 
+    def write_duplicate_names(self, tmp_path):
+        """A two-layer file whose second name is rewritten to the first."""
+        one = tmp_path / "one.dmq"
+        export_model(one, small_model(names=("a",)))
+        p = tmp_path / "dup.dmq"
+        export_model(p, small_model(names=("a", "b")))
+        raw = bytearray(p.read_bytes())
+        # layer 0 is the same record in both files, so layer 1's name byte
+        # sits right after it and its u16 length.
+        at = len(one.read_bytes()) + 2
+        assert raw[at] == ord("b")
+        raw[at] = ord("a")
+        p.write_bytes(bytes(raw))
+        return p
+
+    def test_duplicate_layer_name_is_a_format_error(self, tmp_path):
+        p = self.write_duplicate_names(tmp_path)
+        with pytest.raises(FormatError, match=r"duplicate layer name.*layer record 1"):
+            import_model(p)
+
+    def test_duplicate_layer_name_exits_3(self, tmp_path, capsys):
+        p = self.write_duplicate_names(tmp_path)
+        assert cli.main(["export-inspect", "--model", str(p)]) == 3
+        assert "duplicate layer name" in capsys.readouterr().err
+
     def test_invalid_scale_surfaces_as_format_error(self, tmp_path):
         p = self.write_good(tmp_path)
         raw = bytearray(p.read_bytes())

@@ -251,6 +251,19 @@ class TestVariants:
         model, report = run_quantize(tiny_config(propagate_quantized_inputs=True))
         assert np.isfinite(report.endpoint_mse)
 
+    def test_unsigned_activations_quantize_and_evaluate(self, tmp_path):
+        cfg = tiny_config(act_unsigned=True, pts_layers="all")
+        out = tmp_path / "u.dmq"
+        report = quantize_to_file(cfg, out)
+        assert out.read_bytes()[8] & 1 == 0  # DMQ1 flags: unsigned activations
+        model = import_model(out)
+        assert model.act_signed is False
+        for layer in model.layers:
+            assert layer.act_params.signed is False
+        assert np.isfinite(report.endpoint_mse)
+        again = run_eval(out, cfg)
+        assert repr(again.endpoint_mse) == repr(report.endpoint_mse)
+
     def test_missing_checkpoint_fails_cleanly(self):
         with pytest.raises(OSError):
             run_quantize(tiny_config(checkpoint="nowhere/else.ckpt"))

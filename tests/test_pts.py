@@ -214,3 +214,164 @@ class TestLadderCalibration:
 
         assert base == pytest.approx(minmax_scale(x, 8).scale, rel=0)
         assert np.all(f.exponents == 0)
+
+
+# ---------------------------------------------------------------------------
+# The streaming selection against its dense definition
+# ---------------------------------------------------------------------------
+
+
+def dense_per_sample(x, base, max_exponent, bits, signed):
+    """Every candidate's error plane stacked into one array, then argmin."""
+    lo, hi = code_bounds(bits, signed)
+    errs = []
+    for d in range(max_exponent + 1):
+        s = base * float(2**d)
+        errs.append((x - s * np.clip(np.rint(x / s), lo, hi)) ** 2)
+    return np.argmin(np.stack(errs), axis=0)
+
+
+def bincount_vote(votes, kappa):
+    """One np.bincount per channel, the way the vote reads in prose."""
+    n, c = votes.shape
+    exps, agree = np.zeros(c, dtype=np.int64), np.zeros(c)
+    for k in range(c):
+        counts = np.bincount(votes[:, k])
+        mode = int(np.argmax(counts))
+        agree[k] = counts[mode] / n
+        exps[k] = mode if agree[k] > kappa else 0
+    return exps, agree
+
+
+def dense_calibrate(x, bits, signed, max_exponent, kappa):
+    """The rung ladder as first written: dense candidate errors, the
+    per-channel vote, and each rung scored through quantize_with_pts and
+    a float64 dequantization of its int64 codes."""
+    from denoq.quant import minmax_scale
+
+    s0 = minmax_scale(x, bits, signed=signed).scale
+    best = None
+    for g in range(max_exponent + 1):
+        s_g = s0 / float(2**g)
+        exps, agree = bincount_vote(
+            dense_per_sample(x, s_g, max_exponent, bits, signed), kappa
+        )
+        codes = quantize_with_pts(
+            x, np.ones(x.shape[1]), s_g, exps, bits=bits, signed=signed
+        )
+        scale = np.exp2(exps.astype(np.float64)) * s_g
+        err = float(np.sum((x - codes.codes.astype(np.float64) * scale[None, :]) ** 2))
+        if best is None or err < best[0]:
+            best = (err, s_g, exps, agree)
+    return best[1:]
+
+
+def awkward_activations(seed, n, c, kind, base):
+    """Activations that stress the tie rules: plain noise with outlier
+    channels, values on half-steps of the candidate grids (exact rounding
+    ties, and error ties between exponents), and zero / constant columns."""
+    rng = Rng(seed)
+    if kind == "noise":
+        return rng.standard_normal((n, c)) * np.exp2(rng.integers(0, 5, c))[None, :]
+    if kind == "half_steps":
+        steps = rng.integers(-600, 600, (n, c)) + 0.5 * rng.integers(0, 2, (n, c))
+        return steps * base * np.exp2(rng.integers(0, 3, c))[None, :]
+    x = np.zeros((n, c))
+    x[:, ::2] = rng.standard_normal(c)[::2] * 40.0  # constant columns
+    return x
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**31),
+    n=st.integers(1, 30),
+    c=st.integers(1, 6),
+    max_exponent=st.integers(0, 5),
+    bits=st.sampled_from([2, 3, 4, 8]),
+    signed=st.booleans(),
+    kind=st.sampled_from(["noise", "half_steps", "constant"]),
+    base=st.sampled_from([0.25, 0.5, 1.0, 0.03]),
+)
+def test_per_sample_matrix_equals_dense_argmin(
+    seed, n, c, max_exponent, bits, signed, kind, base
+):
+    x = awkward_activations(seed, n, c, kind, base)
+    got = per_sample_matrix(x, base, max_exponent, bits=bits, signed=signed)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, dense_per_sample(x, base, max_exponent, bits, signed))
+    for k in range(c):
+        assert got[0, k] == per_sample_best(
+            x[:1, k], base, max_exponent, bits=bits, signed=signed
+        )
+
+
+def test_per_sample_matrix_error_ties_go_to_the_smaller_exponent():
+    # 1.5 * base: rint(1.5) = 2 at d = 0 and rint(0.75) = 1 at d = 1 leave
+    # the same error 0.25 * base^2; zero and 4 * base are exact on all grids.
+    x = np.array([[1.5, 0.0, 4.0], [-1.5, 0.0, -4.0]])
+    assert per_sample_matrix(x, 1.0, 2, bits=8).tolist() == [[0, 0, 0], [0, 0, 0]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**31),
+    n=st.integers(1, 40),
+    c=st.integers(0, 6),
+    top=st.integers(0, 7),
+    kappa=st.sampled_from([0.2, 0.5, 0.6, 0.75, 1.0]),
+)
+def test_vote_equals_per_channel_bincount(seed, n, c, top, kappa):
+    votes = Rng(seed).integers(0, top + 1, (n, c))
+    got = vote(votes, kappa)
+    exps, agree = bincount_vote(votes, kappa)
+    assert np.array_equal(got.exponents, exps)
+    assert got.agreement.tobytes() == agree.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**31),
+    n=st.integers(1, 60),
+    c=st.integers(1, 8),
+    max_exponent=st.integers(0, 5),
+    bits=st.sampled_from([3, 4, 8]),
+    signed=st.booleans(),
+    kappa=st.sampled_from([0.3, 0.6]),
+    kind=st.sampled_from(["noise", "half_steps", "constant"]),
+)
+def test_calibration_equals_the_dense_implementation(
+    seed, n, c, max_exponent, bits, signed, kappa, kind
+):
+    x = awkward_activations(seed, n, c, kind, 0.25)
+    base, f = calibrate_activation_scaling(
+        x, bits=bits, signed=signed, max_exponent=max_exponent, kappa=kappa
+    )
+    want_base, want_exps, want_agree = dense_calibrate(
+        x, bits, signed, max_exponent, kappa
+    )
+    assert base == want_base
+    assert np.array_equal(f.exponents, want_exps)
+    assert f.agreement.tobytes() == want_agree.tobytes()
+
+
+def test_selection_memory_stays_linear_in_the_tensor():
+    """No (D+1) x N x C candidate stack: with D = 7 a dense stack alone
+    would be 8x the input; the streaming planes stay under 4x."""
+    import tracemalloc
+
+    x = Rng(11).standard_normal((20480, 64)) * np.exp2(np.arange(64) % 5)[None, :]
+    tracemalloc.start()
+    try:
+        per_sample_matrix(x, 0.01, 7, bits=8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * x.nbytes
+    small = x[:4096]
+    tracemalloc.start()
+    try:
+        calibrate_activation_scaling(small, bits=8, max_exponent=7, kappa=0.6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * small.nbytes

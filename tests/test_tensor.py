@@ -102,6 +102,20 @@ def test_matmul_is_reproducible_not_blas_order_dependent():
     assert np.array_equal(first, again)
 
 
+def test_matmul_rows_equal_the_product_of_those_rows():
+    """LES slices one full-set product per batch instead of recomputing it,
+    which needs the fixed-order product of a row subset to be the same bits
+    as those rows of the full product, down to a single row."""
+    rng = Rng(21)
+    for m, k, n in [(1, 1, 1), (33, 64, 64), (500, 128, 7), (3000, 17, 64)]:
+        x = rng.standard_normal((m, k)) * 10.0
+        w = rng.standard_normal((k, n))
+        full = matmul(x, w)
+        for b in (1, 2, 31, 32, m):
+            rows = rng.permutation(m)[:b]
+            assert np.array_equal(full[rows], matmul(x[rows], w))
+
+
 def test_matmul_rejects_bad_shapes():
     with pytest.raises(DimensionError):
         matmul(np.ones((2, 3)), np.ones((4, 2)))
@@ -173,6 +187,15 @@ class TestIntTensor:
             IntTensor(np.array([[-9]]), 4)
         with pytest.raises(DomainError):
             IntTensor(np.array([[8]]), 4)
+
+    def test_unsigned_range_check(self):
+        t = IntTensor(np.array([[0, 15]]), 4, signed=False)
+        assert t.signed is False
+        with pytest.raises(DomainError, match="unsigned"):
+            IntTensor(np.array([[-1]]), 4, signed=False)
+        with pytest.raises(DomainError, match="unsigned"):
+            IntTensor(np.array([[16]]), 4, signed=False)
+        IntTensor(np.array([(1 << 32) - 1]), 32, signed=False)
 
     def test_bits_bounds(self):
         with pytest.raises(DomainError):
