@@ -82,8 +82,9 @@ def execute(x: IntTensor, w: ShiftedWeights) -> IntTensor:
 
     The accumulator is 64-bit; the call is rejected unless
     bits_x + bits_w + max_shift + ceil(log2(C_in)) <= 63, which bounds the
-    worst-case partial sum strictly below 2^63. Within 53 bits the product
-    runs exactly on BLAS (see tensor.code_matmul), above it in int64.
+    worst-case partial sum strictly below 2^63. Within 24 bits the product
+    runs exactly on float32 BLAS, within 53 bits on float64 BLAS, above that
+    in int64 (see tensor.code_matmul).
     """
     if not isinstance(x, IntTensor):
         raise DomainError("execute expects IntTensor activations")
@@ -112,4 +113,5 @@ def dequantize_output(acc: IntTensor, act_scale: float, weight_scales) -> Tensor
     weight_scales = np.asarray(weight_scales, dtype=np.float64).reshape(-1)
     if acc.codes.ndim != 2 or acc.codes.shape[1] != weight_scales.shape[0]:
         raise DimensionError("one weight scale per output column required")
-    return apply_output_scales(acc.codes.astype(np.float64), act_scale, weight_scales)
+    out = acc.codes.astype(np.float64)
+    return apply_output_scales(out, act_scale, weight_scales, out=out)

@@ -30,7 +30,16 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 from .quant import QuantParams, apply_output_scales, minmax_scale
-from .tensor import Rng, Tensor, as_real, ceil_log2, channel_mul, code_matmul, matmul
+from .tensor import (
+    EXACT_FLOAT32_BITS,
+    Rng,
+    Tensor,
+    as_real,
+    ceil_log2,
+    channel_mul,
+    code_matmul,
+    matmul,
+)
 from .timestep_weighting import TimestepWeighter
 
 # Descent safeguards: gradients are norm-clipped and log factors bounded to
@@ -233,12 +242,29 @@ class LesResult:
     state: LesState
 
 
-def _codes_inplace(v: Tensor, params: QuantParams) -> np.ndarray:
-    """Overwrite v with its float64 codes, clip(rint(v / scale), l, u)."""
+def _codes_inplace(v: Tensor, params: QuantParams, out=None) -> np.ndarray:
+    """Overwrite v with rint(v / scale); return its codes clipped to [l, u],
+    written into out when given (its dtype must hold them exactly), else v."""
     l, u = params.bounds
     np.divide(v, params.scale_for(v.shape), out=v)
     np.rint(v, out=v)
-    return np.clip(v, l, u, out=v)
+    return np.clip(v, l, u, out=v if out is None else out)
+
+
+def _check_buffers(x: Tensor, ref: Tensor, bits_a: int, bits_w: int) -> tuple:
+    """What every keep-best check of one layer reuses.
+
+    The column maxima and minima of x, stacked [2 x C_in]: dividing by a
+    positive tau is monotone, so the extremes of x / tau are those of
+    extremes / tau, bit for bit. Then buffers shaped like x for x / tau and
+    its codes, and one shaped like ref for the product. The codes buffer is
+    float32 when the product runs in the float32 tier of code_matmul.
+    """
+    budget = bits_a + bits_w + ceil_log2(x.shape[1])
+    x_buf = np.empty_like(x)
+    code_buf = np.empty(x.shape, np.float32) if budget <= EXACT_FLOAT32_BITS else x_buf
+    extremes = np.stack((x.max(axis=0), x.min(axis=0)))
+    return budget, extremes, x_buf, code_buf, np.empty_like(ref)
 
 
 def _mean_full_loss(
@@ -248,19 +274,16 @@ def _mean_full_loss(
     """Deployment-faithful mean loss: fresh MinMax at this tau, real rounding.
 
     The quantized product is the deployed one: a code product with both
-    scales applied outside the accumulation. work is a pair of float64
-    buffers shaped like x and ref that every step of the check writes into,
+    scales applied outside the accumulation. work comes from _check_buffers,
     so the per-iteration check allocates nothing the size of the set.
     Returns the loss and the MinMax grid fitted at tau.
     """
-    x_buf, acc_buf = work
-    x_hat = np.divide(x, tau[None, :], out=x_buf)
+    budget, extremes, x_buf, code_buf, acc_buf = work
+    act_p = minmax_scale(extremes / tau[None, :], bits_a, signed=act_signed)
     w_hat = w * tau[:, None]
-    act_p, wgt_p = _default_params(x_hat, w_hat, bits_a, bits_w, act_signed)
-    acc = code_matmul(
-        _codes_inplace(x_hat, act_p), _codes_inplace(w_hat, wgt_p),
-        bits_a + bits_w + ceil_log2(x.shape[1]), out=acc_buf,
-    )
+    wgt_p = minmax_scale(w_hat, bits_w, signed=True, axis=1)
+    x_codes = _codes_inplace(np.divide(x, tau[None, :], out=x_buf), act_p, code_buf)
+    acc = code_matmul(x_codes, _codes_inplace(w_hat, wgt_p), budget, out=acc_buf)
     err = apply_output_scales(acc, act_p.scale, wgt_p.scale, out=acc)
     np.subtract(ref, err, out=err)
     loss = float(np.mean(np.einsum("ij,ij->i", err, err, optimize=False)))
@@ -301,7 +324,7 @@ def optimize_layer(
     c_in = x.shape[1]
     n_rows = x.shape[0]
     ref = matmul(x, w)
-    work = (np.empty_like(x), np.empty_like(ref))
+    work = _check_buffers(x, ref, bits_a, bits_w)
     state = LesState(np.zeros(c_in), lr)
     best_tau = np.ones(c_in)
     initial, fitted = _mean_full_loss(

@@ -207,7 +207,10 @@ def import_model(path) -> QuantizedModel:
     for i in range(count):
         r.context = f"layer record {i}"
         (name_len,) = r.unpack("<H")
-        name = r.take(name_len).decode("utf-8", errors="replace")
+        try:
+            name = r.take(name_len).decode("utf-8")
+        except UnicodeDecodeError:
+            r.fail("layer name is not UTF-8")
         r.context = f"layer record {i} ({name!r})"
         if name in seen:
             r.fail("duplicate layer name")

@@ -298,15 +298,88 @@ def _layer_mse(x, w, qlayer: QuantizedLayer) -> float:
     return float(np.mean((matmul(x, w) - quantized_matmul_reference(x, qlayer)) ** 2))
 
 
+def _quantize_layer(
+    config: Config, spec, record, root: Rng, tset_desc: list
+) -> tuple[QuantizedLayer, LayerSummary, list]:
+    """Quantize one layer from its calibration record.
+
+    Learns (or looks up) channel scaling factors, picks the activation scale
+    and any power-of-two rescue exponents on the scaled activations, fuses
+    factors into divisors and weights and quantizes the weights. Returns the
+    layer, its summary and its (layer, timestep, mse) rows.
+    """
+    act_signed = not config.act_unsigned
+    c_in = record.activations.shape[1]
+    initial_loss = final_loss = None
+    if config.baseline == "smoothquant":
+        tau = smoothquant_tau(record.activations, record.weight)
+    elif config.les:
+        weighter = TimestepWeighter(tset_desc, alpha=config.alpha, xi=config.xi)
+        result = optimize_layer(
+            record,
+            weighter,
+            root.child(f"les-{spec.name}"),
+            bits_a=config.bits_a,
+            bits_w=config.bits_w,
+            iterations=config.iterations,
+            lr=config.lr,
+            batch_size=config.B,
+            optimizer=config.optimizer,
+            scale_refresh=config.scale_refresh,
+            act_signed=act_signed,
+        )
+        tau = result.tau
+        initial_loss, final_loss = result.initial_loss, result.final_loss
+    else:
+        tau = np.ones(c_in)
+    x_hat = record.activations / tau[None, :]
+    rescue = config.pts_layers == "all" or (
+        config.pts_layers == "skip_only" and "skip_connection" in spec.tags
+    )
+    if rescue and config.D > 0:
+        base_scale, factors = calibrate_activation_scaling(
+            x_hat,
+            bits=config.bits_a,
+            signed=act_signed,
+            max_exponent=config.D,
+            kappa=config.kappa,
+        )
+        delta = factors.exponents
+        agreement_min = float(factors.agreement.min())
+    else:
+        base_scale = minmax_scale(x_hat, config.bits_a, signed=act_signed).scale
+        delta = np.zeros(c_in, dtype=np.int64)
+        agreement_min = None
+    act_params = QuantParams(base_scale, config.bits_a, act_signed)
+    fused, w_scaled = fuse(tau, act_params, record.weight)
+    w_params = minmax_scale(w_scaled, config.bits_w, signed=True, axis=1)
+    qlayer = QuantizedLayer(
+        spec.name, quantize(w_scaled, w_params), w_params, act_params, fused, delta
+    )
+    rows = []
+    for t in tset_desc:
+        x = record.activations[record.timesteps == t]
+        rows.append((spec.name, t, _layer_mse(x, record.weight, qlayer)))
+    summary = LayerSummary(
+        spec.name,
+        float(tau.min()),
+        float(tau.max()),
+        int(np.count_nonzero(delta)),
+        int(delta.max()) if delta.size else 0,
+        agreement_min,
+        initial_loss,
+        final_loss,
+    )
+    return qlayer, summary, rows
+
+
 def run_quantize(config: Config) -> tuple[QuantizedModel, EvalReport]:
     """Quantize the configured checkpoint; returns the model and its report.
 
     Stages: capture calibration activations along sampler trajectories;
-    per layer, learn (or look up) channel scaling factors, pick the
-    activation scale and any power-of-two rescue exponents on the scaled
-    activations, fuse factors into divisors and weights, and quantize the
-    weights; finally measure calibration-set error per layer per timestep
-    and the endpoint deviation of a fresh paired trajectory run.
+    quantize each layer in checkpoint order (_quantize_layer); finally
+    measure calibration-set error per layer per timestep and the endpoint
+    deviation of a fresh paired trajectory run.
     """
     if not config.checkpoint:
         raise ConfigError("config names no checkpoint")
@@ -314,91 +387,38 @@ def run_quantize(config: Config) -> tuple[QuantizedModel, EvalReport]:
     root = Rng(config.seed)
     grid = ddim_timesteps(schedule.t_max, config.T)
     tset_desc = [int(t) for t in grid[1:][::-1]]  # sampler visit order
-    act_signed = not config.act_unsigned
+    specs = model.quantizable_layers()
+    propagate = config.propagate_quantized_inputs
 
-    def capture(tag: str, overrides):
+    def capture(tag: str, overrides, layers=None):
         recs = collect_calibration(
             model, schedule, config.T, config.n, root.child(tag),
-            eta=config.eta, overrides=overrides or None,
+            eta=config.eta, overrides=overrides or None, layers=layers,
         )
         for r in recs.values():
             _check_finite(r.activations, f"calibration activations for {r.name}")
         return recs
 
-    records = capture("calib", None)
+    # With propagated inputs every layer reads a capture of its own, taken
+    # after the last one is freed, that records only that layer.
+    records = capture("calib", None, [specs[0].name] if propagate else None)
     overrides = {}
     qlayers = []
     summaries = []
     rows = []
-    for idx, spec in enumerate(model.quantizable_layers()):
-        if config.propagate_quantized_inputs and overrides:
-            records = capture(f"calib-{idx}", overrides)
-        record = records[spec.name]
-        c_in = record.activations.shape[1]
-        initial_loss = final_loss = None
-        if config.baseline == "smoothquant":
-            tau = smoothquant_tau(record.activations, record.weight)
-        elif config.les:
-            weighter = TimestepWeighter(tset_desc, alpha=config.alpha, xi=config.xi)
-            result = optimize_layer(
-                record,
-                weighter,
-                root.child(f"les-{spec.name}"),
-                bits_a=config.bits_a,
-                bits_w=config.bits_w,
-                iterations=config.iterations,
-                lr=config.lr,
-                batch_size=config.B,
-                optimizer=config.optimizer,
-                scale_refresh=config.scale_refresh,
-                act_signed=act_signed,
-            )
-            tau = result.tau
-            initial_loss, final_loss = result.initial_loss, result.final_loss
-        else:
-            tau = np.ones(c_in)
-        x_hat = record.activations / tau[None, :]
-        rescue = config.pts_layers == "all" or (
-            config.pts_layers == "skip_only" and "skip_connection" in spec.tags
-        )
-        if rescue and config.D > 0:
-            base_scale, factors = calibrate_activation_scaling(
-                x_hat,
-                bits=config.bits_a,
-                signed=act_signed,
-                max_exponent=config.D,
-                kappa=config.kappa,
-            )
-            delta = factors.exponents
-            agreement_min = float(factors.agreement.min())
-        else:
-            base_scale = minmax_scale(x_hat, config.bits_a, signed=act_signed).scale
-            delta = np.zeros(c_in, dtype=np.int64)
-            agreement_min = None
-        act_params = QuantParams(base_scale, config.bits_a, act_signed)
-        fused, w_scaled = fuse(tau, act_params, record.weight)
-        w_params = minmax_scale(w_scaled, config.bits_w, signed=True, axis=1)
-        qlayer = QuantizedLayer(
-            spec.name, quantize(w_scaled, w_params), w_params, act_params, fused, delta
+    for idx, spec in enumerate(specs):
+        if propagate and overrides:
+            records = capture(f"calib-{idx}", overrides, [spec.name])
+        qlayer, summary, layer_rows = _quantize_layer(
+            config, spec, records.pop(spec.name), root, tset_desc
         )
         qlayers.append(qlayer)
         overrides[spec.name] = _layer_runner(qlayer)
-        for t in tset_desc:
-            x = record.activations[record.timesteps == t]
-            rows.append((spec.name, t, _layer_mse(x, record.weight, qlayer)))
-        summaries.append(
-            LayerSummary(
-                spec.name,
-                float(tau.min()),
-                float(tau.max()),
-                int(np.count_nonzero(delta)),
-                int(delta.max()) if delta.size else 0,
-                agreement_min,
-                initial_loss,
-                final_loss,
-            )
-        )
-    qmodel = QuantizedModel(config.bits_w, config.bits_a, act_signed, tuple(qlayers))
+        summaries.append(summary)
+        rows += layer_rows
+    qmodel = QuantizedModel(
+        config.bits_w, config.bits_a, not config.act_unsigned, tuple(qlayers)
+    )
     endpoint = _paired_endpoint_mse(model, schedule, config, overrides, root)
     report = EvalReport(config.echo(), "quantize", tuple(rows), endpoint, tuple(summaries))
     return qmodel, report

@@ -95,10 +95,11 @@ def quantize(x: Tensor, params: QuantParams) -> IntTensor:
     signedness.
     """
     x = as_real(x, "quantize input")
-    s = params.scale_for(x.shape)
     l, u = params.bounds
-    codes = np.clip(np.rint(x / s), l, u).astype(np.int64)
-    return IntTensor(codes, params.bits, params.signed)
+    codes = np.divide(x, params.scale_for(x.shape))
+    np.rint(codes, out=codes)
+    np.clip(codes, l, u, out=codes)
+    return IntTensor(codes.astype(np.int64), params.bits, params.signed)
 
 
 def dequantize(q: IntTensor, params: QuantParams) -> Tensor:
@@ -162,6 +163,10 @@ class QuantizedLayer:
             the activation scale (tau_c * act scale).
         pts_exponents: per-input-channel power-of-two exponents (>= 0). Zero
             everywhere when channel rescue is off.
+
+    Derived when the layer is built, not passed in:
+        act_code_params: the per-input-channel quantizer activation_codes
+            applies; its scale is the divisor 2^pts_exponents * fused_tau.
     """
 
     name: str
@@ -170,6 +175,7 @@ class QuantizedLayer:
     act_params: QuantParams
     fused_tau: np.ndarray
     pts_exponents: np.ndarray = field(default=None)
+    act_code_params: QuantParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.weight_codes.codes.ndim != 2:
@@ -202,6 +208,16 @@ class QuantizedLayer:
         if delta.size and delta.min() < 0:
             raise DomainError("pts_exponents must be non-negative")
         object.__setattr__(self, "pts_exponents", delta)
+        # Multiplying by an exact power of two only touches the float
+        # exponent, so this divisor gives the divide-by-tau codes bit for bit.
+        # A divisor that overflows is not a positive real and is rejected.
+        with np.errstate(over="ignore"):
+            divisor = np.exp2(delta.astype(np.float64)) * fused
+        object.__setattr__(
+            self,
+            "act_code_params",
+            QuantParams(divisor, self.act_params.bits, self.act_params.signed, axis=1),
+        )
 
     @property
     def c_in(self) -> int:
@@ -220,13 +236,11 @@ class QuantizedLayer:
 def activation_codes(x: Tensor, layer: QuantizedLayer) -> IntTensor:
     """Integer activation codes for a layer's input.
 
-    The per-channel divisor is 2^delta_c * fused_tau_c; multiplying by an
-    exact power of two only touches the float exponent, so this equals the
-    divide-by-tau-then-quantize path bit for bit.
+    The per-channel divisor 2^delta_c * fused_tau_c and its quantizer are
+    built with the layer, so this equals the divide-by-tau-then-quantize
+    path bit for bit.
     """
-    divisor = np.exp2(layer.pts_exponents.astype(np.float64)) * layer.fused_tau
-    params = QuantParams(divisor, layer.act_params.bits, layer.act_params.signed, axis=1)
-    return quantize(x, params)
+    return quantize(x, layer.act_code_params)
 
 
 def apply_output_scales(
@@ -246,12 +260,13 @@ def quantized_matmul_reference(x: Tensor, layer: QuantizedLayer) -> Tensor:
     """Real-arithmetic oracle for quantized layer execution.
 
     Computes the factored product: integer codes are multiplied and summed
-    in float64 with the scales applied outside the accumulation. Power-of-two
-    exponents are folded onto the weight codes (exactly, since scaling by 2^d
-    is exponent arithmetic). While codes and partial sums stay below 2^53 the
+    with the scales applied outside the accumulation. Power-of-two exponents
+    are folded onto the weight codes (exactly, since scaling by 2^d is
+    exponent arithmetic). While codes and partial sums stay below 2^53 the
     whole accumulation is exact integer arithmetic, which is what makes the
     bit-shift integer path reproducible against this function bit for bit,
-    and what lets the product run on BLAS (see tensor.code_matmul).
+    and what lets the product run on float32 or float64 BLAS (see
+    tensor.code_matmul).
     """
     x = as_real(x, "layer input")
     if x.ndim != 2 or x.shape[1] != layer.c_in:
@@ -267,5 +282,5 @@ def quantized_matmul_reference(x: Tensor, layer: QuantizedLayer) -> Tensor:
         codes_x.nominal_bits + layer.weight_codes.nominal_bits + max_shift
         + ceil_log2(layer.c_in)
     )
-    acc = code_matmul(codes_x.codes.astype(np.float64), shifted_w, budget)
+    acc = code_matmul(codes_x.codes, shifted_w, budget)
     return apply_output_scales(acc, layer.act_params.scale, layer.weight_scale_vector())

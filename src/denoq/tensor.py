@@ -7,11 +7,17 @@ fixed accumulation order (ascending reduction index, no BLAS dispatch) so
 repeated calls with identical inputs are bit-identical regardless of thread
 count.
 
-Products of integer codes go through :func:`code_matmul` instead. While the
-worst-case budget bits_a + bits_w + max_shift + ceil(log2 C_in) is at most
-53 bits, every partial sum is an integer that float64 holds exactly, so the
-product runs on BLAS and is still the same in any summation order and at any
-thread count. Beyond that budget it falls back to the fixed order.
+Products of integer codes go through :func:`code_matmul` instead, in one
+of three tiers chosen by the worst-case budget bits_a + bits_w + max_shift +
+ceil(log2 C_in):
+
+* at most 24 bits: every partial sum is an integer that float32 holds
+  exactly, so the product runs on float32 BLAS (sgemm);
+* at most 53 bits: the same holds for float64, so it runs on float64 BLAS;
+* past 53 bits: the fixed-order einsum, in the operands' common dtype.
+
+In the two BLAS tiers the result is the same in any summation order and at
+any thread count, because no partial sum is ever rounded.
 """
 
 from __future__ import annotations
@@ -52,6 +58,10 @@ class IntTensor:
     and signedness are what range checks reason about: [-2^(b-1), 2^(b-1) - 1]
     for signed codes, [0, 2^b - 1] for unsigned ones. Either way every code
     has magnitude below 2^b, which is all the accumulator headroom math needs.
+
+    An int64 array is taken over as it is, not copied: the tensor owns it
+    from then on, and the caller must not write to it. Other integer dtypes
+    are widened into a new array.
     """
 
     codes: np.ndarray
@@ -60,9 +70,9 @@ class IntTensor:
 
     def __post_init__(self):
         codes = np.asarray(self.codes)
-        if not np.issubdtype(codes.dtype, np.integer):
+        if codes.dtype.kind not in "iu":
             raise DomainError("IntTensor codes must be integers")
-        codes = codes.astype(np.int64)
+        codes = codes.astype(np.int64, copy=False)
         object.__setattr__(self, "codes", codes)
         b = self.nominal_bits
         if not (2 <= b <= 64):
@@ -98,7 +108,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return np.einsum("ik,kj->ij", a, b, optimize=False)
 
 
-# float64 holds every integer of magnitude up to 2^53 exactly.
+# float32 and float64 hold every integer of magnitude up to 2^24 and 2^53
+# exactly.
+EXACT_FLOAT32_BITS = 24
 EXACT_FLOAT_BITS = 53
 
 
@@ -112,19 +124,33 @@ def code_matmul(
 ) -> np.ndarray:
     """Product of two integer-valued code matrices, [M x K] . [K x N].
 
-    budget_bits bounds every partial sum below 2^budget_bits (code widths of
-    both operands, any folded shift, plus ceil(log2 K)). Within 53 bits each
-    partial sum is an exactly representable integer, so the float64 BLAS
-    product is exact and identical in any order; the result is float64.
-    Above it, the fixed-order einsum runs in the operands' own dtype. out,
-    when given, receives the result and must have that dtype.
+    a and b hold exact integers in any numeric dtype; integer codes go in
+    as they are. budget_bits bounds every partial sum below 2^budget_bits
+    (code widths of both operands, any folded shift, plus ceil(log2 K)).
+    Within 24 bits each partial sum is an integer float32 holds exactly, so
+    the float32 BLAS product is exact and identical in any order; within 53
+    bits the same holds for float64. Either way the result is float64,
+    written into out when given. Above 53 bits the fixed-order einsum runs
+    in the operands' common dtype, and out must have that dtype.
     """
+    if budget_bits <= EXACT_FLOAT32_BITS:
+        acc = np.matmul(
+            a.astype(np.float32, copy=False), b.astype(np.float32, copy=False)
+        )
+        if out is None:
+            return acc.astype(np.float64)
+        np.copyto(out, acc)
+        return out
     if budget_bits <= EXACT_FLOAT_BITS:
         return np.matmul(
             a.astype(np.float64, copy=False), b.astype(np.float64, copy=False),
             out=out,
         )
-    return np.einsum("ik,kj->ij", a, b, optimize=False, out=out)
+    dtype = np.result_type(a, b)
+    return np.einsum(
+        "ik,kj->ij", a.astype(dtype, copy=False), b.astype(dtype, copy=False),
+        optimize=False, out=out,
+    )
 
 
 def channel_div(x: Tensor, v) -> Tensor:

@@ -36,6 +36,9 @@ class TimestepWeighter:
         xi: momentum of the running average, in [0, 1). An average that has
             never been updated bootstraps to the first observed loss instead
             of being dragged up from zero.
+
+    The state is two arrays indexed by a timestep's position in the subset:
+    the running averages and whether each has been updated yet.
     """
 
     def __init__(self, timesteps: Iterable[int], alpha: float = 1.0, xi: float = 0.95):
@@ -51,16 +54,28 @@ class TimestepWeighter:
         self.timesteps = tuple(steps)
         self.alpha = float(alpha)
         self.xi = float(xi)
-        self._avg = {t: 0.0 for t in steps}
-        self._seen = {t: False for t in steps}
+        self._index = {t: i for i, t in enumerate(steps)}
+        self._order = np.argsort(np.array(steps, dtype=np.int64), kind="stable")
+        self._sorted = np.array(steps, dtype=np.int64)[self._order]
+        self._avg = np.zeros(len(steps))
+        self._seen = np.zeros(len(steps), dtype=bool)
 
     def running_average(self, t: int) -> float:
-        self._check_known(t)
-        return self._avg[t]
+        return float(self._avg[self._position(t)])
 
-    def _check_known(self, t: int) -> None:
-        if t not in self._avg:
+    def _position(self, t: int) -> int:
+        if t not in self._index:
             raise DomainError(f"timestep {t} is not part of this weighter's subset")
+        return self._index[t]
+
+    def _positions(self, timesteps) -> np.ndarray:
+        """Position of every entry of timesteps in the subset."""
+        steps = np.asarray(timesteps).reshape(-1).astype(np.int64)
+        at = np.minimum(np.searchsorted(self._sorted, steps), len(self._sorted) - 1)
+        unknown = self._sorted[at] != steps
+        if unknown.any():
+            self._position(int(steps[unknown][0]))  # raises for it
+        return self._order[at]
 
     def weight(self, t: int) -> float:
         """Current weight for timestep t, in [0, 1] once averages exist.
@@ -68,18 +83,21 @@ class TimestepWeighter:
         While every running average is still zero there is no ranking to
         derive, so the weight falls back to 1 uniformly.
         """
-        self._check_known(t)
-        return self._weight_from(self._avg[t], sum(self._avg.values()))
+        i = self._position(t)
+        return self._weight_from(float(self._avg[i]), self._total())
 
     def weights(self, timesteps: Sequence[int]) -> np.ndarray:
         """weight(t) for every entry of timesteps, summing the averages once."""
-        steps = [int(t) for t in np.asarray(timesteps).reshape(-1)]
-        distinct = dict.fromkeys(steps)
-        for t in distinct:
-            self._check_known(t)
-        total = sum(self._avg.values())
-        table = {t: self._weight_from(self._avg[t], total) for t in distinct}
-        return np.array([table[t] for t in steps], dtype=np.float64)
+        return self._table()[self._positions(timesteps)]
+
+    def _total(self) -> float:
+        # a sequential sum in subset order, as a plain Python sum
+        return sum(self._avg.tolist())
+
+    def _table(self) -> np.ndarray:
+        """The current weight of every position in the subset."""
+        total = self._total()
+        return np.array([self._weight_from(a, total) for a in self._avg.tolist()])
 
     def _weight_from(self, avg: float, total: float) -> float:
         if self.alpha == 0.0 or total == 0.0:
@@ -91,15 +109,15 @@ class TimestepWeighter:
 
     def update(self, t: int, batch_mean_loss: float) -> None:
         """Fold one batch's mean loss at timestep t into the running average."""
-        self._check_known(t)
+        i = self._position(t)
         loss = float(batch_mean_loss)
         if not math.isfinite(loss) or loss < 0.0:
             raise DomainError(f"batch mean loss must be finite and >= 0, got {loss}")
-        if not self._seen[t]:
-            self._avg[t] = loss
-            self._seen[t] = True
+        if not self._seen[i]:
+            self._avg[i] = loss
+            self._seen[i] = True
         else:
-            self._avg[t] = self.xi * self._avg[t] + (1.0 - self.xi) * loss
+            self._avg[i] = self.xi * float(self._avg[i]) + (1.0 - self.xi) * loss
 
     def weighted_mean(self, losses: Sequence[float], timesteps: Sequence[int]) -> float:
         """Weighted mean of per-sample losses, then update the averages.
@@ -118,9 +136,27 @@ class TimestepWeighter:
             raise DimensionError("weighted_mean needs a non-empty batch")
         if not np.all(np.isfinite(losses)) or np.any(losses < 0.0):
             raise DomainError("per-sample losses must be finite and >= 0")
-        weights = self.weights(steps)
-        result = float(np.mean(weights * losses))
-        for t in sorted(set(int(t) for t in steps)):
-            group = losses[steps == t]
-            self.update(t, float(np.mean(group)))
+        pos = self._positions(steps)
+        result = float(np.mean(self._table()[pos] * losses))
+        self._fold(pos, losses)
         return result
+
+    def _fold(self, pos: np.ndarray, losses: np.ndarray) -> None:
+        """update(t, mean of the batch's losses at t) for every t in the batch.
+
+        np.mean sums fewer than 8 values in sequence, as bincount does, and
+        8 or more pairwise; those groups take np.mean itself, so every group
+        mean is the one np.mean gives, bit for bit.
+        """
+        counts = np.bincount(pos, minlength=self._avg.shape[0])
+        present = counts > 0
+        means = np.bincount(pos, weights=losses, minlength=self._avg.shape[0])
+        np.divide(means, counts, out=means, where=present)
+        for i in np.flatnonzero(counts >= 8):
+            means[i] = np.mean(losses[pos == i])
+        if not np.isfinite(means).all():  # a sum of huge losses can overflow
+            raise DomainError("batch mean loss must be finite")
+        blended = self.xi * self._avg + (1.0 - self.xi) * means
+        fresh = present & ~self._seen
+        self._avg = np.where(fresh, means, np.where(present, blended, self._avg))
+        self._seen |= present

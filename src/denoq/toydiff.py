@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, FormatError
+from .errors import DenoqError, DimensionError, DomainError, FormatError
 from .les import LayerCalibRecord
 from .tensor import Rng, as_real
 
@@ -132,16 +132,27 @@ _PARAM_SHAPES = (
 )
 
 
+def _sigmoid(v):
+    """sigmoid(v) from exp(-|v|), which cannot overflow, in a new array.
+
+    The numerator is 1 for v >= 0 and exp(-|v|) below zero; since
+    exp(-|v|) <= 1, np.maximum(ev, v >= 0) picks exactly that.
+    """
+    ev = np.abs(v)
+    np.negative(ev, out=ev)
+    np.exp(ev, out=ev)
+    den = ev + 1.0
+    np.maximum(ev, v >= 0, out=ev)
+    return np.divide(ev, den, out=ev)
+
+
 def _silu(v):
-    # sigmoid is computed from exp(-|v|) so neither branch can overflow
-    ev = np.exp(-np.abs(v))
-    sig = np.where(v >= 0, 1.0 / (1.0 + ev), ev / (1.0 + ev))
-    return v * sig
+    sig = _sigmoid(v)
+    return np.multiply(v, sig, out=sig)
 
 
 def _silu_prime(v):
-    ev = np.exp(-np.abs(v))
-    sig = np.where(v >= 0, 1.0 / (1.0 + ev), ev / (1.0 + ev))
+    sig = _sigmoid(v)
     return sig * (1.0 + v * (1.0 - sig))
 
 
@@ -172,6 +183,10 @@ class ToyDenoiser:
         if missing:
             raise DomainError(f"model parameters missing: {missing}")
         p = {k: as_real(v, k) for k, v in params.items() if k != "betas"}
+        for name in _PARAM_SHAPES:
+            want = 1 if name in ("stem_b", "gain", "head_b") else 2
+            if name != "betas" and p[name].ndim != want:
+                raise DimensionError(f"{name} must be {want}-d, got shape {p[name].shape}")
         hidden = p["stem_w"].shape[1]
         embed_dim = p["embed"].shape[1]
         if p["stem_w"].shape[0] != self.dim + embed_dim:
@@ -179,12 +194,15 @@ class ToyDenoiser:
         for name in ("res1_w", "res2_w", "skip_w", "mid_w"):
             if p[name].shape != (hidden, hidden):
                 raise DimensionError(f"{name} must be [{hidden} x {hidden}]")
-        if p["gain"].shape != (hidden,):
-            raise DimensionError("gain must have one entry per hidden unit")
+        for name in ("stem_b", "gain"):
+            if p[name].shape != (hidden,):
+                raise DimensionError(f"{name} must have one entry per hidden unit")
         if np.any(p["gain"] <= 0):
             raise DomainError("gain factors must be strictly positive")
         if p["head_w"].shape != (hidden, self.dim):
             raise DimensionError(f"head_w must be [{hidden} x {self.dim}]")
+        if p["head_b"].shape != (self.dim,):
+            raise DimensionError(f"head_b must have {self.dim} entries")
         self.params = p
         self.hidden = hidden
         self.embed_dim = embed_dim
@@ -360,6 +378,23 @@ def sample(
     return Trajectory(np.array(states), np.array(evaluated, dtype=np.int64), float(eta))
 
 
+class _RowSink:
+    """Capture target for one layer: copies each step's input rows into
+    preallocated arrays, so no per-step copies pile up to be concatenated."""
+
+    def __init__(self, rows: int, width: int):
+        self.activations = np.empty((rows, width))
+        self.timesteps = np.empty(rows, dtype=np.int64)
+        self._filled = 0
+
+    def append(self, pair) -> None:
+        a, t = pair
+        end = self._filled + a.shape[0]
+        self.activations[self._filled : end] = a
+        self.timesteps[self._filled : end] = t
+        self._filled = end
+
+
 def collect_calibration(
     model: ToyDenoiser,
     schedule: NoiseSchedule,
@@ -369,31 +404,38 @@ def collect_calibration(
     *,
     eta: float = 0.0,
     overrides=None,
+    layers=None,
 ) -> dict[str, LayerCalibRecord]:
-    """Capture every quantizable layer's input across n sampling runs.
+    """Capture quantizable layers' inputs across n sampling runs.
 
     Returns one record per layer with n * steps rows, each tagged with the
-    timestep it was captured at. overrides is for the propagated-inputs
-    mode, where layers already quantized run quantized during capture; leave
-    it unset for plain full-precision calibration.
+    timestep it was captured at. layers names the layers to record (default:
+    all of them); the trajectories do not depend on it. overrides is for
+    the propagated-inputs mode, where layers already quantized run quantized
+    during capture; leave it unset for plain full-precision calibration.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
-    capture = {spec.name: [] for spec in model.quantizable_layers()}
+    specs = model.quantizable_layers()
+    if layers is not None:
+        unknown = set(layers) - {spec.name for spec in specs}
+        if unknown:
+            raise DomainError(f"unknown quantizable layers {sorted(unknown)}")
+        specs = [spec for spec in specs if spec.name in layers]
+    rows = n * (len(ddim_timesteps(schedule.t_max, steps)) - 1)
+    capture = {spec.name: _RowSink(rows, spec.c_in) for spec in specs}
     sample(
         model, schedule, steps, n, rng, eta=eta, overrides=overrides, capture=capture
     )
-    records = {}
-    for spec in model.quantizable_layers():
-        pairs = capture[spec.name]
-        acts = np.concatenate([a for a, _ in pairs], axis=0)
-        ts = np.concatenate(
-            [np.full(a.shape[0], t, dtype=np.int64) for a, t in pairs]
+    return {
+        spec.name: LayerCalibRecord(
+            spec.name,
+            capture[spec.name].activations,
+            capture[spec.name].timesteps,
+            model.layer_weight(spec.name),
         )
-        records[spec.name] = LayerCalibRecord(
-            spec.name, acts, ts, model.layer_weight(spec.name)
-        )
-    return records
+        for spec in specs
+    }
 
 
 class _BumpedModel:
@@ -648,7 +690,9 @@ def save_checkpoint(path, model: ToyDenoiser, schedule: NoiseSchedule) -> None:
 
 def load_checkpoint(path) -> tuple[ToyDenoiser, NoiseSchedule]:
     """Read a checkpoint back; rejects bad magic, versions, truncation,
-    repeated tensor names, and data that does not tile the rest of the file."""
+    repeated tensor names, data that does not tile the rest of the file, and
+    contents that make no model: a non-finite value, a missing or misshapen
+    tensor, a gain <= 0, or betas outside (0, 1). Every one is a FormatError."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 10 or raw[:4] != CHECKPOINT_MAGIC:
@@ -706,8 +750,11 @@ def load_checkpoint(path) -> tuple[ToyDenoiser, NoiseSchedule]:
         raise FormatError(f"{path}: {len(raw) - pos} unexpected trailing bytes")
     if "betas" not in tensors:
         raise FormatError(f"{path}: checkpoint carries no schedule")
-    schedule = NoiseSchedule(tensors.pop("betas"))
-    model = ToyDenoiser(tensors)
+    try:
+        schedule = NoiseSchedule(tensors.pop("betas"))
+        model = ToyDenoiser(tensors)
+    except DenoqError as exc:
+        raise FormatError(f"{path}: invalid checkpoint contents: {exc}") from exc
     if model.t_table_max != schedule.t_max:
         raise FormatError(
             f"{path}: embedding table covers {model.t_table_max} steps "

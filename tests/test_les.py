@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 from denoq.errors import DimensionError, DomainError
 from denoq.les import (
     LayerCalibRecord,
+    _check_buffers,
     _default_params,
+    _mean_full_loss,
     _scaled_pair,
     fuse,
     les_grad,
@@ -14,7 +16,7 @@ from denoq.les import (
     optimize_layer,
     smoothquant_tau,
 )
-from denoq.quant import QuantParams, quantize
+from denoq.quant import QuantParams, apply_output_scales, minmax_scale, quantize
 from denoq.tensor import Rng, matmul
 from denoq.timestep_weighting import TimestepWeighter
 
@@ -201,6 +203,36 @@ def test_optimize_is_deterministic():
     r2 = optimize_layer(rec, TimestepWeighter([1, 2, 3, 4]), Rng(9), iterations=50)
     assert np.array_equal(r1.tau, r2.tau)
     assert r1.final_loss == r2.final_loss
+
+
+def direct_full_loss(ref, x, w, tau, bits_a, bits_w, act_signed):
+    """The keep-best check written out plainly: MinMax on x / tau itself,
+    float64 codes, the product in int64."""
+    x_hat, w_hat = x / tau[None, :], w * tau[:, None]
+    act_p = minmax_scale(x_hat, bits_a, signed=act_signed)
+    wgt_p = minmax_scale(w_hat, bits_w, signed=True, axis=1)
+    qx = quantize(x_hat, act_p).codes
+    qw = quantize(w_hat, wgt_p).codes
+    err = ref - apply_output_scales(qx @ qw, act_p.scale, wgt_p.scale)
+    return float(np.mean(np.einsum("ij,ij->i", err, err, optimize=False))), act_p
+
+
+@pytest.mark.parametrize("bits_a,bits_w", [(8, 4), (6, 4), (16, 8)])
+@pytest.mark.parametrize("act_signed", [True, False])
+def test_keep_best_check_matches_the_direct_loss(bits_a, bits_w, act_signed):
+    """Column extremes stand in for x / tau in the MinMax, and 8 + 4 bits
+    run in the float32 tier, 16 + 8 past it; the loss is the same bits."""
+    rec = make_record(11, n=96, c_in=16, c_out=12, outlier=(3, 40.0))
+    x, w = rec.activations, rec.weight
+    ref = matmul(x, w)
+    work = _check_buffers(x, ref, bits_a, bits_w)
+    assert work[3].dtype == (np.float32 if bits_a + bits_w + 4 <= 24 else np.float64)
+    for seed in range(5):
+        tau = np.exp(Rng(seed).uniform(-2.0, 2.0, 16))
+        got, (act_p, _) = _mean_full_loss(ref, x, w, tau, bits_a, bits_w, act_signed, work)
+        want, want_act = direct_full_loss(ref, x, w, tau, bits_a, bits_w, act_signed)
+        assert got == want
+        assert act_p.scale == want_act.scale
 
 
 class TestFusion:

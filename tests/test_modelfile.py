@@ -205,6 +205,25 @@ class TestCorruptFiles:
         assert cli.main(["export-inspect", "--model", str(p)]) == 3
         assert "duplicate layer name" in capsys.readouterr().err
 
+    def write_non_utf8_name(self, tmp_path):
+        p = self.write_good(tmp_path)
+        raw = bytearray(p.read_bytes())
+        # header is 13 bytes, then layer 0's u16 name length and its name "a"
+        assert raw[15] == ord("a")
+        raw[15] = 0xFF
+        p.write_bytes(bytes(raw))
+        return p
+
+    def test_non_utf8_layer_name_is_a_format_error(self, tmp_path):
+        p = self.write_non_utf8_name(tmp_path)
+        with pytest.raises(FormatError, match="layer name is not UTF-8.*layer record 0"):
+            import_model(p)
+
+    def test_non_utf8_layer_name_exits_3(self, tmp_path, capsys):
+        p = self.write_non_utf8_name(tmp_path)
+        assert cli.main(["export-inspect", "--model", str(p)]) == 3
+        assert "not UTF-8" in capsys.readouterr().err
+
     def test_invalid_scale_surfaces_as_format_error(self, tmp_path):
         p = self.write_good(tmp_path)
         raw = bytearray(p.read_bytes())

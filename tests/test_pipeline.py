@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from denoq.pipeline import (
     run_eval,
     run_quantize,
 )
+from denoq.toydiff import load_checkpoint, save_checkpoint
 
 ROOT = Path(__file__).resolve().parent.parent
 CHECKPOINT = ROOT / "checkpoints" / "toy2d.ckpt"
@@ -356,6 +358,20 @@ class TestCli:
         )
         assert rc == 3
         assert "trailing bytes" in capsys.readouterr().err
+
+    def test_checkpoint_with_a_nan_weight_exits_3(self, tmp_path, capsys):
+        """A well-framed checkpoint whose contents make no model."""
+        model, sched = load_checkpoint(CHECKPOINT)
+        params = {k: v.copy() for k, v in model.params.items()}
+        params["res1_w"][0, 0] = np.nan
+        ckpt = tmp_path / "nan.ckpt"
+        save_checkpoint(ckpt, SimpleNamespace(params=params), sched)
+        cfgp = self.write_cfg(tmp_path, checkpoint=str(ckpt))
+        rc = cli.main(
+            ["quantize", "--config", str(cfgp), "--out", str(tmp_path / "x.dmq")]
+        )
+        assert rc == 3
+        assert "res1_w contains non-finite values" in capsys.readouterr().err
 
     def test_garbage_model_file_exits_3(self, tmp_path, capsys):
         p = tmp_path / "junk.dmq"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -129,6 +131,36 @@ class TestQuantizedLayer:
         tau = np.exp(rng.uniform(-1, 1, c_in))
         ap = QuantParams(0.05, bits_a, True)
         return QuantizedLayer("l", codes, wp, ap, tau * ap.scale)
+
+    def test_divisor_is_derived_once_not_passed(self):
+        layer = self._layer(seed=3)
+        assert "act_code_params" not in {
+            f.name for f in dataclasses.fields(QuantizedLayer) if f.init
+        }
+        delta = np.array([0, 1, 0, 3, 0, 2])
+        shifted = dataclasses.replace(layer, pts_exponents=delta)
+        assert np.array_equal(layer.act_code_params.scale, layer.fused_tau)
+        assert np.array_equal(
+            shifted.act_code_params.scale,
+            np.exp2(delta.astype(np.float64)) * layer.fused_tau,
+        )
+        assert (shifted.act_code_params.bits, shifted.act_code_params.axis) == (8, 1)
+
+    def test_activation_codes_validate_their_input(self):
+        layer = self._layer()
+        with pytest.raises(DimensionError):
+            activation_codes(np.zeros((3, 5)), layer)
+        x = np.zeros((2, 6))
+        x[1, 2] = np.inf
+        with pytest.raises(DomainError):
+            activation_codes(x, layer)
+
+    def test_rejects_a_divisor_that_overflows(self):
+        layer = self._layer()
+        with pytest.raises(DomainError, match="positive reals"):
+            dataclasses.replace(
+                layer, fused_tau=np.full(6, 1e300), pts_exponents=np.full(6, 255)
+            )
 
     def test_rejects_per_channel_activation_scale(self):
         rng = Rng(1)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -91,6 +96,90 @@ class TestCodeMatmul:
         ints = code_matmul(small_a, small_b, 54)
         assert ints.dtype == np.int64
         assert np.array_equal(ints, small_a @ small_b)
+
+
+def _near_max_unsigned(seed, shape, bits):
+    """Unsigned codes at or one below the top of their width, with one
+    row and one column all at the top, so sums land near 2^budget."""
+    top = (1 << bits) - 1
+    codes = top - Rng(seed).integers(0, 2, shape)
+    codes[0, :] = top
+    codes[:, 0] = top
+    return codes.astype(np.int64)
+
+
+class TestCodeMatmulTiers:
+    """budget <= 24 runs in float32, <= 53 in float64; both must be exact."""
+
+    @pytest.mark.parametrize("bits_a,bits_w", [(12, 6), (17, 1), (9, 9)])
+    def test_worst_case_at_24_bits_is_exact(self, bits_a, bits_w):
+        c_in = 64
+        a = _near_max_unsigned(1, (50, c_in), bits_a)
+        b = _near_max_unsigned(2, (c_in, 30), bits_w)
+        budget = bits_a + bits_w + ceil_log2(c_in)
+        assert budget == 24
+        exact = np.einsum("ik,kj->ij", a, b, optimize=False)
+        got = code_matmul(a, b, budget)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, exact)
+        assert got.max() < float(1 << budget)
+
+    def test_worst_case_at_25_bits_stays_out_of_float32(self):
+        """Sums past 2^24 that float32 would round come back exact."""
+        a = _near_max_unsigned(3, (50, 64), 12)
+        b = _near_max_unsigned(4, (64, 30), 7)  # 12 + 7 + 6 = 25
+        exact = np.einsum("ik,kj->ij", a, b, optimize=False)
+        assert exact.max() > 1 << 24
+        rounded = np.matmul(a.astype(np.float32), b.astype(np.float32))
+        assert not np.array_equal(rounded.astype(np.float64), exact)
+        got = code_matmul(a, b, 25)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, exact)
+
+    @pytest.mark.parametrize("budget", [24, 25])
+    def test_out_is_honoured(self, budget):
+        a = _near_max_unsigned(5, (20, 64), 12)
+        b = _near_max_unsigned(6, (64, 9), budget - 18)
+        out = np.full((20, 9), np.nan)
+        got = code_matmul(a, b, budget, out=out)
+        assert got is out
+        assert np.array_equal(out, np.einsum("ik,kj->ij", a, b, optimize=False))
+
+    def test_signed_codes_in_float_operands(self):
+        """The LES check hands float-held codes; mixed signs cancel exactly."""
+        rng = Rng(7)
+        a = rng.integers(-128, 128, (40, 64))
+        b = rng.integers(-8, 8, (64, 16))
+        got = code_matmul(a.astype(np.float32), b.astype(np.float64), 8 + 4 + 6)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, a @ b)
+
+
+_THREADS_SCRIPT = """
+import hashlib, sys
+import numpy as np
+from denoq.tensor import code_matmul
+rng = np.random.default_rng(11)
+a = rng.integers(-128, 128, (4096, 64))
+b = rng.integers(-(1 << 9), 1 << 9, (64, 64))
+print(hashlib.sha256(code_matmul(a, b, 8 + 10 + 6).tobytes()).hexdigest())
+"""
+
+
+def test_float32_tier_bytes_do_not_depend_on_blas_threads():
+    root = Path(__file__).resolve().parent.parent
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", _THREADS_SCRIPT], env=env, check=True,
+            timeout=120, capture_output=True, text=True,
+        )
+        digests.append(done.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 def test_matmul_is_reproducible_not_blas_order_dependent():
@@ -206,6 +295,15 @@ class TestIntTensor:
     def test_rejects_float_codes(self):
         with pytest.raises(DomainError):
             IntTensor(np.array([1.5]), 8)
+        with pytest.raises(DomainError):
+            IntTensor(np.array([True]), 8)
+
+    def test_takes_int64_arrays_over_without_a_copy(self):
+        codes = np.array([[3, -4]], dtype=np.int64)
+        assert IntTensor(codes, 4).codes is codes
+        narrow = np.array([[3, -4]], dtype=np.int8)
+        widened = IntTensor(narrow, 4).codes
+        assert widened.dtype == np.int64 and not np.shares_memory(widened, narrow)
 
 
 class TestRng:

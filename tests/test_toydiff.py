@@ -1,6 +1,7 @@
 import hashlib
 import struct
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from denoq.toydiff import (
     NoiseSchedule,
     ToyDenoiser,
     Trajectory,
+    _silu,
+    _silu_prime,
     collect_calibration,
     ddim_step,
     ddim_timesteps,
@@ -60,6 +63,40 @@ def tiny_model(t_max=5, hidden=4, embed=3, seed=0):
         "head_b": np.zeros(2),
     }
     return ToyDenoiser(params), NoiseSchedule.linear(t_max)
+
+
+def old_silu(v):
+    """The three-branch formula _silu replaced, kept as its oracle."""
+    ev = np.exp(-np.abs(v))
+    sig = np.where(v >= 0, 1.0 / (1.0 + ev), ev / (1.0 + ev))
+    return v * sig
+
+
+def old_silu_prime(v):
+    ev = np.exp(-np.abs(v))
+    sig = np.where(v >= 0, 1.0 / (1.0 + ev), ev / (1.0 + ev))
+    return sig * (1.0 + v * (1.0 - sig))
+
+
+class TestSilu:
+    EDGES = np.array(
+        [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+         1e-300, -1e-300, 800.0, -800.0, 36.0, -36.0, 745.0, -745.0, 1.0, -1.0]
+    )
+
+    @pytest.mark.parametrize("fn,oracle", [(_silu, old_silu), (_silu_prime, old_silu_prime)])
+    def test_edges_match_the_old_formula_bit_for_bit(self, fn, oracle):
+        assert fn(self.EDGES).tobytes() == oracle(self.EDGES).tobytes()
+        assert fn(self.EDGES[None, :]).tobytes() == oracle(self.EDGES[None, :]).tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("fn,oracle", [(_silu, old_silu), (_silu_prime, old_silu_prime)])
+    def test_random_batches_match_the_old_formula_bit_for_bit(self, seed, fn, oracle):
+        rng = Rng(seed)
+        v = rng.standard_normal((257, 64)) * 10.0 ** rng.uniform(-3, 2, (257, 64))
+        before = v.copy()
+        assert fn(v).tobytes() == oracle(v).tobytes()
+        assert np.array_equal(v, before)  # the input is left alone
 
 
 class TestSchedule:
@@ -272,6 +309,17 @@ class TestCalibration:
         with pytest.raises(DomainError):
             collect_calibration(model, sched, 4, 0, Rng(0))
 
+    def test_named_layers_record_the_same_rows(self):
+        model, sched = tiny_model(t_max=20)
+        full = collect_calibration(model, sched, 4, 6, Rng(0), eta=0.5)
+        some = collect_calibration(model, sched, 4, 6, Rng(0), eta=0.5, layers=["mid", "res1"])
+        assert set(some) == {"res1", "mid"}
+        for name, rec in some.items():
+            assert rec.activations.tobytes() == full[name].activations.tobytes()
+            assert np.array_equal(rec.timesteps, full[name].timesteps)
+        with pytest.raises(DomainError, match="stem"):
+            collect_calibration(model, sched, 4, 6, Rng(0), layers=["stem"])
+
 
 class TestCheckpointFile:
     def test_round_trip_is_byte_identical(self, tmp_path):
@@ -374,6 +422,72 @@ class TestCheckpointFile:
         p.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="'embed' data truncated"):
             load_checkpoint(p)
+
+
+def write_tensors(path, tensors):
+    """A well-framed checkpoint holding exactly these tensors."""
+    params = {k: v for k, v in tensors.items() if k != "betas"}
+    save_checkpoint(path, SimpleNamespace(params=params), SimpleNamespace(betas=tensors["betas"]))
+
+
+def bad_contents():
+    """A change to the tiny model's tensors and what the error names."""
+    def nan_weight(t):
+        t["res1_w"][1, 2] = np.nan
+
+    def misshapen(t):
+        t["stem_b"] = t["stem_b"][None, :]
+
+    def short_bias(t):
+        t["head_b"] = t["head_b"][:1]
+
+    def zero_gain(t):
+        t["gain"][0] = 0.0
+
+    def bad_betas(t):
+        t["betas"][2] = 1.5
+
+    def nan_betas(t):
+        t["betas"][0] = np.nan
+
+    def missing(t):
+        del t["mid_w"]
+
+    return [
+        pytest.param(nan_weight, "res1_w contains non-finite values", id="nan_weight"),
+        pytest.param(misshapen, "stem_b must be 1-d", id="misshapen"),
+        pytest.param(short_bias, "head_b must have 2 entries", id="short_bias"),
+        pytest.param(zero_gain, "gain factors must be strictly positive", id="zero_gain"),
+        pytest.param(bad_betas, "betas must lie strictly inside", id="bad_betas"),
+        pytest.param(nan_betas, "betas contains non-finite values", id="nan_betas"),
+        pytest.param(missing, "mid_w", id="missing"),
+    ]
+
+
+def write_bad_checkpoint(path, change):
+    model, sched = tiny_model()
+    tensors = {k: v.copy() for k, v in model.params.items()}
+    tensors["betas"] = sched.betas.copy()
+    change(tensors)
+    write_tensors(path, tensors)
+
+
+class TestCheckpointContents:
+    """A well-framed file whose tensors make no model is a format error."""
+
+    @pytest.mark.parametrize("change,why", bad_contents())
+    def test_bad_contents_are_format_errors(self, tmp_path, change, why):
+        p = tmp_path / "bad.ckpt"
+        write_bad_checkpoint(p, change)
+        with pytest.raises(FormatError, match="invalid checkpoint contents") as info:
+            load_checkpoint(p)
+        assert why in str(info.value)
+
+    def test_untouched_tensors_still_load(self, tmp_path):
+        p = tmp_path / "ok.ckpt"
+        write_bad_checkpoint(p, lambda t: None)
+        model, sched = load_checkpoint(p)
+        assert sched.t_max == 5 and model.hidden == 4
 
 
 class TestBundledCheckpoint:

@@ -83,6 +83,9 @@ def test_weighted_mean_validation():
         w.weighted_mean(np.array([-1.0]), np.array([1]))
     with pytest.raises(DomainError):
         w.weighted_mean(np.array([np.nan]), np.array([1]))
+    # the group sum overflows
+    with pytest.raises(DomainError, match="finite"), np.errstate(over="ignore"):
+        w.weighted_mean(np.array([1e308, 1e308]), np.array([1, 1]))
 
 
 def test_constructor_validation():
@@ -163,3 +166,56 @@ def test_all_zero_losses_fall_back_to_uniform():
     w.update(2, 0.0)
     assert w.weight(1) == 1.0
     assert w.weight(2) == 1.0
+
+
+class DictWeighter:
+    """The dict-and-loop weighter the array state replaced, kept as its
+    oracle: a Python sum of the averages, a boolean mask and np.mean per
+    timestep group, updates in ascending timestep order."""
+
+    def __init__(self, timesteps, alpha, xi):
+        self.alpha, self.xi = float(alpha), float(xi)
+        self.avg = {int(t): 0.0 for t in timesteps}
+        self.seen = {int(t): False for t in timesteps}
+
+    def weight_from(self, avg, total):
+        if self.alpha == 0.0 or total == 0.0:
+            return 1.0
+        base = 1.0 - avg / total
+        if base < 0.0:
+            base = 0.0
+        return base**self.alpha
+
+    def weighted_mean(self, losses, steps):
+        total = sum(self.avg.values())
+        weights = np.array([self.weight_from(self.avg[int(t)], total) for t in steps])
+        result = float(np.mean(weights * losses))
+        for t in sorted(set(int(t) for t in steps)):
+            loss = float(np.mean(losses[steps == t]))
+            if not self.seen[t]:
+                self.avg[t], self.seen[t] = loss, True
+            else:
+                self.avg[t] = self.xi * self.avg[t] + (1.0 - self.xi) * loss
+        return result
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0, 3.7])
+def test_array_state_matches_the_dict_oracle_bit_for_bit(alpha):
+    """Groups of 1 to 40 rows: under 8 rows the group mean comes from
+    bincount, from 8 rows on from np.mean, which sums pairwise there."""
+    rng = np.random.default_rng(int(alpha * 10))
+    ts = [980, 35, 512, 7, 250, 999]
+    got, want = TimestepWeighter(ts, alpha=alpha, xi=0.9), DictWeighter(ts, alpha, 0.9)
+    for size in range(1, 41):
+        for _ in range(6):
+            # one timestep gets a group of `size` rows, the others 0-3 rows
+            steps = [rng.choice(ts)] * size
+            steps += [t for t in ts for _ in range(rng.integers(0, 4))]
+            steps = np.array(steps)[rng.permutation(len(steps))]
+            losses = rng.uniform(0.0, 1.0, steps.size) * 10.0 ** rng.uniform(-6, 6, steps.size)
+            assert got.weighted_mean(losses, steps) == want.weighted_mean(losses, steps)
+            for t in ts:
+                assert got.running_average(t) == want.avg[t]
+            assert np.array_equal(
+                got.weights(ts), [want.weight_from(want.avg[t], sum(want.avg.values())) for t in ts]
+            )
