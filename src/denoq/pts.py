@@ -16,6 +16,13 @@ a channel only receives a non-zero exponent when a clear majority (strictly
 above the agreement threshold kappa) backs one candidate, otherwise it falls
 back to zero. Occasional stragglers therefore cannot widen a channel that is
 well behaved most of the time.
+
+The calibration ladder runs that vote at D+1 base scales a power of two
+apart, so its (D+1)^2 candidate scales are only 2D+1 distinct ones. One
+kernel walks the activations in row blocks, scores each distinct scale once
+per block into cache-sized buffers, and adds every rung's winners to exact
+integer vote counts: the result does not depend on the block size, and the
+working memory beyond the activations is one N x C plane for any D.
 """
 
 from __future__ import annotations
@@ -74,23 +81,88 @@ def _candidate_error(x: np.ndarray, scale, l: int, u: int, out=None) -> np.ndarr
     return np.square(out, out=out)
 
 
-def per_sample_best(
-    values, base_scale: float, max_exponent: int, *, bits: int, signed: bool = True
-) -> int:
-    """One sample's preferred exponent for one channel.
+# Row blocks of the selection kernel hold the candidate error planes of one
+# block in about this many bytes: half of a 2 MiB per-core L2 cache, so the
+# planes are still cached when every rung compares them.
+_BLOCK_BYTES = 2_000_000
 
-    values is that channel's slice of a single calibration sample. Returns
-    the d in {0..max_exponent} minimizing the summed squared reconstruction
-    error at scale base_scale * 2^d; ties break toward the smaller exponent.
+
+def _shared_candidates(rung_scales, max_exponent: int):
+    """The distinct candidate scales of a ladder, and which rung uses which.
+
+    Returns (scales, index): scales ascending, and index[r, d] the position
+    in scales of rung r's candidate for exponent d, which is rung_scales[r]
+    for d = 0, else rung_scales[r] * 2^d, computed as the rung itself would.
     """
-    v = as_real(values, "channel values").reshape(-1)
-    _check_ladder(base_scale, max_exponent)
-    l, u = code_bounds(bits, signed)
-    errs = [
-        _candidate_error(v, base_scale * float(2**d), l, u).sum()
-        for d in range(max_exponent + 1)
+    cands = [
+        [s] + [s * float(2**d) for d in range(1, max_exponent + 1)]
+        for s in rung_scales
     ]
-    return int(np.argmin(errs))
+    scales = sorted({v for row in cands for v in row})
+    where = {v: k for k, v in enumerate(scales)}
+    return scales, np.array([[where[v] for v in row] for row in cands])
+
+
+def _block_winners(
+    x: np.ndarray, rung_scales, max_exponent: int, l: int, u: int, spare=None
+):
+    """Per-sample preferred exponents of every rung, one row block at a time.
+
+    Rung r scores the candidate scales rung_scales[r] * 2^d, d = 0..D. Rungs
+    a power of two apart share most of them ((s / 2^g) * 2^d is the scale
+    s * 2^(d - g) exactly), so each distinct scale is scored once per block:
+    2D+1 error planes for a ladder of D+1 rungs instead of (D+1)^2. Given
+    such a ladder finest rung first, rung r's candidates are the planes
+    r..r+D, and all rungs take their step d in one operation on a view.
+
+    Working arrays are allocated once per call, sized so that the planes of
+    one block fit in _BLOCK_BYTES. Given spare, a contiguous float64 array
+    of the caller's, blocks shrink further until the planes and the running
+    minimum fit in it, so that the call adds no memory of that size.
+
+    Yields (rows, winners, scratch) for every block. winners[r, i, c] is the
+    d minimizing rung r's error of x[rows][i, c], where a later d wins only
+    on a strictly smaller error, so ties go to the smaller exponent. scratch
+    is an intp array of the same shape, free for the caller: it is the
+    running minimum's memory, which the block no longer needs. Both are
+    overwritten by the next step of the generator.
+    """
+    n, c = x.shape
+    scales, index = _shared_candidates(rung_scales, max_exponent)
+    rungs = len(rung_scales)
+    if np.array_equal(index, np.add.outer(np.arange(rungs), index[0])):
+        steps = [slice(k, k + rungs) for k in index[0]]
+    else:  # an overflowed or subnormal scale broke the pattern: gather
+        steps = list(index.T)
+    block = max(1, _BLOCK_BYTES // (len(scales) * max(c, 1) * 8))
+    row_size = (len(scales) + rungs) * c  # float64s per row of a block
+    if spare is not None and 0 < row_size <= spare.size:
+        block = min(block, spare.size // row_size)
+    rows_max = min(block, n)
+    if spare is None or spare.size < row_size * rows_max:
+        spare = np.empty(row_size * rows_max)
+    pool = spare.ravel(order="K")[: row_size * rows_max]
+    planes, low = np.split(pool, [len(scales) * rows_max * c])
+    planes = planes.reshape(len(scales), rows_max, c)
+    low = low.reshape(rungs, rows_max, c)
+    better = np.empty((rungs, rows_max, c), dtype=bool)
+    winners = np.empty((rungs, rows_max, c), dtype=np.min_scalar_type(max_exponent))
+    for start in range(0, n, block):
+        rows = slice(start, min(start + block, n))
+        xb = x[rows]
+        m = xb.shape[0]
+        for k, s in enumerate(scales):
+            _candidate_error(xb, s, l, u, out=planes[k, :m])
+        w, up = winners[:, :m], better[:, :m]
+        w.fill(0)
+        best = planes[steps[0], :m]  # running minimum, d = 0 first
+        for d in range(1, max_exponent + 1):
+            err = planes[steps[d], :m]
+            np.less(err, best, out=up)
+            np.copyto(w, d, where=up)
+            if d < max_exponent:
+                best = np.minimum(best, err, out=low[:, :m])
+        yield rows, w, low[:, :m].view(np.intp)
 
 
 def per_sample_matrix(
@@ -98,32 +170,40 @@ def per_sample_matrix(
 ) -> np.ndarray:
     """Preferred exponents of every (sample, channel) pair at once.
 
-    Each row of x is treated as one calibration sample; entry [i, c] equals
-    per_sample_best(x[i, c], ...). The candidates are scored one error plane
-    at a time against a running minimum, so memory stays O(N x C) whatever
-    max_exponent is; a later exponent wins only on a strictly smaller error,
-    which breaks ties toward the smaller exponent.
+    Each row of x is treated as one calibration sample; entry [i, c] is the
+    d in {0..max_exponent} minimizing the squared reconstruction error of
+    x[i, c] at scale base_scale * 2^d, ties broken toward the smaller
+    exponent. This is the single-rung view of the selection kernel that
+    calibrate_activation_scaling runs, so the working memory beyond the
+    result is a few cache-sized row blocks whatever max_exponent is.
     """
     x = as_real(x, "activations")
     if x.ndim != 2:
         raise DimensionError("per_sample_matrix expects a 2-d activation tensor")
     _check_ladder(base_scale, max_exponent)
     l, u = code_bounds(bits, signed)
-    best = _candidate_error(x, base_scale, l, u)
-    err = np.empty_like(best)
-    better = np.empty(x.shape, dtype=bool)
-    winner = np.zeros(x.shape, dtype=np.min_scalar_type(max_exponent))
-    step = np.empty_like(winner)
-    for d in range(1, max_exponent + 1):
-        _candidate_error(x, base_scale * float(2**d), l, u, out=err)
-        np.less(err, best, out=better)
-        # d exceeds every earlier winner, so max(winner, d * better) sets
-        # exactly the improved entries to d.
-        np.multiply(better, winner.dtype.type(d), out=step)
-        np.maximum(winner, step, out=winner)
-        np.minimum(best, err, out=best)
-    del best, err, better, step  # free the planes before widening
-    return winner.astype(np.int64)
+    out = np.empty(x.shape, dtype=np.int64)
+    for rows, winners, _ in _block_winners(x, [base_scale], max_exponent, l, u):
+        out[rows] = winners[0]
+    return out
+
+
+def _grant(counts: np.ndarray, n: int, kappa: float) -> PtsFactors:
+    """Exponents from vote counts [exponent x channel] over n samples.
+
+    The channel's mode (the first maximum, so the smaller exponent wins
+    modal ties) is granted only when its agreement count / n strictly
+    exceeds kappa; otherwise the channel keeps exponent 0.
+    """
+    mode = np.argmax(counts, axis=0)
+    agreement = counts[mode, np.arange(counts.shape[1])] / n
+    exponents = np.where(agreement > kappa, mode, 0).astype(np.int64)
+    return PtsFactors(exponents, agreement, float(kappa))
+
+
+def _check_kappa(kappa: float) -> None:
+    if not (0.0 < kappa <= 1.0):
+        raise DomainError(f"kappa must lie in (0, 1], got {kappa}")
 
 
 def vote(per_sample: np.ndarray, kappa: float) -> PtsFactors:
@@ -140,17 +220,12 @@ def vote(per_sample: np.ndarray, kappa: float) -> PtsFactors:
         raise DimensionError("per-sample exponents must be a non-empty [N x C] matrix")
     if votes.size and votes.min() < 0:
         raise DomainError("per-sample exponents must be non-negative")
-    if not (0.0 < kappa <= 1.0):
-        raise DomainError(f"kappa must lie in (0, 1], got {kappa}")
-    n, c = votes.shape
+    _check_kappa(kappa)
     top = int(votes.max()) if votes.size else 0
     counts = np.stack(
         [np.count_nonzero(votes == d, axis=0) for d in range(top + 1)]
     )
-    mode = np.argmax(counts, axis=0)  # first max: smaller exponent wins ties
-    agreement = counts[mode, np.arange(c)] / n
-    exponents = np.where(agreement > kappa, mode, 0).astype(np.int64)
-    return PtsFactors(exponents, agreement, float(kappa))
+    return _grant(counts, votes.shape[0], kappa)
 
 
 def quantize_with_pts(
@@ -184,6 +259,26 @@ def quantize_with_pts(
     return quantize(x, QuantParams(divisor, bits, signed, axis=1))
 
 
+def _vote_counts(x, rung_scales, max_exponent: int, l: int, u: int, spare):
+    """counts[g, d, c]: the samples of channel c whose rung-g nomination is d.
+
+    Each block's nominations of all rungs are tallied in one bincount, in
+    the bin (r * (D+1) + d) * C + c of rung r in the kernel's finest-first
+    order; exact integers, so the block size cannot change them.
+    """
+    rungs, c = len(rung_scales), x.shape[1]
+    counts = np.zeros((rungs, max_exponent + 1, c), dtype=np.int64)
+    flat = counts.reshape(-1)
+    offset = np.add.outer(np.arange(rungs) * (max_exponent + 1) * c, np.arange(c))
+    for _, winners, bins in _block_winners(
+        x, rung_scales[::-1], max_exponent, l, u, spare=spare
+    ):
+        np.multiply(winners, c, out=bins, dtype=np.intp)
+        np.add(bins, offset[:, None, :], out=bins)
+        flat += np.bincount(bins.reshape(-1), minlength=flat.size)
+    return counts[::-1]
+
+
 def calibrate_activation_scaling(
     x_hat: Tensor,
     *,
@@ -197,30 +292,43 @@ def calibrate_activation_scaling(
     Plain MinMax covers the largest magnitude in the whole tensor by
     construction, so nothing ever clips and every vote lands on zero; a
     bulk-oriented base scale is what gives the exponents a job. Candidates
-    walk the MinMax scale down by powers of two (never further than
+    walk the MinMax scale s0 down by powers of two (never further than
     2^max_exponent, beyond which the largest channel could no longer be
     rescued), run the vote at each rung, and keep the rung whose total
     post-rescue reconstruction error over the calibration tensor is
     smallest. Ties prefer the larger scale.
+
+    The D+1 rungs share their candidate scales s0 * 2^k, k = -D..D, so one
+    pass over x_hat in row blocks scores each of those 2D+1 error planes
+    once and adds every rung's per-sample winners to exact integer vote
+    counts. Beyond x_hat the call needs one N x C float64 plane, whatever
+    max_exponent is: it holds the block buffers (at most ~2 MB of candidate
+    planes per block) while the votes are counted, then each rung's
+    post-rescue error.
 
     x_hat must already carry any learned channel scaling.
     """
     x_hat = as_real(x_hat, "scaled activations")
     if x_hat.ndim != 2:
         raise DimensionError("expected a 2-d activation tensor")
+    n, c = x_hat.shape
     s0 = minmax_scale(x_hat, bits, signed=signed).scale
+    _check_ladder(s0, max_exponent)
+    if n < 1:
+        raise DimensionError("calibration needs at least one sample")
+    _check_kappa(kappa)
     l, u = code_bounds(bits, signed)
+    rung_scales = [s0 / float(2**g) for g in range(max_exponent + 1)]  # exact
+    # The post-rescue error plane; until then it holds the kernel's buffers.
+    plane = np.empty_like(x_hat)
+    counts = _vote_counts(x_hat, rung_scales, max_exponent, l, u, plane)
     best = None
-    for g in range(max_exponent + 1):
-        s_g = s0 / float(2**g)  # exact: power-of-two division
-        factors = vote(
-            per_sample_matrix(x_hat, s_g, max_exponent, bits=bits, signed=signed),
-            kappa,
-        )
+    for g, s_g in enumerate(rung_scales):
+        factors = _grant(counts[g], n, kappa)
         # The same divisor and codes quantize_with_pts(x_hat, ones, s_g, ...)
         # would give, dequantized without the int64 round trip.
         channel_scale = np.exp2(factors.exponents.astype(np.float64)) * s_g
-        err = float(np.sum(_candidate_error(x_hat, channel_scale, l, u)))
+        err = float(np.sum(_candidate_error(x_hat, channel_scale, l, u, out=plane)))
         if best is None or err < best[0]:
             best = (err, s_g, factors)
     return best[1], best[2]

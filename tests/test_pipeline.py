@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import os
 import subprocess
 import sys
@@ -269,6 +270,30 @@ class TestVariants:
     def test_missing_checkpoint_fails_cleanly(self):
         with pytest.raises(OSError):
             run_quantize(tiny_config(checkpoint="nowhere/else.ckpt"))
+
+    def test_rescuing_export_is_pinned(self, tmp_path, monkeypatch):
+        """The bundled config with rescue on every layer and propagated
+        inputs rescues one channel of skip at seed 0. Its model file and
+        report are pinned byte for byte, so a drift in exponent selection
+        on a rescuing layer fails here, not only in the golden run."""
+        monkeypatch.chdir(ROOT)  # the report echoes the checkpoint path
+        cfg = dataclasses.replace(
+            parse_config("configs/w4a8.cfg"),
+            pts_layers="all",
+            propagate_quantized_inputs=True,
+            seed=0,
+        )
+        out, rep = tmp_path / "rescue.dmq", tmp_path / "rescue.txt"
+        report = quantize_to_file(cfg, out, rep)
+        rescued = {s.name: s.rescued for s in report.layer_summaries}
+        assert rescued == {"res1": 0, "res2": 0, "skip": 1, "mid": 0}
+        digest = lambda p: hashlib.sha256(p.read_bytes()).hexdigest()  # noqa: E731
+        assert digest(out) == (
+            "05ea336199c3a37ec318f3d2ea7153d5105e6d2ea7c9f1ae9e733593f48a0fc5"
+        )
+        assert digest(rep) == (
+            "839258e222c3605166bf9db2f4c629fede40527549f288d5e39e521de35524d2"
+        )
 
 
 class TestCli:

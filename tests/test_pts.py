@@ -5,17 +5,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from denoq import pts
 from denoq.errors import DimensionError, DomainError
 from denoq.pts import (
     PtsFactors,
     calibrate_activation_scaling,
-    per_sample_best,
     per_sample_matrix,
     quantize_with_pts,
     vote,
 )
-from denoq.quant import QuantParams, code_bounds, quantize
+from denoq.quant import QuantParams, code_bounds, minmax_scale, quantize
 from denoq.tensor import Rng
+
+
+def per_sample_best(values, base_scale, max_exponent, *, bits, signed=True):
+    """One sample's preferred exponent for one channel: the d in
+    {0..max_exponent} minimizing the summed squared reconstruction error of
+    the values at scale base_scale * 2^d; ties break toward the smaller d."""
+    v = np.asarray(values, dtype=np.float64).reshape(-1)
+    lo, hi = code_bounds(bits, signed)
+    errs = []
+    for d in range(max_exponent + 1):
+        s = base_scale * float(2**d)
+        errs.append(np.sum((v - s * np.clip(np.rint(v / s), lo, hi)) ** 2))
+    return int(np.argmin(errs))
 
 
 def brute_force_vote(samples_by_channel, base_scale, max_exponent, kappa, bits):
@@ -195,8 +208,6 @@ class TestLadderCalibration:
         assert f.exponents[5] > 0
         assert np.all(f.exponents[np.arange(8) != 5] == 0)
         # the rescue must not be worse than plain MinMax
-        from denoq.quant import minmax_scale
-
         plain = minmax_scale(x, 8).scale
         q_plain = quantize(x, QuantParams(plain, 8))
         err_plain = np.sum((x - q_plain.codes * plain) ** 2)
@@ -210,8 +221,6 @@ class TestLadderCalibration:
         base, f = calibrate_activation_scaling(
             x, bits=8, max_exponent=0, kappa=0.6
         )
-        from denoq.quant import minmax_scale
-
         assert base == pytest.approx(minmax_scale(x, 8).scale, rel=0)
         assert np.all(f.exponents == 0)
 
@@ -247,8 +256,6 @@ def dense_calibrate(x, bits, signed, max_exponent, kappa):
     """The rung ladder as first written: dense candidate errors, the
     per-channel vote, and each rung scored through quantize_with_pts and
     a float64 dequantization of its int64 codes."""
-    from denoq.quant import minmax_scale
-
     s0 = minmax_scale(x, bits, signed=signed).scale
     best = None
     for g in range(max_exponent + 1):
@@ -343,6 +350,10 @@ def test_calibration_equals_the_dense_implementation(
     seed, n, c, max_exponent, bits, signed, kappa, kind
 ):
     x = awkward_activations(seed, n, c, kind, 0.25)
+    assert_calibration_matches_dense(x, bits, signed, max_exponent, kappa)
+
+
+def assert_calibration_matches_dense(x, bits, signed, max_exponent, kappa):
     base, f = calibrate_activation_scaling(
         x, bits=bits, signed=signed, max_exponent=max_exponent, kappa=kappa
     )
@@ -356,7 +367,9 @@ def test_calibration_equals_the_dense_implementation(
 
 def test_selection_memory_stays_linear_in_the_tensor():
     """No (D+1) x N x C candidate stack: with D = 7 a dense stack alone
-    would be 8x the input; the streaming planes stay under 4x."""
+    would be 8x the input. Beyond its result or its post-rescue plane
+    (1x each), selection holds cache-sized row blocks, so it stays under
+    2x at any D."""
     import tracemalloc
 
     x = Rng(11).standard_normal((20480, 64)) * np.exp2(np.arange(64) % 5)[None, :]
@@ -366,12 +379,130 @@ def test_selection_memory_stays_linear_in_the_tensor():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 4 * x.nbytes
-    small = x[:4096]
-    tracemalloc.start()
-    try:
-        calibrate_activation_scaling(small, bits=8, max_exponent=7, kappa=0.6)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * small.nbytes
+    assert peak < 2 * x.nbytes
+    for max_exponent in (7, 16):
+        tracemalloc.start()
+        try:
+            calibrate_activation_scaling(
+                x, bits=8, max_exponent=max_exponent, kappa=0.6
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * x.nbytes, max_exponent
+
+
+# ---------------------------------------------------------------------------
+# The row-blocked ladder
+# ---------------------------------------------------------------------------
+
+
+def ladder_blocks(x, max_exponent):
+    """Sizes of the row blocks calibrate_activation_scaling walks x in."""
+    rungs = [2.0**-g for g in range(max_exponent + 1)][::-1]
+    walk = pts._block_winners(x, rungs, max_exponent, -8, 7, spare=np.empty_like(x))
+    return [rows.stop - rows.start for rows, _, _ in walk]
+
+
+@pytest.mark.parametrize("max_exponent", [0, 1, 3, 16])
+@pytest.mark.parametrize("signed", [True, False])
+@pytest.mark.parametrize("kind", ["half_steps", "constant"])
+@pytest.mark.parametrize("layout", ["ragged", "single"])
+def test_calibration_across_row_blocks_equals_dense(
+    max_exponent, signed, kind, layout
+):
+    """Many blocks with a ragged tail, and fewer rows than one block:
+    half-step values hit rounding ties and error ties between exponents,
+    constant columns hit every-sample ties. The blocks shrink to fit the
+    post-rescue plane, 3D+2 rows' worth of buffers per block row."""
+    per_row = 3 * max_exponent + 2
+    n = 4 * per_row + 1 if layout == "ragged" else per_row - 1
+    x = awkward_activations(max_exponent + 7 * n, n, 6, kind, 0.25)
+    blocks = ladder_blocks(x, max_exponent)
+    if layout == "ragged":
+        assert len(blocks) >= 3 and 0 < blocks[-1] < blocks[0]
+    else:
+        assert blocks == [n]
+    assert_calibration_matches_dense(x, 4, signed, max_exponent, 0.6)
+
+
+@pytest.mark.parametrize("max_exponent", [1, 3])
+@pytest.mark.parametrize("signed", [True, False])
+def test_calibration_across_full_size_blocks_equals_dense(max_exponent, signed):
+    """A tensor large enough that the module's own byte budget, not the
+    plane, sets the block: several full blocks and a ragged tail."""
+    c = 6
+    rows = pts._BLOCK_BYTES // ((2 * max_exponent + 1) * c * 8)
+    n = (3 * max_exponent + 2) * rows + rows // 3
+    x = awkward_activations(n, n, c, "half_steps", 0.25)
+    blocks = ladder_blocks(x, max_exponent)
+    assert blocks[0] == rows and len(blocks) >= 3 and blocks[-1] == rows // 3
+    assert_calibration_matches_dense(x, 4, signed, max_exponent, 0.6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**31),
+    budget=st.integers(1, 4000),
+    n=st.integers(1, 40),
+    c=st.integers(1, 5),
+    max_exponent=st.sampled_from([0, 1, 2, 3, 4, 16]),
+    signed=st.booleans(),
+    kind=st.sampled_from(["noise", "half_steps", "constant"]),
+)
+def test_calibration_does_not_depend_on_the_block_size(
+    seed, budget, n, c, max_exponent, signed, kind
+):
+    """Byte budgets down to one row per block give the dense answer."""
+    x = awkward_activations(seed, n, c, kind, 0.25)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pts, "_BLOCK_BYTES", budget)
+        assert_calibration_matches_dense(x, 3, signed, max_exponent, 0.5)
+        assert np.array_equal(
+            per_sample_matrix(x, 0.25, max_exponent, bits=3, signed=signed),
+            dense_per_sample(x, 0.25, max_exponent, 3, signed),
+        )
+
+
+@pytest.mark.parametrize("s0", [1e-12, 0.0123, 1.0, 3.7e5])
+@pytest.mark.parametrize("max_exponent", [0, 1, 3, 16])
+def test_rungs_share_their_candidate_scales(s0, max_exponent):
+    """Every scale the kernel scores once is the one each rung using it
+    would compute itself, a ladder of D+1 rungs has 2D+1 of them, and
+    rung r of the ladder (finest first) scores planes r..r+D."""
+    rungs = [s0 / float(2**g) for g in range(max_exponent + 1)][::-1]
+    scales, index = pts._shared_candidates(rungs, max_exponent)
+    assert len(scales) == 2 * max_exponent + 1
+    for r, row in enumerate(index):
+        g = max_exponent - r
+        for d, k in enumerate(row):
+            assert k == r + d
+            assert scales[k] == (s0 / 2**g) * float(2**d)
+
+
+class TestCalibrationRefusals:
+    def test_no_rows(self):
+        with pytest.raises(DimensionError):
+            calibrate_activation_scaling(
+                np.zeros((0, 4)), bits=8, max_exponent=3, kappa=0.6
+            )
+
+    @pytest.mark.parametrize("kappa", [0.0, -0.5, 1.0000001, 2.0, float("nan")])
+    def test_kappa_outside_the_unit_interval(self, kappa):
+        with pytest.raises(DomainError):
+            calibrate_activation_scaling(
+                np.ones((5, 2)), bits=8, max_exponent=3, kappa=kappa
+            )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input(self, bad):
+        x = np.ones((5, 2))
+        x[3, 1] = bad
+        with pytest.raises(DomainError):
+            calibrate_activation_scaling(x, bits=8, max_exponent=3, kappa=0.6)
+
+    def test_negative_max_exponent(self):
+        with pytest.raises(DomainError):
+            calibrate_activation_scaling(
+                np.ones((5, 2)), bits=8, max_exponent=-1, kappa=0.6
+            )
