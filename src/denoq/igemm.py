@@ -4,18 +4,25 @@ Power-of-two channel factors never touch the inner loop: they are folded
 into the weight codes once, up front, as left shifts. The hot path is then
 a plain integer matrix product in a 64-bit accumulator followed by one
 dequantization of the output. Both stages refuse configurations whose worst
-case could overflow, instead of wrapping silently.
+case could overflow, instead of wrapping silently; headroom_problem() states
+the same rule for callers that refuse a model before building it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionError, DomainError, HeadroomError
-from .quant import apply_output_scales
-from .tensor import IntTensor, Tensor, ceil_log2, code_matmul
+from .tensor import (
+    EXACT_FLOAT32_BITS,
+    EXACT_FLOAT_BITS,
+    IntTensor,
+    Tensor,
+    ceil_log2,
+    code_matmul,
+)
 
 # Shifted weight codes must stay within a 32-bit lane so the 64-bit
 # accumulator keeps headroom for the reduction.
@@ -27,6 +34,27 @@ ACCUMULATOR_BITS = 64
 _ceil_log2 = ceil_log2
 
 
+def headroom_problem(bits_x: int, bits_w: int, max_shift: int, c_in: int) -> str | None:
+    """Why the integer kernel cannot run a layer of these widths, or None.
+
+    bits_w + max_shift must fit the weight lane, and the accumulator budget
+    bits_x + bits_w + max_shift + ceil(log2(c_in)) must stay <= 63, which
+    bounds the worst-case partial sum strictly below 2^63.
+    """
+    if bits_w + max_shift > WEIGHT_LANE_BITS:
+        return (
+            f"{bits_w}-bit codes shifted by {max_shift} exceed the "
+            f"{WEIGHT_LANE_BITS}-bit weight lane"
+        )
+    budget = bits_x + bits_w + max_shift + ceil_log2(c_in)
+    if budget > ACCUMULATOR_BITS - 1:
+        return (
+            f"accumulator headroom exceeded: {bits_x} + {bits_w} + {max_shift} "
+            f"+ log2({c_in}) = {budget} > {ACCUMULATOR_BITS - 1}"
+        )
+    return None
+
+
 @dataclass(frozen=True)
 class ShiftedWeights:
     """Weight codes with power-of-two channel factors already applied.
@@ -34,11 +62,19 @@ class ShiftedWeights:
     source_bits is the width the codes were quantized to before shifting;
     max_shift the largest exponent folded in. Together they bound the
     magnitude of any entry, which is what execute() reasons about.
+
+    An int64 array is taken over as it is, not copied, as IntTensor does.
+    operand() hands execute() the codes in the dtype of the code_matmul
+    tier it multiplies in. A float copy is made the first time its tier is
+    used and kept, so no call converts the weights again and a tier never
+    used costs no memory.
     """
 
     codes: np.ndarray
     source_bits: int
     max_shift: int
+    _float32: np.ndarray | None = field(init=False, repr=False, compare=False)
+    _float64: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         codes = np.asarray(self.codes)
@@ -46,7 +82,23 @@ class ShiftedWeights:
             raise DomainError("shifted weight codes must be integers")
         if codes.ndim != 2:
             raise DimensionError("shifted weight codes must be 2-d [C_in x C_out]")
-        object.__setattr__(self, "codes", codes.astype(np.int64))
+        object.__setattr__(self, "codes", codes.astype(np.int64, copy=False))
+        object.__setattr__(self, "_float32", None)
+        object.__setattr__(self, "_float64", None)
+
+    def operand(self, budget_bits: int) -> np.ndarray:
+        """The codes in the dtype code_matmul multiplies in at budget_bits."""
+        if budget_bits > EXACT_FLOAT_BITS:
+            return self.codes
+        name, dtype = (
+            ("_float32", np.float32) if budget_bits <= EXACT_FLOAT32_BITS
+            else ("_float64", np.float64)
+        )
+        image = getattr(self, name)
+        if image is None:
+            image = self.codes.astype(dtype)
+            object.__setattr__(self, name, image)
+        return image
 
 
 def shift_weights(w: IntTensor, delta) -> ShiftedWeights:
@@ -54,7 +106,8 @@ def shift_weights(w: IntTensor, delta) -> ShiftedWeights:
 
     Left shift on the widened representation is exact multiplication by
     2^delta for negative codes too. Requires source_bits + max(delta) <= 32
-    so every shifted code still fits its lane.
+    so every shifted code still fits its lane. With no shift at all the
+    result shares w's codes.
     """
     if not isinstance(w, IntTensor):
         raise DomainError("shift_weights expects an IntTensor")
@@ -74,7 +127,8 @@ def shift_weights(w: IntTensor, delta) -> ShiftedWeights:
             f"{w.nominal_bits}-bit codes shifted by {max_shift} exceed the "
             f"{WEIGHT_LANE_BITS}-bit weight lane"
         )
-    return ShiftedWeights(w.codes << delta[:, None], w.nominal_bits, max_shift)
+    shifted = w.codes << delta[:, None] if max_shift else w.codes
+    return ShiftedWeights(shifted, w.nominal_bits, max_shift)
 
 
 def execute(x: IntTensor, w: ShiftedWeights) -> IntTensor:
@@ -84,7 +138,8 @@ def execute(x: IntTensor, w: ShiftedWeights) -> IntTensor:
     bits_x + bits_w + max_shift + ceil(log2(C_in)) <= 63, which bounds the
     worst-case partial sum strictly below 2^63. Within 24 bits the product
     runs exactly on float32 BLAS, within 53 bits on float64 BLAS, above that
-    in int64 (see tensor.code_matmul).
+    in int64 (see tensor.code_matmul); the BLAS result is cast straight to
+    the int64 accumulator, exactly, since every entry is an integer.
     """
     if not isinstance(x, IntTensor):
         raise DomainError("execute expects IntTensor activations")
@@ -99,11 +154,23 @@ def execute(x: IntTensor, w: ShiftedWeights) -> IntTensor:
     budget = x.nominal_bits + w.source_bits + w.max_shift + ceil_log2(c_in)
     if budget > ACCUMULATOR_BITS - 1:
         raise HeadroomError(
-            f"accumulator headroom exceeded: {x.nominal_bits} + {w.source_bits} "
-            f"+ {w.max_shift} + log2({c_in}) = {budget} > {ACCUMULATOR_BITS - 1}"
+            headroom_problem(x.nominal_bits, w.source_bits, w.max_shift, c_in)
         )
-    acc = code_matmul(x.codes, w.codes, budget).astype(np.int64, copy=False)
-    return IntTensor(acc, ACCUMULATOR_BITS)
+    acc = code_matmul(x.codes, w.operand(budget), budget, result=np.int64)
+    return IntTensor._bounded(acc, ACCUMULATOR_BITS, True)
+
+
+def apply_output_scales(
+    acc, act_scale: float, weight_scales: np.ndarray, out=None
+) -> Tensor:
+    """Scale a raw accumulator into real outputs: (s_x * s_w_j) * acc_ij.
+
+    The product of the two scales is formed first, so every caller that
+    scales an accumulator this way agrees bit for bit. out, when given,
+    receives the result (it may be acc itself).
+    """
+    combined = float(act_scale) * np.asarray(weight_scales, dtype=np.float64)
+    return np.multiply(np.asarray(acc, dtype=np.float64), combined[None, :], out=out)
 
 
 def dequantize_output(acc: IntTensor, act_scale: float, weight_scales) -> Tensor:

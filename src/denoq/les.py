@@ -11,9 +11,11 @@ descent on the layer reconstruction error
     loss_i = || (X W)_i  -  Q(X / tau) Q(tau * W)_i ||^2
 
 where Q is the plain MinMax quantizer, and then fuses the learned factors
-into the activation quantization step so inference pays nothing extra:
-dividing by tau and quantizing with scale s is the same integer code as
-quantizing with the per-channel divisor tau_c * s.
+into the activation quantization step so inference pays nothing extra: the
+deployed layer quantizes x with the per-channel divisor tau_c * s, one
+division where the loss above has two. The two agree except where x / tau
+lands next to a half-code boundary, so the keep-best check, which decides
+what is kept, uses the fused divisor.
 
 Gradients use the straight-through convention: rounding passes gradients
 unchanged, clamped elements pass nothing, and the quantizer scales are held
@@ -29,7 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .quant import QuantParams, apply_output_scales, minmax_scale
+from .igemm import apply_output_scales
+from .quant import QuantParams, minmax_scale
 from .tensor import (
     EXACT_FLOAT32_BITS,
     Rng,
@@ -242,13 +245,16 @@ class LesResult:
     state: LesState
 
 
-def _codes_inplace(v: Tensor, params: QuantParams, out=None) -> np.ndarray:
-    """Overwrite v with rint(v / scale); return its codes clipped to [l, u],
-    written into out when given (its dtype must hold them exactly), else v."""
+def _codes_into(
+    v: Tensor, divisor, params: QuantParams, buf: np.ndarray, out=None
+) -> np.ndarray:
+    """rint(v / divisor) computed in buf (which may be v itself); returns the
+    codes clipped to the range of params, written into out when given (its
+    dtype must hold them exactly), else into buf."""
     l, u = params.bounds
-    np.divide(v, params.scale_for(v.shape), out=v)
-    np.rint(v, out=v)
-    return np.clip(v, l, u, out=v if out is None else out)
+    np.divide(v, divisor, out=buf)
+    np.rint(buf, out=buf)
+    return np.clip(buf, l, u, out=buf if out is None else out)
 
 
 def _check_buffers(x: Tensor, ref: Tensor, bits_a: int, bits_w: int) -> tuple:
@@ -256,9 +262,10 @@ def _check_buffers(x: Tensor, ref: Tensor, bits_a: int, bits_w: int) -> tuple:
 
     The column maxima and minima of x, stacked [2 x C_in]: dividing by a
     positive tau is monotone, so the extremes of x / tau are those of
-    extremes / tau, bit for bit. Then buffers shaped like x for x / tau and
-    its codes, and one shaped like ref for the product. The codes buffer is
-    float32 when the product runs in the float32 tier of code_matmul.
+    extremes / tau, bit for bit. Then buffers shaped like x for the scaled
+    x and its codes, and one shaped like ref for the product. The codes
+    buffer is float32 when the product runs in the float32 tier of
+    code_matmul.
     """
     budget = bits_a + bits_w + ceil_log2(x.shape[1])
     x_buf = np.empty_like(x)
@@ -273,17 +280,21 @@ def _mean_full_loss(
 ) -> tuple[float, tuple[QuantParams, QuantParams]]:
     """Deployment-faithful mean loss: fresh MinMax at this tau, real rounding.
 
-    The quantized product is the deployed one: a code product with both
-    scales applied outside the accumulation. work comes from _check_buffers,
-    so the per-iteration check allocates nothing the size of the set.
-    Returns the loss and the MinMax grid fitted at tau.
+    The quantized product is the deployed one of an unrescued layer: x
+    divided once by the fused divisor tau * s (what les.fuse exports and
+    quant.activation_codes divides by), then a code product with both
+    scales applied outside the accumulation. work comes from
+    _check_buffers, so the per-iteration check allocates nothing the size
+    of the set. Returns the loss and the MinMax grid fitted at tau.
     """
     budget, extremes, x_buf, code_buf, acc_buf = work
     act_p = minmax_scale(extremes / tau[None, :], bits_a, signed=act_signed)
     w_hat = w * tau[:, None]
     wgt_p = minmax_scale(w_hat, bits_w, signed=True, axis=1)
-    x_codes = _codes_inplace(np.divide(x, tau[None, :], out=x_buf), act_p, code_buf)
-    acc = code_matmul(x_codes, _codes_inplace(w_hat, wgt_p), budget, out=acc_buf)
+    fused = (tau * act_p.scale)[None, :]
+    x_codes = _codes_into(x, fused, act_p, x_buf, code_buf)
+    w_codes = _codes_into(w_hat, wgt_p.scale_for(w_hat.shape), wgt_p, w_hat)
+    acc = code_matmul(x_codes, w_codes, budget, out=acc_buf)
     err = apply_output_scales(acc, act_p.scale, wgt_p.scale, out=acc)
     np.subtract(ref, err, out=err)
     loss = float(np.mean(np.einsum("ij,ij->i", err, err, optimize=False)))
@@ -385,8 +396,10 @@ def fuse(tau, act_params: QuantParams, w: Tensor) -> tuple[np.ndarray, Tensor]:
 
     Returns the per-channel activation divisors (tau_c * act scale) and the
     row-scaled weight tensor, ready for fresh per-column weight MinMax.
-    Quantizing X against the fused divisors yields the same codes as
-    dividing by tau first and quantizing with the plain scale.
+    Quantizing X against the fused divisors is one division per element;
+    it gives the codes of dividing by tau first and quantizing with the
+    plain scale except where the two roundings fall on either side of a
+    half-code boundary.
     """
     w = as_real(w, "weight")
     if w.ndim != 2:

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DenoqError, DomainError, FormatError
+from .igemm import headroom_problem
 from .quant import MAX_BITS, QuantParams, QuantizedLayer
 from .tensor import IntTensor
 
@@ -57,7 +58,12 @@ def _storage_dtype(bits: int) -> np.dtype | None:
 
 @dataclass(frozen=True)
 class QuantizedModel:
-    """Header fields plus the quantized layers, in checkpoint order."""
+    """Header fields plus the quantized layers, in checkpoint order.
+
+    Every layer must run on the integer kernel: a layer whose shifted
+    weights overflow the weight lane, or whose accumulator budget exceeds
+    63 bits, is not a deployable model and is a FormatError.
+    """
 
     bits_w: int
     bits_a: int
@@ -73,6 +79,14 @@ class QuantizedModel:
             if l.weight_params.bits != self.bits_w or l.act_params.bits != self.bits_a:
                 raise DomainError(
                     f"layer {l.name!r} bit-widths disagree with the model header"
+                )
+            max_shift = int(l.pts_exponents.max()) if l.c_in else 0
+            problem = headroom_problem(
+                l.act_params.bits, l.weight_codes.nominal_bits, max_shift, l.c_in
+            )
+            if problem is not None:
+                raise FormatError(
+                    f"layer {l.name!r} cannot run on the integer kernel: {problem}"
                 )
 
     def layer(self, name: str) -> QuantizedLayer:
@@ -187,8 +201,8 @@ def import_model(path) -> QuantizedModel:
 
     Any structural problem raises FormatError and names the record being
     parsed; integrity problems in otherwise well-formed records (scales not
-    positive, codes out of range, a repeated layer name) surface the same
-    way.
+    positive, codes out of range, a repeated layer name, a layer the
+    integer kernel cannot run) surface the same way.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -238,7 +252,10 @@ def import_model(path) -> QuantizedModel:
     if r.pos != len(raw):
         r.context = "trailer"
         r.fail(f"{len(raw) - r.pos} unexpected trailing bytes")
-    return QuantizedModel(bits_w, bits_a, bool(flags & 1), tuple(layers))
+    try:
+        return QuantizedModel(bits_w, bits_a, bool(flags & 1), tuple(layers))
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def inspect_model(path) -> str:

@@ -16,10 +16,13 @@ on, calibration activations are re-captured before each layer with all
 previously quantized layers running quantized, so later layers see the
 inputs they will actually receive at inference time.
 
-Quantized execution inside evaluation uses the real-arithmetic reference
-path; the bit-shift integer path produces bit-identical outputs (that
-equivalence is part of the test suite), so reports do not depend on which
-path runs.
+Quantized layers run, in quantize and in eval alike, on the deployed
+integer path: activation codes against the layer's prepared shift-folded
+weights in igemm.execute, then one dequantization. So a report measures
+the model that is exported. A run refuses, before any calibration, a
+configuration whose model the integer kernel could not run (see
+_check_headroom). quant.quantized_matmul_reference stays as the test
+oracle for that path.
 """
 
 from __future__ import annotations
@@ -31,17 +34,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import igemm, quant
 from .errors import ConfigError, DomainError, NumericalError
 from .les import fuse, optimize_layer, smoothquant_tau
 from .modelfile import QuantizedModel, export_model, import_model
 from .pts import calibrate_activation_scaling
-from .quant import (
-    QuantParams,
-    QuantizedLayer,
-    minmax_scale,
-    quantize,
-    quantized_matmul_reference,
-)
+from .quant import QuantParams, QuantizedLayer, minmax_scale, quantize
+# Unused here; kept because the benchmark's span tracer (perfbench/spans.py)
+# patches this name.
+from .quant import quantized_matmul_reference  # noqa: F401
 from .tensor import Rng, matmul
 from .timestep_weighting import TimestepWeighter
 from .toydiff import collect_calibration, ddim_timesteps, load_checkpoint, sample
@@ -56,9 +57,10 @@ class Config:
     """One quantization run, fully specified.
 
     Field notes:
-        bits_w, bits_a: 2..16 are the supported storage widths; 32 is the
-            documented lossless sanity mode (quantization becomes a no-op to
-            float64 precision).
+        bits_w, bits_a: 2..16 are the supported storage widths; up to 32
+            is accepted when the integer kernel has the headroom (see
+            _check_headroom): 24/24 fits (57 bits on 64 channels with D = 3),
+            32/32 does not (70 bits).
         T: sampler steps, which is also the calibration timestep subset.
         n: trajectories collected for calibration (and used for evaluation).
         B: optimization batch size. iterations: optimization steps per layer.
@@ -285,7 +287,43 @@ class EvalReport:
 
 
 def _layer_runner(qlayer: QuantizedLayer):
-    return lambda a: quantized_matmul_reference(a, qlayer)
+    """The deployed execution of one layer, on its prepared weights.
+
+    igemm and quant are looked up at call time, where the benchmark's span
+    tracer patches them.
+    """
+    shifted = qlayer.shifted_weights
+    act_scale = qlayer.act_params.scale
+    weight_scales = qlayer.weight_scale_vector()
+
+    def run(a):
+        acc = igemm.execute(quant.activation_codes(a, qlayer), shifted)
+        return igemm.dequantize_output(acc, act_scale, weight_scales)
+
+    return run
+
+
+def _rescued(config: Config, spec) -> bool:
+    """Whether the config gives a layer power-of-two channel rescue."""
+    return config.D > 0 and (
+        config.pts_layers == "all"
+        or (config.pts_layers == "skip_only" and "skip_connection" in spec.tags)
+    )
+
+
+def _check_headroom(config: Config, specs) -> None:
+    """Refuse a config whose model the integer kernel could not run.
+
+    Each layer's worst case is its widest possible rescue: D when the
+    layer is rescued, else 0.
+    """
+    for spec in specs:
+        shift = config.D if _rescued(config, spec) else 0
+        problem = igemm.headroom_problem(config.bits_a, config.bits_w, shift, spec.c_in)
+        if problem is not None:
+            raise ConfigError(
+                f"layer {spec.name!r} cannot run on the integer kernel: {problem}"
+            )
 
 
 def _check_finite(arr, what: str):
@@ -293,9 +331,9 @@ def _check_finite(arr, what: str):
         raise NumericalError(f"{what} contains non-finite values")
 
 
-def _layer_mse(x, w, qlayer: QuantizedLayer) -> float:
-    """Mean squared error of one quantized layer against its weight on x."""
-    return float(np.mean((matmul(x, w) - quantized_matmul_reference(x, qlayer)) ** 2))
+def _layer_mse(x, w, run) -> float:
+    """Mean squared error of one layer runner against its weight on x."""
+    return float(np.mean((matmul(x, w) - run(x)) ** 2))
 
 
 def _quantize_layer(
@@ -333,10 +371,7 @@ def _quantize_layer(
     else:
         tau = np.ones(c_in)
     x_hat = record.activations / tau[None, :]
-    rescue = config.pts_layers == "all" or (
-        config.pts_layers == "skip_only" and "skip_connection" in spec.tags
-    )
-    if rescue and config.D > 0:
+    if _rescued(config, spec):
         base_scale, factors = calibrate_activation_scaling(
             x_hat,
             bits=config.bits_a,
@@ -356,10 +391,11 @@ def _quantize_layer(
     qlayer = QuantizedLayer(
         spec.name, quantize(w_scaled, w_params), w_params, act_params, fused, delta
     )
+    run = _layer_runner(qlayer)
     rows = []
     for t in tset_desc:
         x = record.activations[record.timesteps == t]
-        rows.append((spec.name, t, _layer_mse(x, record.weight, qlayer)))
+        rows.append((spec.name, t, _layer_mse(x, record.weight, run)))
     summary = LayerSummary(
         spec.name,
         float(tau.min()),
@@ -376,18 +412,20 @@ def _quantize_layer(
 def run_quantize(config: Config) -> tuple[QuantizedModel, EvalReport]:
     """Quantize the configured checkpoint; returns the model and its report.
 
-    Stages: capture calibration activations along sampler trajectories;
-    quantize each layer in checkpoint order (_quantize_layer); finally
-    measure calibration-set error per layer per timestep and the endpoint
-    deviation of a fresh paired trajectory run.
+    Stages: refuse a model the integer kernel could not run; capture
+    calibration activations along sampler trajectories; quantize each layer
+    in checkpoint order (_quantize_layer); finally measure calibration-set
+    error per layer per timestep and the endpoint deviation of a fresh
+    paired trajectory run.
     """
     if not config.checkpoint:
         raise ConfigError("config names no checkpoint")
     model, schedule = load_checkpoint(config.checkpoint)
+    specs = model.quantizable_layers()
+    _check_headroom(config, specs)
     root = Rng(config.seed)
     grid = ddim_timesteps(schedule.t_max, config.T)
     tset_desc = [int(t) for t in grid[1:][::-1]]  # sampler visit order
-    specs = model.quantizable_layers()
     propagate = config.propagate_quantized_inputs
 
     def capture(tag: str, overrides, layers=None):
@@ -451,9 +489,10 @@ def _paired_endpoint_mse(
 def run_eval(model_path, config: Config) -> EvalReport:
     """Evaluate an exported model file against its full-precision source.
 
-    Runs paired trajectories from shared noise, reports the endpoint MSE and
-    the per-layer per-timestep mean squared output error measured on the
-    quantized trajectory's own layer inputs.
+    Runs paired trajectories from shared noise, the quantized one on the
+    integer path, and reports the endpoint MSE and the per-layer
+    per-timestep mean squared output error measured on the quantized
+    trajectory's own layer inputs.
     """
     if not config.checkpoint:
         raise ConfigError("config names no checkpoint")
@@ -471,7 +510,7 @@ def run_eval(model_path, config: Config) -> EvalReport:
     cap = {l.name: [] for l in qmodel.layers}
     endpoint = _paired_endpoint_mse(model, schedule, config, overrides, root, cap)
     rows = [
-        (l.name, int(t), _layer_mse(a, model.layer_weight(l.name), l))
+        (l.name, int(t), _layer_mse(a, model.layer_weight(l.name), overrides[l.name]))
         for l in qmodel.layers
         for a, t in cap[l.name]
     ]

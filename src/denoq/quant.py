@@ -18,16 +18,19 @@ layout at construction time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionError, DomainError, IntegrityError
+from .igemm import ShiftedWeights, apply_output_scales, shift_weights
 from .tensor import IntTensor, Tensor, as_real, ceil_log2, code_matmul
 
 SCALE_FLOOR = 1e-12
 
-# Bit-widths 2..16 are the supported storage range; 32 is accepted as a
-# deliberately lossless pass-through mode used by sanity checks.
+# Bit-widths 2..16 are the supported storage range; widths up to 32 are
+# accepted where the integer kernel's headroom allows them (24/24 on 64
+# channels needs 57 of its 63 bits; 32/32 would need 70 and is refused).
 MAX_BITS = 32
 
 
@@ -92,14 +95,14 @@ def quantize(x: Tensor, params: QuantParams) -> IntTensor:
 
     Rounds half to even (numpy rint), then clamps to the representable
     range. Returns an IntTensor tagged with the nominal bit-width and
-    signedness.
+    signedness; the clamp bounds the codes, so they are not scanned again.
     """
     x = as_real(x, "quantize input")
     l, u = params.bounds
     codes = np.divide(x, params.scale_for(x.shape))
     np.rint(codes, out=codes)
     np.clip(codes, l, u, out=codes)
-    return IntTensor(codes.astype(np.int64), params.bits, params.signed)
+    return IntTensor._bounded(codes.astype(np.int64), params.bits, params.signed)
 
 
 def dequantize(q: IntTensor, params: QuantParams) -> Tensor:
@@ -167,6 +170,15 @@ class QuantizedLayer:
     Derived when the layer is built, not passed in:
         act_code_params: the per-input-channel quantizer activation_codes
             applies; its scale is the divisor 2^pts_exponents * fused_tau.
+    Derived once, on first use:
+        shifted_weights: the weight codes with pts_exponents folded in as
+            left shifts, ready for igemm.execute (igemm.shift_weights,
+            which refuses codes that overflow the 32-bit weight lane).
+
+    Neither the weight lane nor the accumulator budget is checked here, so
+    a layer too wide for the integer kernel can still run through
+    quantized_matmul_reference; a QuantizedModel, the unit that is
+    exported and imported, refuses it.
     """
 
     name: str
@@ -209,8 +221,10 @@ class QuantizedLayer:
             raise DomainError("pts_exponents must be non-negative")
         object.__setattr__(self, "pts_exponents", delta)
         # Multiplying by an exact power of two only touches the float
-        # exponent, so this divisor gives the divide-by-tau codes bit for bit.
-        # A divisor that overflows is not a positive real and is rejected.
+        # exponent, so this divisor is 2^delta times fused_tau exactly, and
+        # with delta = 0 it is the divisor the LES keep-best check divides
+        # by. A divisor that overflows is not a positive real and is
+        # rejected.
         with np.errstate(over="ignore"):
             divisor = np.exp2(delta.astype(np.float64)) * fused
         object.__setattr__(
@@ -218,6 +232,10 @@ class QuantizedLayer:
             "act_code_params",
             QuantParams(divisor, self.act_params.bits, self.act_params.signed, axis=1),
         )
+
+    @cached_property
+    def shifted_weights(self) -> ShiftedWeights:
+        return shift_weights(self.weight_codes, self.pts_exponents)
 
     @property
     def c_in(self) -> int:
@@ -237,23 +255,12 @@ def activation_codes(x: Tensor, layer: QuantizedLayer) -> IntTensor:
     """Integer activation codes for a layer's input.
 
     The per-channel divisor 2^delta_c * fused_tau_c and its quantizer are
-    built with the layer, so this equals the divide-by-tau-then-quantize
-    path bit for bit.
+    built with the layer: x is divided once, by 2^delta_c * tau_c * s.
+    Dividing by tau first and then by s can round a value on the other
+    side of a half-code boundary, so that two-step path is not the same
+    codes in general.
     """
     return quantize(x, layer.act_code_params)
-
-
-def apply_output_scales(
-    acc, act_scale: float, weight_scales: np.ndarray, out=None
-) -> Tensor:
-    """Scale a raw accumulator into real outputs: (s_x * s_w_j) * acc_ij.
-
-    The product of the two scales is formed first, exactly like the integer
-    path's dequantization, so both paths agree bit for bit. out, when
-    given, receives the result (it may be acc itself).
-    """
-    combined = float(act_scale) * np.asarray(weight_scales, dtype=np.float64)
-    return np.multiply(np.asarray(acc, dtype=np.float64), combined[None, :], out=out)
 
 
 def quantized_matmul_reference(x: Tensor, layer: QuantizedLayer) -> Tensor:

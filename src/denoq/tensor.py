@@ -86,6 +86,21 @@ class IntTensor:
             if int(codes.min()) < lo or int(codes.max()) > hi:
                 raise DomainError(f"codes exceed the {b}-bit {what} range")
 
+    @classmethod
+    def _bounded(cls, codes: np.ndarray, nominal_bits: int, signed: bool) -> "IntTensor":
+        """Take over int64 codes already known to lie in their range, unscanned.
+
+        For a quantizer that has just clipped, or an accumulator whose
+        headroom was checked: a min/max rescan would only repeat what the
+        caller guarantees. Everything else goes through the checking
+        constructor.
+        """
+        t = object.__new__(cls)
+        object.__setattr__(t, "codes", codes)
+        object.__setattr__(t, "nominal_bits", nominal_bits)
+        object.__setattr__(t, "signed", signed)
+        return t
+
     @property
     def shape(self) -> tuple:
         return self.codes.shape
@@ -120,32 +135,35 @@ def ceil_log2(n: int) -> int:
 
 
 def code_matmul(
-    a: np.ndarray, b: np.ndarray, budget_bits: int, out=None
+    a: np.ndarray, b: np.ndarray, budget_bits: int, out=None, result=np.float64
 ) -> np.ndarray:
     """Product of two integer-valued code matrices, [M x K] . [K x N].
 
     a and b hold exact integers in any numeric dtype; integer codes go in
-    as they are. budget_bits bounds every partial sum below 2^budget_bits
-    (code widths of both operands, any folded shift, plus ceil(log2 K)).
-    Within 24 bits each partial sum is an integer float32 holds exactly, so
-    the float32 BLAS product is exact and identical in any order; within 53
-    bits the same holds for float64. Either way the result is float64,
-    written into out when given. Above 53 bits the fixed-order einsum runs
-    in the operands' common dtype, and out must have that dtype.
+    as they are, and an operand already in its tier's float dtype is not
+    copied. budget_bits bounds every partial sum below 2^budget_bits (code
+    widths of both operands, any folded shift, plus ceil(log2 K)). Within
+    24 bits each partial sum is an integer float32 holds exactly, so the
+    float32 BLAS product is exact and identical in any order; within 53
+    bits the same holds for float64. Either way the result has dtype result
+    (float64 unless asked for int64, which holds every entry exactly), or
+    is written into out when given. Above 53 bits the fixed-order einsum
+    runs in the operands' common dtype, and out must have that dtype.
     """
     if budget_bits <= EXACT_FLOAT32_BITS:
         acc = np.matmul(
             a.astype(np.float32, copy=False), b.astype(np.float32, copy=False)
         )
         if out is None:
-            return acc.astype(np.float64)
+            return acc.astype(result)
         np.copyto(out, acc)
         return out
     if budget_bits <= EXACT_FLOAT_BITS:
-        return np.matmul(
+        acc = np.matmul(
             a.astype(np.float64, copy=False), b.astype(np.float64, copy=False),
             out=out,
         )
+        return acc if out is not None else acc.astype(result, copy=False)
     dtype = np.result_type(a, b)
     return np.einsum(
         "ik,kj->ij", a.astype(dtype, copy=False), b.astype(dtype, copy=False),

@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from denoq.errors import DimensionError, DomainError, HeadroomError
-from denoq.igemm import dequantize_output, execute, shift_weights
+from denoq.igemm import dequantize_output, execute, headroom_problem, shift_weights
 from denoq.quant import (
     QuantParams,
     QuantizedLayer,
@@ -23,6 +25,14 @@ def test_shift_examples():
     sw2 = shift_weights(w, np.array([2, 0]))
     assert sw2.codes.tolist() == [[8], [-5]]
     assert sw2.max_shift == 2
+
+
+def test_unshifted_weights_share_their_codes():
+    w = IntTensor(np.array([[2, -1], [-5, 7]]), 4)
+    assert shift_weights(w, np.zeros(2, dtype=np.int64)).codes is w.codes
+    shifted = shift_weights(w, np.array([0, 1]))
+    assert shifted.codes is not w.codes
+    assert w.codes.tolist() == [[2, -1], [-5, 7]]
 
 
 def test_shift_rejects_bad_exponents():
@@ -182,3 +192,116 @@ def test_unsigned_activation_codes_run_bit_exact(seed, bits_a):
     acc = execute(codes_x, shift_weights(layer.weight_codes, layer.pts_exponents))
     got = dequantize_output(acc, layer.act_params.scale, layer.weight_scale_vector())
     assert np.array_equal(got, quantized_matmul_reference(x, layer))
+
+
+# budget: (bits_a, bits_w, lowest and highest rescue exponent) on 64
+# channels, so bits_a + bits_w + highest + 6 is the budget.
+_TIERS = {
+    24: (8, 7, 0, 3),
+    25: (8, 7, 0, 4),
+    53: (24, 20, 0, 3),
+    54: (24, 20, 0, 4),
+    63: (25, 20, 9, 12),
+}
+
+
+def _layer_at_budget(budget, signed, seed, c_in=64, c_out=7):
+    """A layer whose accumulator budget is exactly `budget` bits.
+
+    Rescue exponents span [lo, hi] with one channel at each end. At 63
+    bits they start at 9, so every shifted weight is a multiple of 2^9 and
+    the float64 accumulation of quantized_matmul_reference stays exact
+    below 2^62: both paths have one exact answer to match.
+    """
+    bits_a, bits_w, lo, hi = _TIERS[budget]
+    rng = Rng(seed)
+    lo_w, hi_w = -(1 << (bits_w - 1)), (1 << (bits_w - 1)) - 1
+    w_codes = rng.integers(lo_w, hi_w + 1, (c_in, c_out))
+    w_codes[:, 0] = lo_w  # whole columns at l and u
+    w_codes[:, 1] = hi_w
+    delta = rng.integers(lo, hi + 1, c_in)
+    delta[0], delta[1] = hi, lo
+    w_scales = np.exp(rng.uniform(-6, -2, c_out))
+    act = QuantParams(float(np.exp(rng.uniform(-5, -1, ()))), bits_a, signed)
+    fused = np.exp(rng.uniform(-1, 1, c_in)) * act.scale
+    layer = QuantizedLayer(
+        "l", IntTensor(w_codes, bits_w), QuantParams(w_scales, bits_w, True, axis=1),
+        act, fused, delta,
+    )
+    assert bits_a + bits_w + int(delta.max()) + ceil_log2(c_in) == budget
+    # Inputs whose codes hit both ends of the range (rows 0 and 1 clip),
+    # plus random rows.
+    l, u = act.bounds
+    divisor = layer.act_code_params.scale
+    x = rng.uniform(-1.0, 1.0, (9, c_in)) * u * divisor
+    x[0], x[1] = -1e30, 1e30
+    x[2] = l * divisor
+    x[3] = u * divisor
+    return layer, x
+
+
+@pytest.mark.parametrize("budget", [24, 25, 53, 54, 63])
+@pytest.mark.parametrize("signed", [True, False])
+def test_prepared_layer_matches_the_reference_in_every_tier(budget, signed):
+    """activation_codes -> execute on the layer's prepared shifted weights
+    -> dequantize_output equals quantized_matmul_reference bit for bit, on
+    both sides of the float32 and float64 tier limits and at the 63-bit
+    limit, and its accumulator equals arbitrary-precision integers."""
+    layer, x = _layer_at_budget(budget, signed, seed=budget + 100 * signed)
+    codes = activation_codes(x, layer)
+    l, u = layer.act_params.bounds
+    assert codes.codes.min() == l and codes.codes.max() == u
+    acc = execute(codes, layer.shifted_weights)
+    exact = codes.codes.astype(object) @ (
+        layer.weight_codes.codes.astype(object)
+        * (2 ** layer.pts_exponents.astype(object))[:, None]
+    )
+    assert acc.codes.dtype == np.int64
+    assert [int(v) for v in acc.codes.ravel()] == [int(v) for v in exact.ravel()]
+    got = dequantize_output(acc, layer.act_params.scale, layer.weight_scale_vector())
+    assert np.array_equal(got, quantized_matmul_reference(x, layer))
+
+
+def test_shifted_weights_convert_once_per_tier():
+    """execute hands code_matmul the weights in its tier's dtype, made the
+    first time that tier runs and the same array on every later call."""
+    sw = shift_weights(IntTensor(np.array([[3, -8], [7, 0]]), 4), np.array([2, 0]))
+    assert sw._float32 is None and sw._float64 is None
+    x = IntTensor(np.array([[1, -2]]), 8)
+    assert execute(x, sw).codes.tolist() == [[-2, -32]]  # 8 + 4 + 2 + 1 bits
+    first = sw._float32
+    assert first.dtype == np.float32 and sw._float64 is None
+    execute(x, sw)
+    assert sw._float32 is first and sw.operand(20) is first
+    assert sw.operand(25).dtype == np.float64
+    assert sw.operand(53) is sw.operand(25)
+    assert sw.operand(54) is sw.codes
+    assert np.array_equal(first, sw.codes) and np.array_equal(sw.operand(53), sw.codes)
+
+
+def test_layer_prepares_its_shifted_weights_once():
+    layer, _ = _random_w4a8_layer(5)
+    sw = layer.shifted_weights
+    assert sw is layer.shifted_weights
+    ref = shift_weights(layer.weight_codes, layer.pts_exponents)
+    assert np.array_equal(sw.codes, ref.codes)
+    assert (sw.source_bits, sw.max_shift) == (ref.source_bits, ref.max_shift)
+
+
+def test_a_layer_past_the_weight_lane_cannot_be_prepared():
+    """4 + 29 bits overflow the weight lane: the layer still runs through
+    the reference, but its shifted weights are refused."""
+    layer, x = _random_w4a8_layer(6)
+    wide = dataclasses.replace(layer, pts_exponents=np.full(layer.c_in, 29))
+    assert np.all(np.isfinite(quantized_matmul_reference(x, wide)))
+    with pytest.raises(HeadroomError, match="weight lane"):
+        wide.shifted_weights
+
+
+def test_headroom_problem_names_each_limit():
+    assert headroom_problem(24, 24, 3, 64) is None  # 57 bits
+    assert "63" in headroom_problem(32, 32, 0, 64)  # 70 bits
+    assert headroom_problem(25, 20, 12, 64) is None  # exactly 63
+    assert "63" in headroom_problem(26, 20, 12, 64)
+    assert "weight lane" in headroom_problem(8, 30, 3, 64)
+    assert headroom_problem(8, 29, 3, 64) is None

@@ -16,7 +16,14 @@ from denoq.les import (
     optimize_layer,
     smoothquant_tau,
 )
-from denoq.quant import QuantParams, apply_output_scales, minmax_scale, quantize
+from denoq.quant import (
+    QuantParams,
+    QuantizedLayer,
+    activation_codes,
+    apply_output_scales,
+    minmax_scale,
+    quantize,
+)
 from denoq.tensor import Rng, matmul
 from denoq.timestep_weighting import TimestepWeighter
 
@@ -207,11 +214,13 @@ def test_optimize_is_deterministic():
 
 def direct_full_loss(ref, x, w, tau, bits_a, bits_w, act_signed):
     """The keep-best check written out plainly: MinMax on x / tau itself,
-    float64 codes, the product in int64."""
+    activation codes against the fused divisor tau * s as the exported
+    layer takes them, float64 codes, the product in int64."""
     x_hat, w_hat = x / tau[None, :], w * tau[:, None]
     act_p = minmax_scale(x_hat, bits_a, signed=act_signed)
     wgt_p = minmax_scale(w_hat, bits_w, signed=True, axis=1)
-    qx = quantize(x_hat, act_p).codes
+    fused, _ = fuse(tau, act_p, w)
+    qx = quantize(x, QuantParams(fused, bits_a, act_signed, axis=1)).codes
     qw = quantize(w_hat, wgt_p).codes
     err = ref - apply_output_scales(qx @ qw, act_p.scale, wgt_p.scale)
     return float(np.mean(np.einsum("ij,ij->i", err, err, optimize=False))), act_p
@@ -233,6 +242,34 @@ def test_keep_best_check_matches_the_direct_loss(bits_a, bits_w, act_signed):
         want, want_act = direct_full_loss(ref, x, w, tau, bits_a, bits_w, act_signed)
         assert got == want
         assert act_p.scale == want_act.scale
+
+
+def test_keep_best_check_divides_once_like_the_exported_layer():
+    """x / (tau * s) and (x / tau) / s round to different codes here. The
+    exported layer divides once and takes 77; the keep-best check must
+    score that code, not the two-step 76."""
+    x, tau, s = 11.446379747706697, 2.7567499587661204, 0.054276188008708544
+    assert np.rint(x / (tau * s)) == 77 and np.rint((x / tau) / s) == 76
+    taus = np.array([tau])
+    w = np.ones((1, 1))
+    act_p = QuantParams(s, 8, True)
+    fused, w_scaled = fuse(taus, act_p, w)
+    wgt_p = minmax_scale(w_scaled, 4, signed=True, axis=1)
+    layer = QuantizedLayer("l", quantize(w_scaled, wgt_p), wgt_p, act_p, fused)
+    assert activation_codes(np.array([[x]]), layer).codes.tolist() == [[77]]
+    # The second row is the column maximum that makes MinMax pick s itself.
+    xs = np.array([[x], [127 * s * tau]])
+    ref = matmul(xs, w)
+    got, (got_act, _) = _mean_full_loss(
+        ref, xs, w, taus, 8, 4, True, _check_buffers(xs, ref, 8, 4)
+    )
+    assert got_act.scale == s
+    assert got == direct_full_loss(ref, xs, w, taus, 8, 4, True)[0]
+    qw = quantize(w_scaled, wgt_p).codes
+    two_step = ref - apply_output_scales(
+        np.array([[76], [127]]) @ qw, s, wgt_p.scale
+    )
+    assert got != float(np.mean(np.einsum("ij,ij->i", two_step, two_step)))
 
 
 class TestFusion:

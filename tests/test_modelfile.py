@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from denoq import cli
 from denoq.errors import DomainError, FormatError
 from denoq.modelfile import (
     QuantizedModel,
+    _codes_nbytes,
     _storage_dtype,
     export_model,
     import_model,
@@ -242,3 +245,66 @@ def test_inspect_reports_header_and_layers(tmp_path):
     assert text.endswith("\n")
     assert "weight bits 4" in text and "activation bits 8" in text
     assert "alpha" in text and "rescued" in text
+
+
+def one_layer_file(path, bits_w, bits_a, c_in, exps=None, c_out=2):
+    """A DMQ1 file written byte by byte, so it can hold what export_model
+    refuses to write: one layer "a", zero weight codes."""
+    exps = [0] * c_in if exps is None else exps
+    raw = b"DMQ1" + struct.pack("<HBBBI", 1, bits_w, bits_a, 1, 1)
+    raw += struct.pack("<H", 1) + b"a" + struct.pack("<II", c_in, c_out)
+    raw += struct.pack("<d", 0.5) + struct.pack(f"<{c_out}d", *[0.25] * c_out)
+    raw += struct.pack(f"<{c_in}d", *[0.5] * c_in) + bytes(exps)
+    raw += bytes(_codes_nbytes(bits_w, c_in * c_out))
+    path.write_bytes(raw)
+    return path
+
+
+class TestIntegerKernelHeadroom:
+    """A model must run on the integer kernel: shifted weights within the
+    32-bit lane, and bits_a + bits_w + max shift + ceil(log2 C_in) <= 63."""
+
+    def test_a_fitting_hand_written_file_imports(self, tmp_path):
+        # 24 + 24 + 3 + log2(64) = 57 bits
+        p = one_layer_file(tmp_path / "ok.dmq", 24, 24, 64, exps=[3] + [0] * 63)
+        assert import_model(p).layers[0].shifted_weights.max_shift == 3
+
+    def test_a_budget_past_63_bits_is_a_format_error(self, tmp_path):
+        # 32 + 32 + 0 + log2(64) = 70 bits
+        p = one_layer_file(tmp_path / "wide.dmq", 32, 32, 64)
+        with pytest.raises(FormatError, match=r"wide\.dmq.*'a'.*70 > 63"):
+            import_model(p)
+
+    def test_a_budget_past_63_bits_exits_3(self, tmp_path, capsys):
+        p = one_layer_file(tmp_path / "wide.dmq", 32, 32, 64)
+        assert cli.main(["export-inspect", "--model", str(p)]) == 3
+        assert "70 > 63" in capsys.readouterr().err
+
+    def test_an_exponent_past_the_weight_lane_is_a_format_error(self, tmp_path):
+        p = one_layer_file(tmp_path / "e40.dmq", 4, 8, 6, exps=[0, 40, 0, 0, 0, 0])
+        with pytest.raises(FormatError, match=r"e40\.dmq.*'a'.*weight lane"):
+            import_model(p)
+
+    def test_an_exported_exponent_set_to_40_exits_3(self, tmp_path, capsys):
+        p = tmp_path / "m.dmq"
+        model = small_model(names=("a",))
+        export_model(p, model)
+        raw = bytearray(p.read_bytes())
+        layer = model.layers[0]
+        # header 13 bytes, name length and "a", C_in and C_out, the
+        # activation scale, then weight scales and divisors in f64
+        at = 13 + 2 + 1 + 8 + 8 + 8 * layer.c_out + 8 * layer.c_in
+        assert list(raw[at : at + layer.c_in]) == layer.pts_exponents.tolist()
+        raw[at] = 40
+        p.write_bytes(bytes(raw))
+        assert cli.main(["export-inspect", "--model", str(p)]) == 3
+        assert "weight lane" in capsys.readouterr().err
+
+    def test_quantized_model_refuses_a_budget_past_63_bits(self):
+        rng = Rng(3)
+        w = rng.standard_normal((64, 2))
+        wp = minmax_scale(w, 32, signed=True, axis=1)
+        ap = QuantParams(0.5, 32, True)
+        layer = QuantizedLayer("wide", quantize(w, wp), wp, ap, np.full(64, 0.5))
+        with pytest.raises(FormatError, match="'wide'.*70 > 63"):
+            QuantizedModel(32, 32, True, (layer,))

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from denoq import cli
+from denoq import cli, pipeline
 from denoq.errors import ConfigError, DomainError, HeadroomError, NumericalError
 from denoq.modelfile import QuantizedModel, export_model, import_model
 from denoq.pipeline import (
@@ -296,13 +296,83 @@ class TestVariants:
         )
 
 
+def write_cfg(tmp_path, **kw):
+    """tiny_config(**kw) as a config file."""
+    cfg = tiny_config(**kw)
+    lines = [f"{k} = {v}" for k, v in cfg.echo()]
+    p = tmp_path / "run.cfg"
+    p.write_text("\n".join(lines) + "\n")
+    return p
+
+
+def _no_capture(*args, **kwargs):
+    raise AssertionError("calibration capture ran before the headroom check")
+
+
+class TestHeadroomRefusal:
+    """run_quantize refuses, before any calibration, a config whose model
+    the integer kernel could not run; the checkpoint's layers are 64 wide."""
+
+    @pytest.mark.parametrize(
+        "kw,what",
+        [
+            (dict(bits_w=32, bits_a=32), "70 > 63"),  # the old 32/32 mode
+            (dict(bits_w=24, bits_a=32, D=2), "64 > 63"),  # D counts on skip
+            (dict(bits_w=31, D=2), "weight lane"),  # 31 + 2 > 32 on skip
+            (dict(bits_w=30, D=3, pts_layers="all"), "'res1'.*weight lane"),
+        ],
+    )
+    def test_refused_before_capture(self, monkeypatch, kw, what):
+        monkeypatch.setattr(pipeline, "collect_calibration", _no_capture)
+        with pytest.raises(ConfigError, match=what):
+            run_quantize(tiny_config(**kw))
+
+    def test_unrescued_layers_count_no_shift(self, tmp_path):
+        """With no layer rescued D adds nothing: 31-bit weights fit the lane,
+        the model quantizes, exports, and evaluates on the integer path."""
+        cfg = tiny_config(bits_w=31, D=2, pts_layers="none")
+        out = tmp_path / "w31.dmq"
+        report = quantize_to_file(cfg, out)
+        assert repr(run_eval(out, cfg).endpoint_mse) == repr(report.endpoint_mse)
+
+    def test_24_bit_mode_fits(self, monkeypatch):
+        """24/24 with D = 3 on the skip layer needs 57 bits: not refused."""
+        monkeypatch.setattr(pipeline, "collect_calibration", _no_capture)
+        with pytest.raises(AssertionError, match="capture ran"):
+            run_quantize(tiny_config(bits_w=24, bits_a=24, D=3))
+
+    def test_refusal_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(pipeline, "collect_calibration", _no_capture)
+        cfgp = write_cfg(tmp_path, bits_w=32, bits_a=32)
+        rc = cli.main(
+            ["quantize", "--config", str(cfgp), "--out", str(tmp_path / "x.dmq")]
+        )
+        assert rc == 2
+        assert "cannot run on the integer kernel" in capsys.readouterr().err
+        assert not (tmp_path / "x.dmq").exists()
+
+    def test_eval_of_a_file_past_the_lane_exits_3(self, runs, tmp_path, capsys):
+        """One rescue exponent set to 40 in an exported file: 4 + 40 bits do
+        not fit the weight lane, so the file is refused, not evaluated."""
+        _, paths, _ = runs
+        raw = bytearray(paths["one"][0].read_bytes())
+        model = import_model(paths["one"][0])
+        layer = model.layers[0]
+        # header, u16 name length, name, C_in and C_out, activation scale,
+        # weight scales and divisors, then the exponents
+        at = 13 + 2 + len(layer.name) + 8 + 8 + 8 * layer.c_out + 8 * layer.c_in
+        raw[at] = 40
+        p = tmp_path / "e40.dmq"
+        p.write_bytes(bytes(raw))
+        cfgp = write_cfg(tmp_path)
+        rc = cli.main(["eval", "--config", str(cfgp), "--model", str(p)])
+        assert rc == 3
+        assert "weight lane" in capsys.readouterr().err
+
+
 class TestCli:
     def write_cfg(self, tmp_path, **kw):
-        cfg = tiny_config(**kw)
-        lines = [f"{k} = {v}" for k, v in cfg.echo()]
-        p = tmp_path / "run.cfg"
-        p.write_text("\n".join(lines) + "\n")
-        return p
+        return write_cfg(tmp_path, **kw)
 
     def test_quantize_eval_inspect_flow(self, tmp_path, capsys):
         cfgp = self.write_cfg(tmp_path)
@@ -420,17 +490,20 @@ class TestCli:
 
 _QUANTIZE_SCRIPT = """
 import sys
-from denoq.pipeline import Config, quantize_to_file
+from denoq.pipeline import Config, quantize_to_file, run_eval
 out = sys.argv[1]
 cfg = Config(checkpoint=sys.argv[2], T=4, n=32, B=8, iterations=4, D=2, seed=3)
 quantize_to_file(cfg, out + "/model.dmq", out + "/report.txt")
+run_eval(out + "/model.dmq", cfg).write(out + "/eval.txt")
 """
 
 
 def test_output_bytes_do_not_depend_on_blas_threads(tmp_path):
     """Code products may run on BLAS, so the same run with one and with two
-    BLAS threads must write the same model and report bytes. 128 calibration
-    rows against 64x64 weights is large enough for OpenBLAS to split."""
+    BLAS threads must write the same model and report bytes, and the eval
+    of that model, on the integer path, the same eval report bytes. 128
+    calibration rows against 64x64 weights is large enough for OpenBLAS to
+    split."""
     outputs = []
     for threads in ("1", "2"):
         out = tmp_path / threads
@@ -445,6 +518,7 @@ def test_output_bytes_do_not_depend_on_blas_threads(tmp_path):
         )
         outputs.append(
             [(out / name).read_bytes() for name in
-             ("model.dmq", "report.txt", "report_layers.tsv", "report_summary.tsv")]
+             ("model.dmq", "report.txt", "report_layers.tsv", "report_summary.tsv",
+              "eval.txt", "eval_layers.tsv", "eval_summary.tsv")]
         )
     assert outputs[0] == outputs[1]

@@ -34,6 +34,22 @@ def test_quantize_worked_examples():
     assert q.codes.tolist() == [127, -128, 2, 4, -2, 0]
 
 
+def test_quantize_clips_and_the_constructor_still_checks():
+    """quantize hands its clipped codes over without a rescan, so the clip
+    alone keeps them in range; an IntTensor built by hand is still
+    checked."""
+    x = np.array([1e9, -1e9, 7.4])
+    signed = quantize(x, QuantParams(1.0, 4, True))
+    assert signed.codes.tolist() == [7, -8, 7]
+    unsigned = quantize(x, QuantParams(1.0, 4, False))
+    assert unsigned.codes.tolist() == [15, 0, 7]
+    assert (unsigned.nominal_bits, unsigned.signed) == (4, False)
+    with pytest.raises(DomainError, match="range"):
+        IntTensor(np.array([8]), 4)
+    with pytest.raises(DomainError, match="range"):
+        IntTensor(np.array([-1]), 4, signed=False)
+
+
 def test_minmax_worked_example():
     p = minmax_scale(np.array([0.01, -0.1]), 8, signed=True)
     assert p.scale == pytest.approx(0.1 / 127, rel=1e-12)
