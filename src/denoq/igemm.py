@@ -17,7 +17,6 @@ import numpy as np
 from .errors import DimensionError, DomainError, HeadroomError
 from .tensor import (
     EXACT_FLOAT32_BITS,
-    EXACT_FLOAT_BITS,
     IntTensor,
     Tensor,
     ceil_log2,
@@ -34,6 +33,20 @@ ACCUMULATOR_BITS = 64
 _ceil_log2 = ceil_log2
 
 
+def accumulator_budget(bits_x: int, bits_w: int, max_shift: int, c_in: int) -> int:
+    """Bits that bound every partial sum of a layer's integer product."""
+    return bits_x + bits_w + max_shift + ceil_log2(c_in)
+
+
+def _lane_problem(bits_w: int, max_shift: int) -> str | None:
+    if bits_w + max_shift > WEIGHT_LANE_BITS:
+        return (
+            f"{bits_w}-bit codes shifted by {max_shift} exceed the "
+            f"{WEIGHT_LANE_BITS}-bit weight lane"
+        )
+    return None
+
+
 def headroom_problem(bits_x: int, bits_w: int, max_shift: int, c_in: int) -> str | None:
     """Why the integer kernel cannot run a layer of these widths, or None.
 
@@ -41,12 +54,10 @@ def headroom_problem(bits_x: int, bits_w: int, max_shift: int, c_in: int) -> str
     bits_x + bits_w + max_shift + ceil(log2(c_in)) must stay <= 63, which
     bounds the worst-case partial sum strictly below 2^63.
     """
-    if bits_w + max_shift > WEIGHT_LANE_BITS:
-        return (
-            f"{bits_w}-bit codes shifted by {max_shift} exceed the "
-            f"{WEIGHT_LANE_BITS}-bit weight lane"
-        )
-    budget = bits_x + bits_w + max_shift + ceil_log2(c_in)
+    lane = _lane_problem(bits_w, max_shift)
+    if lane is not None:
+        return lane
+    budget = accumulator_budget(bits_x, bits_w, max_shift, c_in)
     if budget > ACCUMULATOR_BITS - 1:
         return (
             f"accumulator headroom exceeded: {bits_x} + {bits_w} + {max_shift} "
@@ -64,17 +75,16 @@ class ShiftedWeights:
     magnitude of any entry, which is what execute() reasons about.
 
     An int64 array is taken over as it is, not copied, as IntTensor does.
-    operand() hands execute() the codes in the dtype of the code_matmul
-    tier it multiplies in. A float copy is made the first time its tier is
-    used and kept, so no call converts the weights again and a tier never
-    used costs no memory.
+    operand() hands execute() the codes for code_matmul. In the float32
+    tier that is a float32 copy, made on first use and kept, so no call
+    converts the weights again and a layer never run there pays no memory
+    for it; in the other tiers it is the codes themselves.
     """
 
     codes: np.ndarray
     source_bits: int
     max_shift: int
     _float32: np.ndarray | None = field(init=False, repr=False, compare=False)
-    _float64: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         codes = np.asarray(self.codes)
@@ -84,21 +94,14 @@ class ShiftedWeights:
             raise DimensionError("shifted weight codes must be 2-d [C_in x C_out]")
         object.__setattr__(self, "codes", codes.astype(np.int64, copy=False))
         object.__setattr__(self, "_float32", None)
-        object.__setattr__(self, "_float64", None)
 
     def operand(self, budget_bits: int) -> np.ndarray:
-        """The codes in the dtype code_matmul multiplies in at budget_bits."""
-        if budget_bits > EXACT_FLOAT_BITS:
+        """The codes as code_matmul takes them at budget_bits."""
+        if budget_bits > EXACT_FLOAT32_BITS:
             return self.codes
-        name, dtype = (
-            ("_float32", np.float32) if budget_bits <= EXACT_FLOAT32_BITS
-            else ("_float64", np.float64)
-        )
-        image = getattr(self, name)
-        if image is None:
-            image = self.codes.astype(dtype)
-            object.__setattr__(self, name, image)
-        return image
+        if self._float32 is None:
+            object.__setattr__(self, "_float32", self.codes.astype(np.float32))
+        return self._float32
 
 
 def shift_weights(w: IntTensor, delta) -> ShiftedWeights:
@@ -122,11 +125,9 @@ def shift_weights(w: IntTensor, delta) -> ShiftedWeights:
     if delta.size and delta.min() < 0:
         raise DomainError("shift exponents must be non-negative")
     max_shift = int(delta.max()) if delta.size else 0
-    if w.nominal_bits + max_shift > WEIGHT_LANE_BITS:
-        raise HeadroomError(
-            f"{w.nominal_bits}-bit codes shifted by {max_shift} exceed the "
-            f"{WEIGHT_LANE_BITS}-bit weight lane"
-        )
+    problem = _lane_problem(w.nominal_bits, max_shift)
+    if problem is not None:
+        raise HeadroomError(problem)
     shifted = w.codes << delta[:, None] if max_shift else w.codes
     return ShiftedWeights(shifted, w.nominal_bits, max_shift)
 
@@ -134,9 +135,9 @@ def shift_weights(w: IntTensor, delta) -> ShiftedWeights:
 def execute(x: IntTensor, w: ShiftedWeights) -> IntTensor:
     """Integer matmul of activation codes against pre-shifted weights.
 
-    The accumulator is 64-bit; the call is rejected unless
-    bits_x + bits_w + max_shift + ceil(log2(C_in)) <= 63, which bounds the
-    worst-case partial sum strictly below 2^63. Within 24 bits the product
+    The accumulator is 64-bit; the call is rejected unless the layer passes
+    headroom_problem(), which bounds the worst-case partial sum strictly
+    below 2^63. Within 24 bits the product
     runs exactly on float32 BLAS, within 53 bits on float64 BLAS, above that
     in int64 (see tensor.code_matmul); the BLAS result is cast straight to
     the int64 accumulator, exactly, since every entry is an integer.
@@ -151,13 +152,12 @@ def execute(x: IntTensor, w: ShiftedWeights) -> IntTensor:
             f"reduction mismatch: activations have C_in={c_in}, "
             f"weights {w.codes.shape[0]}"
         )
-    budget = x.nominal_bits + w.source_bits + w.max_shift + ceil_log2(c_in)
-    if budget > ACCUMULATOR_BITS - 1:
-        raise HeadroomError(
-            headroom_problem(x.nominal_bits, w.source_bits, w.max_shift, c_in)
-        )
+    problem = headroom_problem(x.nominal_bits, w.source_bits, w.max_shift, c_in)
+    if problem is not None:
+        raise HeadroomError(problem)
+    budget = accumulator_budget(x.nominal_bits, w.source_bits, w.max_shift, c_in)
     acc = code_matmul(x.codes, w.operand(budget), budget, result=np.int64)
-    return IntTensor._bounded(acc, ACCUMULATOR_BITS, True)
+    return IntTensor(acc, ACCUMULATOR_BITS)
 
 
 def apply_output_scales(

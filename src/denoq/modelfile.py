@@ -80,9 +80,8 @@ class QuantizedModel:
                 raise DomainError(
                     f"layer {l.name!r} bit-widths disagree with the model header"
                 )
-            max_shift = int(l.pts_exponents.max()) if l.c_in else 0
             problem = headroom_problem(
-                l.act_params.bits, l.weight_codes.nominal_bits, max_shift, l.c_in
+                l.act_params.bits, l.weight_codes.nominal_bits, l.max_shift, l.c_in
             )
             if problem is not None:
                 raise FormatError(

@@ -23,8 +23,13 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionError, DomainError, IntegrityError
-from .igemm import ShiftedWeights, apply_output_scales, shift_weights
-from .tensor import IntTensor, Tensor, as_real, ceil_log2, code_matmul
+from .igemm import (
+    ShiftedWeights,
+    accumulator_budget,
+    apply_output_scales,
+    shift_weights,
+)
+from .tensor import IntTensor, Tensor, as_real, code_matmul
 
 SCALE_FLOOR = 1e-12
 
@@ -242,6 +247,10 @@ class QuantizedLayer:
         return self.weight_codes.codes.shape[0]
 
     @property
+    def max_shift(self) -> int:
+        return int(self.pts_exponents.max()) if self.c_in else 0
+
+    @property
     def c_out(self) -> int:
         return self.weight_codes.codes.shape[1]
 
@@ -284,10 +293,9 @@ def quantized_matmul_reference(x: Tensor, layer: QuantizedLayer) -> Tensor:
     shifted_w = layer.weight_codes.codes.astype(np.float64) * np.exp2(
         layer.pts_exponents.astype(np.float64)
     )[:, None]
-    max_shift = int(layer.pts_exponents.max()) if layer.c_in else 0
-    budget = (
-        codes_x.nominal_bits + layer.weight_codes.nominal_bits + max_shift
-        + ceil_log2(layer.c_in)
+    budget = accumulator_budget(
+        codes_x.nominal_bits, layer.weight_codes.nominal_bits, layer.max_shift,
+        layer.c_in,
     )
     acc = code_matmul(codes_x.codes, shifted_w, budget)
     return apply_output_scales(acc, layer.act_params.scale, layer.weight_scale_vector())

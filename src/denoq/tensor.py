@@ -90,10 +90,9 @@ class IntTensor:
     def _bounded(cls, codes: np.ndarray, nominal_bits: int, signed: bool) -> "IntTensor":
         """Take over int64 codes already known to lie in their range, unscanned.
 
-        For a quantizer that has just clipped, or an accumulator whose
-        headroom was checked: a min/max rescan would only repeat what the
-        caller guarantees. Everything else goes through the checking
-        constructor.
+        For quant.quantize, whose clip has just bounded the codes: a min/max
+        rescan would only repeat it. Everything else goes through the
+        checking constructor.
         """
         t = object.__new__(cls)
         object.__setattr__(t, "codes", codes)

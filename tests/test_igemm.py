@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from denoq.errors import DimensionError, DomainError, HeadroomError
-from denoq.igemm import dequantize_output, execute, headroom_problem, shift_weights
+from denoq.igemm import (
+    ShiftedWeights,
+    dequantize_output,
+    execute,
+    headroom_problem,
+    shift_weights,
+)
 from denoq.quant import (
     QuantParams,
     QuantizedLayer,
@@ -262,21 +268,19 @@ def test_prepared_layer_matches_the_reference_in_every_tier(budget, signed):
     assert np.array_equal(got, quantized_matmul_reference(x, layer))
 
 
-def test_shifted_weights_convert_once_per_tier():
-    """execute hands code_matmul the weights in its tier's dtype, made the
-    first time that tier runs and the same array on every later call."""
+def test_shifted_weights_convert_once_for_float32():
+    """In the float32 tier execute hands code_matmul a float32 copy of the
+    weights, made on first use and the same array on every later call; the
+    other tiers take the int64 codes themselves."""
     sw = shift_weights(IntTensor(np.array([[3, -8], [7, 0]]), 4), np.array([2, 0]))
-    assert sw._float32 is None and sw._float64 is None
+    assert sw._float32 is None
     x = IntTensor(np.array([[1, -2]]), 8)
     assert execute(x, sw).codes.tolist() == [[-2, -32]]  # 8 + 4 + 2 + 1 bits
     first = sw._float32
-    assert first.dtype == np.float32 and sw._float64 is None
+    assert first.dtype == np.float32 and np.array_equal(first, sw.codes)
     execute(x, sw)
-    assert sw._float32 is first and sw.operand(20) is first
-    assert sw.operand(25).dtype == np.float64
-    assert sw.operand(53) is sw.operand(25)
-    assert sw.operand(54) is sw.codes
-    assert np.array_equal(first, sw.codes) and np.array_equal(sw.operand(53), sw.codes)
+    assert sw._float32 is first and sw.operand(24) is first
+    assert sw.operand(25) is sw.codes and sw.operand(54) is sw.codes
 
 
 def test_layer_prepares_its_shifted_weights_once():
@@ -305,3 +309,11 @@ def test_headroom_problem_names_each_limit():
     assert "63" in headroom_problem(26, 20, 12, 64)
     assert "weight lane" in headroom_problem(8, 30, 3, 64)
     assert headroom_problem(8, 29, 3, 64) is None
+
+
+def test_execute_refuses_weights_built_past_the_lane():
+    """ShiftedWeights built directly skip shift_weights' check; execute
+    applies the same headroom rule and names the limit that failed."""
+    x = IntTensor(np.array([[1]]), 8)
+    with pytest.raises(HeadroomError, match="30-bit codes shifted by 3 .*weight lane"):
+        execute(x, ShiftedWeights(np.array([[1 << 32]]), 30, 3))
