@@ -137,10 +137,10 @@ def execute(x: IntTensor, w: ShiftedWeights) -> IntTensor:
 
     The accumulator is 64-bit; the call is rejected unless the layer passes
     headroom_problem(), which bounds the worst-case partial sum strictly
-    below 2^63. Within 24 bits the product
-    runs exactly on float32 BLAS, within 53 bits on float64 BLAS, above that
-    in int64 (see tensor.code_matmul); the BLAS result is cast straight to
-    the int64 accumulator, exactly, since every entry is an integer.
+    below 2^63. Within 24 bits the product runs exactly on float32 BLAS,
+    within 53 bits on float64 BLAS, above that in int64 (see
+    tensor.code_matmul); the BLAS result is cast straight to the int64
+    accumulator, exactly, since every entry is an integer.
     """
     if not isinstance(x, IntTensor):
         raise DomainError("execute expects IntTensor activations")
