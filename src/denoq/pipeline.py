@@ -370,7 +370,9 @@ def _quantize_layer(
         initial_loss, final_loss = result.initial_loss, result.final_loss
     else:
         tau = np.ones(c_in)
-    x_hat = record.activations / tau[None, :]
+    # Without factors x / 1.0 would be x bit for bit: no scaled copy is made.
+    scaled = config.baseline == "smoothquant" or config.les
+    x_hat = record.activations / tau[None, :] if scaled else record.activations
     if _rescued(config, spec):
         base_scale, factors = calibrate_activation_scaling(
             x_hat,
@@ -486,13 +488,28 @@ def _paired_endpoint_mse(
 # ---------------------------------------------------------------------------
 
 
+class _ErrorSink:
+    """Capture target for one layer in eval: scores each captured input as
+    it arrives and keeps only its (layer, timestep, mse) row."""
+
+    def __init__(self, name: str, weight: np.ndarray, run):
+        self.name, self._weight, self._run = name, weight, run
+        self.rows = []
+
+    def append(self, pair) -> None:
+        a, t = pair
+        self.rows.append((self.name, int(t), _layer_mse(a, self._weight, self._run)))
+
+
 def run_eval(model_path, config: Config) -> EvalReport:
     """Evaluate an exported model file against its full-precision source.
 
     Runs paired trajectories from shared noise, the quantized one on the
     integer path, and reports the endpoint MSE and the per-layer
     per-timestep mean squared output error measured on the quantized
-    trajectory's own layer inputs.
+    trajectory's own layer inputs. Each input is scored when the sampler
+    reaches it and then dropped, so eval holds no layer's inputs across
+    timesteps; rows come out layer by layer, each layer's in sampler order.
     """
     if not config.checkpoint:
         raise ConfigError("config names no checkpoint")
@@ -507,13 +524,12 @@ def run_eval(model_path, config: Config) -> EvalReport:
         raise DomainError(f"model file misses quantizable layers: {absent}")
     root = Rng(config.seed)
     overrides = {l.name: _layer_runner(l) for l in qmodel.layers}
-    cap = {l.name: [] for l in qmodel.layers}
-    endpoint = _paired_endpoint_mse(model, schedule, config, overrides, root, cap)
-    rows = [
-        (l.name, int(t), _layer_mse(a, model.layer_weight(l.name), overrides[l.name]))
+    cap = {
+        l.name: _ErrorSink(l.name, model.layer_weight(l.name), overrides[l.name])
         for l in qmodel.layers
-        for a, t in cap[l.name]
-    ]
+    }
+    endpoint = _paired_endpoint_mse(model, schedule, config, overrides, root, cap)
+    rows = [row for l in qmodel.layers for row in cap[l.name].rows]
     summaries = tuple(
         LayerSummary(
             l.name,

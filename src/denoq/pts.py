@@ -20,9 +20,13 @@ well behaved most of the time.
 The calibration ladder runs that vote at D+1 base scales a power of two
 apart, so its (D+1)^2 candidate scales are only 2D+1 distinct ones. One
 kernel walks the activations in row blocks, scores each distinct scale once
-per block into cache-sized buffers, and adds every rung's winners to exact
-integer vote counts: the result does not depend on the block size, and the
-working memory beyond the activations is one N x C plane for any D.
+per block into cache-sized buffers, adds every rung's winners to exact
+integer vote counts and sums each candidate's errors per channel. A rung's
+post-rescue error is one of those sums per channel, so the ladder is scored
+without another pass over the activations. The sums run over the rows in
+order and the counts are exact, so the result does not depend on the block
+size; the working memory beyond the activations is at most one N x C plane
+for any D.
 """
 
 from __future__ import annotations
@@ -104,7 +108,7 @@ def _shared_candidates(rung_scales, max_exponent: int):
 
 
 def _block_winners(
-    x: np.ndarray, rung_scales, max_exponent: int, l: int, u: int, spare=None
+    x: np.ndarray, rung_scales, max_exponent: int, l: int, u: int, sums=None
 ):
     """Per-sample preferred exponents of every rung, one row block at a time.
 
@@ -116,9 +120,14 @@ def _block_winners(
     r..r+D, and all rungs take their step d in one operation on a view.
 
     Working arrays are allocated once per call, sized so that the planes of
-    one block fit in _BLOCK_BYTES. Given spare, a contiguous float64 array
-    of the caller's, blocks shrink further until the planes and the running
-    minimum fit in it, so that the call adds no memory of that size.
+    one block fit in _BLOCK_BYTES and the planes and running minima of all
+    blocks together take no more than one N x C plane (a tensor with fewer
+    rows than there are buffer planes is walked in one block).
+
+    Given sums, a zeroed float64 array [scale x C] over the scales of
+    _shared_candidates(rung_scales, max_exponent), sums[k, c] receives the
+    errors of channel c at scale k added up over the rows in order, one
+    block after another, so the totals do not depend on the block size.
 
     Yields (rows, winners, scratch) for every block. winners[r, i, c] is the
     d minimizing rung r's error of x[rows][i, c], where a later d wins only
@@ -135,18 +144,14 @@ def _block_winners(
     else:  # an overflowed or subnormal scale broke the pattern: gather
         steps = list(index.T)
     block = max(1, _BLOCK_BYTES // (len(scales) * max(c, 1) * 8))
-    row_size = (len(scales) + rungs) * c  # float64s per row of a block
-    if spare is not None and 0 < row_size <= spare.size:
-        block = min(block, spare.size // row_size)
+    row_planes = len(scales) + rungs  # N x C planes' worth of buffers per row
+    if n >= row_planes:
+        block = min(block, n // row_planes)
     rows_max = min(block, n)
-    if spare is None or spare.size < row_size * rows_max:
-        spare = np.empty(row_size * rows_max)
-    pool = spare.ravel(order="K")[: row_size * rows_max]
-    planes, low = np.split(pool, [len(scales) * rows_max * c])
-    planes = planes.reshape(len(scales), rows_max, c)
-    low = low.reshape(rungs, rows_max, c)
-    better = np.empty((rungs, rows_max, c), dtype=bool)
+    pool = np.empty((row_planes, rows_max, c))
+    planes, low = pool[: len(scales)], pool[len(scales) :]
     winners = np.empty((rungs, rows_max, c), dtype=np.min_scalar_type(max_exponent))
+    better = np.empty_like(winners)
     for start in range(0, n, block):
         rows = slice(start, min(start + block, n))
         xb = x[rows]
@@ -158,11 +163,31 @@ def _block_winners(
         best = planes[steps[0], :m]  # running minimum, d = 0 first
         for d in range(1, max_exponent + 1):
             err = planes[steps[d], :m]
+            # w = d where err < best: d exceeds every earlier winner, so
+            # max(w, d * (err < best)) is that, without a masked copy.
             np.less(err, best, out=up)
-            np.copyto(w, d, where=up)
+            np.maximum(w, np.multiply(up, d, out=up), out=w)
             if d < max_exponent:
                 best = np.minimum(best, err, out=low[:, :m])
+        if sums is not None:  # the planes are read for the last time
+            _add_rows_in_order(planes[:, :m], sums)
         yield rows, w, low[:, :m].view(np.intp)
+
+
+def _add_rows_in_order(planes: np.ndarray, sums: np.ndarray) -> None:
+    """sums[k] += planes[k, 0] + planes[k, 1] + ..., added left to right.
+
+    The running sums go into the first row, then the rows are reduced; a
+    reduction along a middle axis adds row after row, except over a single
+    column, which numpy would sum pairwise, so that one is accumulated.
+    Overwrites planes.
+    """
+    planes[:, 0] += sums
+    if planes.shape[2] == 1:
+        np.add.accumulate(planes, axis=1, out=planes)
+        sums[:] = planes[:, -1]
+    else:
+        np.add.reduce(planes, axis=1, out=sums)
 
 
 def per_sample_matrix(
@@ -259,24 +284,31 @@ def quantize_with_pts(
     return quantize(x, QuantParams(divisor, bits, signed, axis=1))
 
 
-def _vote_counts(x, rung_scales, max_exponent: int, l: int, u: int, spare):
-    """counts[g, d, c]: the samples of channel c whose rung-g nomination is d.
+def _ladder_votes(x, rung_scales, max_exponent: int, l: int, u: int):
+    """Vote counts and candidate errors of every rung, in one walk over x.
 
+    counts[g, d, c]: the samples of channel c whose rung-g nomination is d.
     Each block's nominations of all rungs are tallied in one bincount, in
     the bin (r * (D+1) + d) * C + c of rung r in the kernel's finest-first
     order; exact integers, so the block size cannot change them.
+
+    errors[g, d, c]: the squared reconstruction error of channel c at rung
+    g's candidate scale for exponent d, summed over the samples.
     """
     rungs, c = len(rung_scales), x.shape[1]
+    finest_first = rung_scales[::-1]
+    scales, index = _shared_candidates(finest_first, max_exponent)
+    sums = np.zeros((len(scales), c))
     counts = np.zeros((rungs, max_exponent + 1, c), dtype=np.int64)
     flat = counts.reshape(-1)
     offset = np.add.outer(np.arange(rungs) * (max_exponent + 1) * c, np.arange(c))
     for _, winners, bins in _block_winners(
-        x, rung_scales[::-1], max_exponent, l, u, spare=spare
+        x, finest_first, max_exponent, l, u, sums=sums
     ):
         np.multiply(winners, c, out=bins, dtype=np.intp)
         np.add(bins, offset[:, None, :], out=bins)
         flat += np.bincount(bins.reshape(-1), minlength=flat.size)
-    return counts[::-1]
+    return counts[::-1], sums[index[::-1]]
 
 
 def calibrate_activation_scaling(
@@ -300,11 +332,14 @@ def calibrate_activation_scaling(
 
     The D+1 rungs share their candidate scales s0 * 2^k, k = -D..D, so one
     pass over x_hat in row blocks scores each of those 2D+1 error planes
-    once and adds every rung's per-sample winners to exact integer vote
-    counts. Beyond x_hat the call needs one N x C float64 plane, whatever
-    max_exponent is: it holds the block buffers (at most ~2 MB of candidate
-    planes per block) while the votes are counted, then each rung's
-    post-rescue error.
+    once, adds every rung's per-sample winners to exact integer vote counts
+    and sums each plane per channel while the block is in cache. With
+    exponents e_c granted, a rung's post-rescue error is the sum over c of
+    its candidate e_c's error sum for channel c: the elementwise errors are
+    the ones its own quantization would make, so no further pass is needed.
+    Beyond x_hat the call needs at most one N x C float64 plane of block
+    buffers, whatever max_exponent is, and at most ~2 MB of candidate
+    planes per block.
 
     x_hat must already carry any learned channel scaling.
     """
@@ -319,16 +354,12 @@ def calibrate_activation_scaling(
     _check_kappa(kappa)
     l, u = code_bounds(bits, signed)
     rung_scales = [s0 / float(2**g) for g in range(max_exponent + 1)]  # exact
-    # The post-rescue error plane; until then it holds the kernel's buffers.
-    plane = np.empty_like(x_hat)
-    counts = _vote_counts(x_hat, rung_scales, max_exponent, l, u, plane)
+    counts, errors = _ladder_votes(x_hat, rung_scales, max_exponent, l, u)
+    channels = np.arange(c)
     best = None
     for g, s_g in enumerate(rung_scales):
         factors = _grant(counts[g], n, kappa)
-        # The same divisor and codes quantize_with_pts(x_hat, ones, s_g, ...)
-        # would give, dequantized without the int64 round trip.
-        channel_scale = np.exp2(factors.exponents.astype(np.float64)) * s_g
-        err = float(np.sum(_candidate_error(x_hat, channel_scale, l, u, out=plane)))
+        err = float(np.sum(errors[g, factors.exponents, channels]))
         if best is None or err < best[0]:
             best = (err, s_g, factors)
     return best[1], best[2]

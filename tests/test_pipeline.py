@@ -226,6 +226,29 @@ class TestQuantizeRun:
         with pytest.raises(DomainError):
             run_eval(p2, cfg)
 
+    def test_eval_scores_layer_inputs_as_they_arrive(self, runs):
+        """Eval keeps no captured layer inputs: at n = 256 over 20 steps its
+        peak stays below what one layer's inputs alone would take, while
+        its rows still come layer by layer, each in sampler order."""
+        import tracemalloc
+
+        cfg, paths, _ = runs
+        cfg = dataclasses.replace(cfg, n=256, T=20)
+        tracemalloc.start()
+        try:
+            report = run_eval(paths["one"][0], cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < cfg.n * cfg.T * 64 * 8
+        names = ["res1", "res2", "skip", "mid"]
+        assert [name for name, _, _ in report.rows] == [
+            name for name in names for _ in range(cfg.T)
+        ]
+        steps = [t for _, t, _ in report.rows[: cfg.T]]
+        assert steps == sorted(steps, reverse=True)
+        assert [t for _, t, _ in report.rows] == steps * len(names)
+
 
 class TestVariants:
     def test_minmax_only_leaves_tau_at_one(self):

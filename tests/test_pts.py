@@ -365,31 +365,39 @@ def assert_calibration_matches_dense(x, bits, signed, max_exponent, kappa):
     assert f.agreement.tobytes() == want_agree.tobytes()
 
 
-def test_selection_memory_stays_linear_in_the_tensor():
-    """No (D+1) x N x C candidate stack: with D = 7 a dense stack alone
-    would be 8x the input. Beyond its result or its post-rescue plane
-    (1x each), selection holds cache-sized row blocks, so it stays under
-    2x at any D."""
+def peak_bytes(fn):
+    """The largest traced allocation total while fn runs."""
     import tracemalloc
 
-    x = Rng(11).standard_normal((20480, 64)) * np.exp2(np.arange(64) % 5)[None, :]
     tracemalloc.start()
     try:
-        per_sample_matrix(x, 0.01, 7, bits=8)
-        _, peak = tracemalloc.get_traced_memory()
+        fn()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * x.nbytes
+
+
+def test_selection_memory_stays_linear_in_the_tensor():
+    """No (D+1) x N x C candidate stack: with D = 7 a dense stack alone
+    would be 8x the input. Beyond its result (1x), per-sample selection
+    holds cache-sized row blocks, so it stays under 2x at any D. The ladder
+    keeps no N x C plane at all: on a tall tensor its ~2 MB of block
+    buffers stay well under the input at any D, and on a short one the
+    blocks shrink until their buffers fit in one plane."""
+    x = Rng(11).standard_normal((20480, 64)) * np.exp2(np.arange(64) % 5)[None, :]
+    assert peak_bytes(lambda: per_sample_matrix(x, 0.01, 7, bits=8)) < 2 * x.nbytes
     for max_exponent in (7, 16):
-        tracemalloc.start()
-        try:
-            calibrate_activation_scaling(
+        peak = peak_bytes(
+            lambda: calibrate_activation_scaling(
                 x, bits=8, max_exponent=max_exponent, kappa=0.6
             )
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * x.nbytes, max_exponent
+        )
+        assert peak < 0.6 * x.nbytes, max_exponent
+    short = x[:1280].copy()
+    peak = peak_bytes(
+        lambda: calibrate_activation_scaling(short, bits=8, max_exponent=3, kappa=0.6)
+    )
+    assert peak < 1.25 * short.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -400,29 +408,34 @@ def test_selection_memory_stays_linear_in_the_tensor():
 def ladder_blocks(x, max_exponent):
     """Sizes of the row blocks calibrate_activation_scaling walks x in."""
     rungs = [2.0**-g for g in range(max_exponent + 1)][::-1]
-    walk = pts._block_winners(x, rungs, max_exponent, -8, 7, spare=np.empty_like(x))
+    walk = pts._block_winners(x, rungs, max_exponent, -8, 7)
     return [rows.stop - rows.start for rows, _, _ in walk]
 
 
 @pytest.mark.parametrize("max_exponent", [0, 1, 3, 16])
 @pytest.mark.parametrize("signed", [True, False])
 @pytest.mark.parametrize("kind", ["half_steps", "constant"])
-@pytest.mark.parametrize("layout", ["ragged", "single"])
+@pytest.mark.parametrize("layout", ["ragged", "budget", "single"])
 def test_calibration_across_row_blocks_equals_dense(
-    max_exponent, signed, kind, layout
+    max_exponent, signed, kind, layout, monkeypatch
 ):
-    """Many blocks with a ragged tail, and fewer rows than one block:
+    """Many blocks with a ragged tail, sized by the one-plane cap (3D+2
+    rows' worth of buffers per block row) or by a byte budget forced down
+    to 2 rows, and fewer rows than the 3D+2 buffer planes, one block:
     half-step values hit rounding ties and error ties between exponents,
-    constant columns hit every-sample ties. The blocks shrink to fit the
-    post-rescue plane, 3D+2 rows' worth of buffers per block row."""
-    per_row = 3 * max_exponent + 2
-    n = 4 * per_row + 1 if layout == "ragged" else per_row - 1
-    x = awkward_activations(max_exponent + 7 * n, n, 6, kind, 0.25)
+    constant columns hit every-sample ties."""
+    c, per_row = 6, 3 * max_exponent + 2
+    n = 4 * per_row + 1 if layout != "single" else per_row - 1
+    if layout == "budget":
+        monkeypatch.setattr(pts, "_BLOCK_BYTES", 2 * (2 * max_exponent + 1) * c * 8)
+    x = awkward_activations(max_exponent + 7 * n, n, c, kind, 0.25)
     blocks = ladder_blocks(x, max_exponent)
-    if layout == "ragged":
-        assert len(blocks) >= 3 and 0 < blocks[-1] < blocks[0]
-    else:
+    if layout == "single":
         assert blocks == [n]
+    else:
+        size = 4 if layout == "ragged" else 2
+        assert blocks[:-1] == [size] * (len(blocks) - 1) and len(blocks) >= 3
+        assert 0 < blocks[-1] < size
     assert_calibration_matches_dense(x, 4, signed, max_exponent, 0.6)
 
 
@@ -462,6 +475,36 @@ def test_calibration_does_not_depend_on_the_block_size(
             per_sample_matrix(x, 0.25, max_exponent, bits=3, signed=signed),
             dense_per_sample(x, 0.25, max_exponent, 3, signed),
         )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**31),
+    budget=st.integers(1, 4000),
+    n=st.integers(1, 60),
+    c=st.integers(1, 4),
+    max_exponent=st.sampled_from([0, 1, 3]),
+)
+def test_candidate_error_sums_add_the_rows_in_order(
+    seed, budget, n, c, max_exponent
+):
+    """The kernel's per-channel error sums are the rows' errors added one
+    row after another, whatever the block size; a single column, which a
+    numpy reduction would sum pairwise, included."""
+    x = awkward_activations(seed, n, c, "noise", 0.25)
+    lo, hi = code_bounds(4, True)
+    rungs = [0.25 / float(2**g) for g in range(max_exponent + 1)][::-1]
+    scales, _ = pts._shared_candidates(rungs, max_exponent)
+    want = np.zeros((len(scales), c))
+    for row in x:
+        for k, s in enumerate(scales):
+            want[k] += (row - s * np.clip(np.rint(row / s), lo, hi)) ** 2
+    got = np.zeros_like(want)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pts, "_BLOCK_BYTES", budget)
+        for _ in pts._block_winners(x, rungs, max_exponent, lo, hi, sums=got):
+            pass
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("s0", [1e-12, 0.0123, 1.0, 3.7e5])
