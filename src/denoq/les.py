@@ -26,7 +26,7 @@ initialization means "no scaling".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,14 +109,6 @@ def _fake_quant(v: Tensor, params: QuantParams, rounded: bool):
     return s * np.clip(ratio, l, u), mask
 
 
-def _default_params(
-    x_hat: Tensor, w_hat: Tensor, bits_a: int, bits_w: int, act_signed: bool
-) -> tuple[QuantParams, QuantParams]:
-    act = minmax_scale(x_hat, bits_a, signed=act_signed)
-    wgt = minmax_scale(w_hat, bits_w, signed=True, axis=1)
-    return act, wgt
-
-
 def _les_pass(
     x: np.ndarray, w: np.ndarray, ref: np.ndarray, tau: np.ndarray,
     act_params: QuantParams, weight_params: QuantParams, rounded: bool,
@@ -175,9 +167,9 @@ def les_loss(
         raise DimensionError(f"incompatible layer shapes {x.shape} and {w.shape}")
     tau = _check_tau(tau, x.shape[1])
     if act_params is None or weight_params is None:
-        act_params, weight_params = _default_params(
-            *_scaled_pair(x, w, tau), bits_a, bits_w, act_signed
-        )
+        x_hat, w_hat = _scaled_pair(x, w, tau)
+        act_params = minmax_scale(x_hat, bits_a, signed=act_signed)
+        weight_params = minmax_scale(w_hat, bits_w, signed=True, axis=1)
     return _les_pass(x, w, matmul(x, w), tau, act_params, weight_params, rounded)[0]
 
 
@@ -214,35 +206,13 @@ def les_grad(
 
 
 @dataclass
-class LesState:
-    """Mutable optimizer state for one layer's scaling factors."""
-
-    log_tau: np.ndarray
-    learning_rate: float
-    iteration: int = 0
-    grad_accumulator: np.ndarray = None
-    grad_sq_accumulator: np.ndarray = None
-
-    def __post_init__(self):
-        self.log_tau = np.asarray(self.log_tau, dtype=np.float64)
-        if self.grad_accumulator is None:
-            self.grad_accumulator = np.zeros_like(self.log_tau)
-        if self.grad_sq_accumulator is None:
-            self.grad_sq_accumulator = np.zeros_like(self.log_tau)
-
-    @property
-    def tau(self) -> np.ndarray:
-        return np.exp(self.log_tau)
-
-
-@dataclass
 class LesResult:
-    """Outcome of optimizing one layer: best factors plus bookkeeping."""
+    """Outcome of optimizing one layer: the best factors, the mean loss at
+    tau = 1 and the mean loss at the best factors."""
 
     tau: np.ndarray
     initial_loss: float
     final_loss: float
-    state: LesState
 
 
 def _codes_into(
@@ -336,22 +306,22 @@ def optimize_layer(
     n_rows = x.shape[0]
     ref = matmul(x, w)
     work = _check_buffers(x, ref, bits_a, bits_w)
-    state = LesState(np.zeros(c_in), lr)
-    best_tau = np.ones(c_in)
+    log_tau = np.zeros(c_in)
+    tau = best_tau = np.ones(c_in)
     initial, fitted = _mean_full_loss(
-        ref, x, w, best_tau, bits_a, bits_w, act_signed, work
+        ref, x, w, tau, bits_a, bits_w, act_signed, work
     )
     best = initial
+    m = v = np.zeros(c_in)  # Adam's moment estimates
     order = rng.permutation(n_rows)
     cursor = 0
-    while state.iteration < iterations:
+    for iteration in range(iterations):
         if cursor >= n_rows:
             order = rng.permutation(n_rows)
             cursor = 0
         batch = order[cursor : cursor + batch_size]
         cursor += batch_size
-        tau = state.tau
-        if state.iteration % scale_refresh == 0:
+        if iteration % scale_refresh == 0:
             # The last keep-best check already fitted MinMax at this tau.
             act_p, wgt_p = fitted
         tb = record.timesteps[batch]
@@ -369,26 +339,24 @@ def optimize_layer(
         if gnorm > _MAX_GRAD_NORM:
             grad = grad * (_MAX_GRAD_NORM / gnorm)
         if optimizer == "gd":
-            state.log_tau = state.log_tau - lr * grad
+            log_tau = log_tau - lr * grad
         else:  # adam
             b1, b2, eps = 0.9, 0.999, 1e-8
-            state.grad_accumulator = b1 * state.grad_accumulator + (1 - b1) * grad
-            state.grad_sq_accumulator = (
-                b2 * state.grad_sq_accumulator + (1 - b2) * grad * grad
-            )
-            k = state.iteration + 1
-            m_hat = state.grad_accumulator / (1 - b1**k)
-            v_hat = state.grad_sq_accumulator / (1 - b2**k)
-            state.log_tau = state.log_tau - lr * m_hat / (np.sqrt(v_hat) + eps)
-        np.clip(state.log_tau, -_LOG_TAU_BOUND, _LOG_TAU_BOUND, out=state.log_tau)
-        state.iteration += 1
+            m = b1 * m + (1 - b1) * grad
+            v = b2 * v + (1 - b2) * grad * grad
+            k = iteration + 1
+            m_hat = m / (1 - b1**k)
+            v_hat = v / (1 - b2**k)
+            log_tau = log_tau - lr * m_hat / (np.sqrt(v_hat) + eps)
+        np.clip(log_tau, -_LOG_TAU_BOUND, _LOG_TAU_BOUND, out=log_tau)
+        tau = np.exp(log_tau)
         candidate, fitted = _mean_full_loss(
-            ref, x, w, state.tau, bits_a, bits_w, act_signed, work
+            ref, x, w, tau, bits_a, bits_w, act_signed, work
         )
         if candidate < best:
             best = candidate
-            best_tau = state.tau
-    return LesResult(best_tau, initial, best, state)
+            best_tau = tau
+    return LesResult(best_tau, initial, best)
 
 
 def fuse(tau, act_params: QuantParams, w: Tensor) -> tuple[np.ndarray, Tensor]:

@@ -6,7 +6,7 @@ Layout (integers and floats little-endian, no alignment padding):
     offset 4  version, u16 (currently 1)
     offset 6  weight bits, u8
     offset 7  activation bits, u8
-    offset 8  flags, u8 (bit 0: activations signed)
+    offset 8  flags, u8 (bit 0: activations signed; bits 1-7 must be 0)
     offset 9  layer count, u32
     then per layer, in model order:
         name length, u16; name, utf-8
@@ -107,10 +107,15 @@ def pack_int4(codes: np.ndarray) -> bytes:
 
 
 def unpack_int4(buf: bytes, count: int) -> np.ndarray:
-    """Inverse of pack_int4: sign-extend count nibbles back to int64."""
+    """Inverse of pack_int4: sign-extend count nibbles back to int64.
+
+    An odd count leaves a pad nibble, which must be zero as pack_int4
+    writes it; anything else would not survive a round trip."""
     raw = np.frombuffer(buf, dtype=np.uint8)
     if raw.size * 2 < count:
         raise FormatError(f"4-bit block holds {raw.size * 2} codes, need {count}")
+    if count % 2 and raw[count // 2] >> 4:
+        raise FormatError("4-bit block: the pad nibble after the last code is not zero")
     lo = raw & 0xF
     hi = raw >> 4
     nibbles = np.empty(raw.size * 2, dtype=np.int64)
@@ -215,6 +220,9 @@ def import_model(path) -> QuantizedModel:
     for what, bits in (("weight", bits_w), ("activation", bits_a)):
         if not (2 <= bits <= MAX_BITS):
             r.fail(f"unsupported {what} bit-width {bits}")
+    if flags & ~1:  # bit 0 (activations signed) is the only defined flag
+        r.pos = 8
+        r.fail(f"flags byte 0x{flags:02x} sets undefined bits")
     layers = []
     seen = set()
     for i in range(count):

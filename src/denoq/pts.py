@@ -8,7 +8,9 @@ widens the range of individual channels by exact powers of two,
     code = clamp(round(x / (2^delta_c * divisor_c)), l, u)
 
 because a power-of-two factor costs nothing at execution time: it folds onto
-the integer weight codes as a bit shift instead of a real multiply.
+the integer weight codes as a bit shift instead of a real multiply. This
+module only chooses the exponents; quant.QuantizedLayer builds that divisor
+and quant.activation_codes divides by it.
 
 Exponent selection is a vote. Every calibration sample nominates, per
 channel, the exponent that minimizes its own squared reconstruction error;
@@ -36,8 +38,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .quant import QuantParams, code_bounds, minmax_scale, quantize
-from .tensor import IntTensor, Tensor, as_real
+from .quant import code_bounds, minmax_scale
+# Unused here; kept because the benchmark's span tracer (perfbench/spans.py)
+# patches this name.
+from .quant import quantize  # noqa: F401
+from .tensor import Tensor, as_real
 
 
 @dataclass(frozen=True)
@@ -251,37 +256,6 @@ def vote(per_sample: np.ndarray, kappa: float) -> PtsFactors:
         [np.count_nonzero(votes == d, axis=0) for d in range(top + 1)]
     )
     return _grant(counts, votes.shape[0], kappa)
-
-
-def quantize_with_pts(
-    x: Tensor, tau, base_scale: float, delta, *, bits: int, signed: bool = True
-) -> IntTensor:
-    """Quantize activations with scaling factors and exponents folded in.
-
-    The per-channel divisor is 2^delta_c * tau_c * base_scale. The
-    dequantization contract is value = (2^delta_c * base_scale) * code: tau
-    lives in the weights after fusion and never reappears. tau of all ones
-    is the no-scaling case. Multiplying by 2^delta is exact in floating
-    point, so these codes match the shift-free divide-then-quantize path
-    bit for bit.
-    """
-    x = as_real(x, "activations")
-    if x.ndim != 2:
-        raise DimensionError("quantize_with_pts expects a 2-d activation tensor")
-    c = x.shape[1]
-    tau = as_real(tau, "tau").reshape(-1)
-    if tau.shape[0] != c or np.any(tau <= 0.0):
-        raise DomainError(f"tau must be {c} strictly positive reals")
-    if not (base_scale > 0.0 and np.isfinite(base_scale)):
-        raise DomainError("base scale must be a positive real")
-    delta = np.asarray(delta)
-    if not np.issubdtype(delta.dtype, np.integer):
-        raise DomainError("exponents must be integers")
-    delta = delta.astype(np.int64).reshape(-1)
-    if delta.shape[0] != c or (delta.size and delta.min() < 0):
-        raise DomainError(f"exponents must be {c} non-negative integers")
-    divisor = np.exp2(delta.astype(np.float64)) * (tau * base_scale)
-    return quantize(x, QuantParams(divisor, bits, signed, axis=1))
 
 
 def _ladder_votes(x, rung_scales, max_exponent: int, l: int, u: int):

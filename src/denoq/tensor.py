@@ -170,20 +170,6 @@ def code_matmul(
     )
 
 
-def channel_div(x: Tensor, v) -> Tensor:
-    """Divide activation columns by a strictly positive per-channel vector.
-
-    x is [B x C]; column c is divided by v[c].
-    """
-    x = as_real(x, "activations")
-    if x.ndim != 2:
-        raise DimensionError("channel_div expects a 2-d activation tensor")
-    vec = _as_vector(v, x.shape[1], "channel divisors")
-    if np.any(vec <= 0.0):
-        raise DomainError("channel divisors must be strictly positive")
-    return x / vec[None, :]
-
-
 def channel_mul(w: Tensor, v) -> Tensor:
     """Scale weight rows by a per-channel vector: row c is multiplied by v[c]."""
     w = as_real(w, "weights")

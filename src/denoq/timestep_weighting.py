@@ -54,27 +54,24 @@ class TimestepWeighter:
         self.timesteps = tuple(steps)
         self.alpha = float(alpha)
         self.xi = float(xi)
-        self._index = {t: i for i, t in enumerate(steps)}
         self._order = np.argsort(np.array(steps, dtype=np.int64), kind="stable")
         self._sorted = np.array(steps, dtype=np.int64)[self._order]
         self._avg = np.zeros(len(steps))
         self._seen = np.zeros(len(steps), dtype=bool)
 
     def running_average(self, t: int) -> float:
-        return float(self._avg[self._position(t)])
-
-    def _position(self, t: int) -> int:
-        if t not in self._index:
-            raise DomainError(f"timestep {t} is not part of this weighter's subset")
-        return self._index[t]
+        return float(self._avg[self._positions(t)[0]])
 
     def _positions(self, timesteps) -> np.ndarray:
         """Position of every entry of timesteps in the subset."""
-        steps = np.asarray(timesteps).reshape(-1).astype(np.int64)
+        steps = np.asarray(timesteps).reshape(-1)
         at = np.minimum(np.searchsorted(self._sorted, steps), len(self._sorted) - 1)
         unknown = self._sorted[at] != steps
         if unknown.any():
-            self._position(int(steps[unknown][0]))  # raises for it
+            raise DomainError(
+                f"timestep {steps[unknown][0]} is not part of this "
+                "weighter's subset"
+            )
         return self._order[at]
 
     def weight(self, t: int) -> float:
@@ -83,8 +80,7 @@ class TimestepWeighter:
         While every running average is still zero there is no ranking to
         derive, so the weight falls back to 1 uniformly.
         """
-        i = self._position(t)
-        return self._weight_from(float(self._avg[i]), self._total())
+        return float(self._table()[self._positions(t)[0]])
 
     def weights(self, timesteps: Sequence[int]) -> np.ndarray:
         """weight(t) for every entry of timesteps, summing the averages once."""
@@ -109,15 +105,11 @@ class TimestepWeighter:
 
     def update(self, t: int, batch_mean_loss: float) -> None:
         """Fold one batch's mean loss at timestep t into the running average."""
-        i = self._position(t)
+        pos = self._positions(t)
         loss = float(batch_mean_loss)
         if not math.isfinite(loss) or loss < 0.0:
             raise DomainError(f"batch mean loss must be finite and >= 0, got {loss}")
-        if not self._seen[i]:
-            self._avg[i] = loss
-            self._seen[i] = True
-        else:
-            self._avg[i] = self.xi * float(self._avg[i]) + (1.0 - self.xi) * loss
+        self._fold(pos, np.array([loss]))
 
     def weighted_mean(self, losses: Sequence[float], timesteps: Sequence[int]) -> float:
         """Weighted mean of per-sample losses, then update the averages.

@@ -7,7 +7,6 @@ from denoq.errors import DimensionError, DomainError
 from denoq.les import (
     LayerCalibRecord,
     _check_buffers,
-    _default_params,
     _mean_full_loss,
     _scaled_pair,
     fuse,
@@ -37,6 +36,12 @@ def make_record(seed=0, n=64, c_in=8, c_out=6, outlier=None):
     w = rng.child("w").standard_normal((c_in, c_out)) * 0.5
     ts = rng.child("t").integers(1, 5, n)
     return LayerCalibRecord("layer", x, ts, w)
+
+
+def minmax_grids(x_hat, w_hat):
+    """The grids les_loss fits when given none: 8-bit signed MinMax on the
+    scaled activations, 4-bit per-column MinMax on the scaled weights."""
+    return minmax_scale(x_hat, 8), minmax_scale(w_hat, 4, signed=True, axis=1)
 
 
 def test_record_validation():
@@ -79,7 +84,7 @@ def test_dead_channel_gets_zero_gradient():
     x[:, 3] = 0.0
     w[3, :] = 0.0
     x_hat, w_hat = _scaled_pair(x, w, np.ones(8))
-    act_p, wgt_p = _default_params(x_hat, w_hat, 8, 4, True)
+    act_p, wgt_p = minmax_grids(x_hat, w_hat)
     grad = les_grad(x, w, np.ones(8), act_p, wgt_p)
     assert grad[3] == 0.0
 
@@ -137,7 +142,7 @@ def test_gradient_matches_finite_differences(seed):
     w = rng.child("w").standard_normal((c_in, c_out))
     tau_ref = np.exp(rng.child("ref").uniform(-0.5, 0.5, c_in))
     x_ref, w_ref = _scaled_pair(x, w, tau_ref)
-    act_p, wgt_p = _default_params(x_ref, w_ref, 8, 4, True)
+    act_p, wgt_p = minmax_grids(x_ref, w_ref)
     tau = tau_ref * np.exp(rng.child("tau").uniform(-0.05, 0.05, c_in))
 
     if boundary_distance(x, w, tau, act_p, wgt_p) < 1e-4:
@@ -160,7 +165,7 @@ def test_gradient_weighted_samples():
     rec = make_record(7, n=6, c_in=4, c_out=3)
     x, w = rec.activations, rec.weight
     x_hat, w_hat = _scaled_pair(x, w, np.ones(4))
-    act_p, wgt_p = _default_params(x_hat, w_hat, 8, 4, True)
+    act_p, wgt_p = minmax_grids(x_hat, w_hat)
     lam = np.array([0.0, 1.0, 0.5, 0.0, 1.0, 0.25])
     full = les_grad(x, w, np.ones(4), act_p, wgt_p, sample_weights=lam)
     acc = np.zeros(4)
@@ -274,17 +279,28 @@ def test_keep_best_check_divides_once_like_the_exported_layer():
 
 class TestFusion:
     def test_fused_codes_equal_two_step_codes(self):
-        """quantize(x, tau*s) must give exactly the codes of
-        quantize(x/tau, s) — scaling into the divisor is lossless."""
+        """The exported layer's codes are quantize(x, tau*s) bit for bit.
+        quantize(x/tau, s) rounds twice and gives the same codes except
+        where (x/tau)/s sits at a half-code boundary, and there it is one
+        code off; the last channel holds such a value in every row."""
         rng = Rng(11)
-        x = rng.standard_normal((200, 10)) * 5
-        tau = np.exp(rng.uniform(-2, 2, 10))
-        s = 0.021
+        s = 0.054276188008708544
+        x = rng.standard_normal((200, 11)) * 5
+        x[:, 10] = 11.446379747706697
+        tau = np.exp(rng.uniform(-2, 2, 11))
+        tau[10] = 2.7567499587661204
         act_p = QuantParams(s, 8, True)
-        fused, w2 = fuse(tau, act_p, rng.standard_normal((10, 4)))
-        direct = quantize(x, QuantParams(fused, 8, True, axis=1))
-        two_step = quantize(x / tau[None, :], act_p)
-        assert np.array_equal(direct.codes, two_step.codes)
+        fused, w_scaled = fuse(tau, act_p, rng.standard_normal((11, 4)))
+        wgt_p = minmax_scale(w_scaled, 4, signed=True, axis=1)
+        layer = QuantizedLayer("l", quantize(w_scaled, wgt_p), wgt_p, act_p, fused)
+        codes = activation_codes(x, layer).codes
+        assert np.array_equal(codes, quantize(x, QuantParams(tau * s, 8, True, axis=1)).codes)
+        two_step = quantize(x / tau[None, :], act_p).codes
+        q = (x / tau[None, :]) / s
+        at_half = np.abs(q - (np.floor(q) + 0.5)) <= 4 * np.spacing(np.abs(q))
+        differ = two_step != codes
+        assert np.all(differ[:, 10]) and not np.any(differ & ~at_half)
+        assert np.max(np.abs(two_step - codes)) == 1
 
     def test_fused_weights_preserve_product(self):
         rng = Rng(12)

@@ -64,6 +64,10 @@ class TestInt4Packing:
         with pytest.raises(FormatError):
             unpack_int4(b"\x00", 3)
 
+    def test_nonzero_pad_nibble_rejected(self):
+        with pytest.raises(FormatError, match="pad nibble"):
+            unpack_int4(b"\x1d", 1)
+
 
 def test_storage_lane_policy():
     assert _storage_dtype(2) is None and _storage_dtype(4) is None
@@ -182,6 +186,27 @@ class TestCorruptFiles:
         p.write_bytes(bytes(raw))
         assert cli.main(["export-inspect", "--model", str(p)]) == 3
         assert "unsupported weight bit-width 200" in capsys.readouterr().err
+
+    def write_flags(self, tmp_path, flags):
+        p = self.write_good(tmp_path)
+        raw = bytearray(p.read_bytes())
+        assert raw[8] == 0x01  # signed activations, nothing else
+        raw[8] = flags
+        p.write_bytes(bytes(raw))
+        return p
+
+    @pytest.mark.parametrize("flags", [0x83, 0x02, 0x80, 0xFE])
+    def test_undefined_flag_bits_are_a_format_error(self, tmp_path, flags):
+        p = self.write_flags(tmp_path, flags)
+        with pytest.raises(
+            FormatError, match=f"flags byte 0x{flags:02x} sets undefined bits.*offset 8"
+        ):
+            import_model(p)
+
+    def test_undefined_flag_bits_exit_3(self, tmp_path, capsys):
+        p = self.write_flags(tmp_path, 0x83)
+        assert cli.main(["export-inspect", "--model", str(p)]) == 3
+        assert "flags byte 0x83 sets undefined bits" in capsys.readouterr().err
 
     def write_duplicate_names(self, tmp_path):
         """A two-layer file whose second name is rewritten to the first."""

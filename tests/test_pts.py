@@ -11,11 +11,32 @@ from denoq.pts import (
     PtsFactors,
     calibrate_activation_scaling,
     per_sample_matrix,
-    quantize_with_pts,
     vote,
 )
-from denoq.quant import QuantParams, code_bounds, minmax_scale, quantize
-from denoq.tensor import Rng
+from denoq.quant import (
+    QuantParams,
+    QuantizedLayer,
+    activation_codes,
+    code_bounds,
+    minmax_scale,
+    quantize,
+)
+from denoq.tensor import IntTensor, Rng
+
+
+def rescued_codes(x, tau, base_scale, delta, *, bits, signed=True):
+    """activation_codes of a layer whose activation divisor is
+    2^delta_c * tau_c * base_scale, the way the pipeline exports it."""
+    c = x.shape[1]
+    layer = QuantizedLayer(
+        "l",
+        IntTensor(np.zeros((c, 1), dtype=np.int64), 4),
+        QuantParams(1.0, 4),
+        QuantParams(base_scale, bits, signed),
+        tau * base_scale,
+        delta,
+    )
+    return activation_codes(x, layer)
 
 
 def per_sample_best(values, base_scale, max_exponent, *, bits, signed=True):
@@ -162,7 +183,7 @@ def test_per_sample_matrix_factorizes_over_channels():
             assert m[i, c] == per_sample_best(x[i : i + 1, c], 0.05, 3, bits=8)
 
 
-def test_quantize_with_pts_power_of_two_fusion_is_exact():
+def test_activation_codes_power_of_two_fusion_is_exact():
     """Dividing by 2^d * (tau * s) equals dividing by tau * s then by 2^d in
     float arithmetic, so codes match the two-step computation exactly."""
     rng = Rng(8)
@@ -170,7 +191,7 @@ def test_quantize_with_pts_power_of_two_fusion_is_exact():
     tau = np.exp(rng.uniform(-1, 1, 6))
     s = 0.037
     delta = np.array([0, 1, 2, 3, 1, 0])
-    got = quantize_with_pts(x, tau, s, delta, bits=8)
+    got = rescued_codes(x, tau, s, delta, bits=8)
     two_step = quantize(
         x / np.exp2(delta)[None, :],
         QuantParams(tau * s, 8, True, axis=1),
@@ -211,7 +232,7 @@ class TestLadderCalibration:
         plain = minmax_scale(x, 8).scale
         q_plain = quantize(x, QuantParams(plain, 8))
         err_plain = np.sum((x - q_plain.codes * plain) ** 2)
-        q_l = quantize_with_pts(x, np.ones(8), base, f.exponents, bits=8)
+        q_l = rescued_codes(x, np.ones(8), base, f.exponents, bits=8)
         recon = q_l.codes * (np.exp2(f.exponents.astype(float)) * base)[None, :]
         assert np.sum((x - recon) ** 2) < err_plain
 
@@ -254,8 +275,8 @@ def bincount_vote(votes, kappa):
 
 def dense_calibrate(x, bits, signed, max_exponent, kappa):
     """The rung ladder as first written: dense candidate errors, the
-    per-channel vote, and each rung scored through quantize_with_pts and
-    a float64 dequantization of its int64 codes."""
+    per-channel vote, and each rung scored through the codes of the layer
+    it would export and a float64 dequantization of them."""
     s0 = minmax_scale(x, bits, signed=signed).scale
     best = None
     for g in range(max_exponent + 1):
@@ -263,7 +284,7 @@ def dense_calibrate(x, bits, signed, max_exponent, kappa):
         exps, agree = bincount_vote(
             dense_per_sample(x, s_g, max_exponent, bits, signed), kappa
         )
-        codes = quantize_with_pts(
+        codes = rescued_codes(
             x, np.ones(x.shape[1]), s_g, exps, bits=bits, signed=signed
         )
         scale = np.exp2(exps.astype(np.float64)) * s_g

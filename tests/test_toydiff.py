@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import struct
 from pathlib import Path
 from types import SimpleNamespace
@@ -13,7 +14,6 @@ from denoq.toydiff import (
     ToyDenoiser,
     Trajectory,
     _silu,
-    _silu_prime,
     collect_calibration,
     ddim_step,
     ddim_timesteps,
@@ -25,7 +25,8 @@ from denoq.toydiff import (
     save_checkpoint,
 )
 
-CHECKPOINT = Path(__file__).resolve().parent.parent / "checkpoints" / "toy2d.ckpt"
+ROOT = Path(__file__).resolve().parent.parent
+CHECKPOINT = ROOT / "checkpoints" / "toy2d.ckpt"
 # sha256 of the file scripts/make_checkpoint.py writes (seed 1337).
 CHECKPOINT_SHA256 = "b39ec81d30819a94d569b40dfc738cee973297a669bc5e126e34d61083fd6783"
 
@@ -63,6 +64,18 @@ def tiny_model(t_max=5, hidden=4, embed=3, seed=0):
         "head_b": np.zeros(2),
     }
     return ToyDenoiser(params), NoiseSchedule.linear(t_max)
+
+
+def load_script(name):
+    """Import scripts/<name>.py as a module; its main() does not run."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# The trainer's SiLU derivative lives with the trainer.
+_silu_prime = load_script("make_checkpoint")._silu_prime
 
 
 def old_silu(v):

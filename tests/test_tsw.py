@@ -186,16 +186,21 @@ class DictWeighter:
             base = 0.0
         return base**self.alpha
 
+    def update(self, t, loss):
+        if not self.seen[t]:
+            self.avg[t], self.seen[t] = loss, True
+        else:
+            self.avg[t] = self.xi * self.avg[t] + (1.0 - self.xi) * loss
+
+    def weight(self, t):
+        return self.weight_from(self.avg[t], sum(self.avg.values()))
+
     def weighted_mean(self, losses, steps):
         total = sum(self.avg.values())
         weights = np.array([self.weight_from(self.avg[int(t)], total) for t in steps])
         result = float(np.mean(weights * losses))
         for t in sorted(set(int(t) for t in steps)):
-            loss = float(np.mean(losses[steps == t]))
-            if not self.seen[t]:
-                self.avg[t], self.seen[t] = loss, True
-            else:
-                self.avg[t] = self.xi * self.avg[t] + (1.0 - self.xi) * loss
+            self.update(t, float(np.mean(losses[steps == t])))
         return result
 
 
@@ -219,3 +224,25 @@ def test_array_state_matches_the_dict_oracle_bit_for_bit(alpha):
             assert np.array_equal(
                 got.weights(ts), [want.weight_from(want.avg[t], sum(want.avg.values())) for t in ts]
             )
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 2.5])
+def test_scalar_calls_match_the_dict_oracle_bit_for_bit(alpha):
+    """update, weight and running_average go through the batch state and
+    give what the per-timestep formulas give, including after batches."""
+    rng = np.random.default_rng(7)
+    ts = [980, 35, 512, 7]
+    got, want = TimestepWeighter(ts, alpha=alpha, xi=0.9), DictWeighter(ts, alpha, 0.9)
+    for step in range(200):
+        t = int(rng.choice(ts))
+        loss = float(rng.uniform(0.0, 1.0) * 10.0 ** rng.uniform(-6, 6))
+        if step % 5 == 4:
+            steps = np.array([t] * 3 + [int(rng.choice(ts))])
+            losses = rng.uniform(0.0, 10.0, 4)
+            assert got.weighted_mean(losses, steps) == want.weighted_mean(losses, steps)
+        else:
+            got.update(t, loss)
+            want.update(t, loss)
+        for u in ts:
+            assert got.running_average(u) == want.avg[u]
+            assert got.weight(u) == want.weight(u)
