@@ -46,8 +46,9 @@ def main():
     want = quantized_matmul_reference(x, layer)
     print(f"\ninteger path == reference path, bit for bit: "
           f"{np.array_equal(got, want)}")
-    print(f"  accumulator values up to {np.max(np.abs(acc.codes))}, "
-          f"held in 64-bit lanes")
+    print(f"  accumulator values up to {int(np.max(np.abs(acc.codes)))}: a "
+          f"{layer.accumulator_budget}-bit budget, so the float32 tier holds "
+          f"them exactly ({acc.codes.dtype} accumulator)")
 
     print("\nthe accumulator budget: bits_x + bits_w + max_shift + log2(C_in) <= 63")
     big = 1 << 15

@@ -2,10 +2,11 @@
 
 Power-of-two channel factors never touch the inner loop: they are folded
 into the weight codes once, up front, as left shifts. The hot path is then
-a plain integer matrix product in a 64-bit accumulator followed by one
-dequantization of the output. Both stages refuse configurations whose worst
-case could overflow, instead of wrapping silently; headroom_problem() states
-the same rule for callers that refuse a model before building it.
+a plain integer matrix product in a 64-bit accumulator (in the float32
+tier, the exact float32 sgemm product) followed by one dequantization of
+the output. Both stages refuse configurations whose worst case could
+overflow, instead of wrapping silently; headroom_problem() states the same
+rule for callers that refuse a model before building it.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 from .errors import DimensionError, DomainError, HeadroomError
 from .tensor import (
     EXACT_FLOAT32_BITS,
+    EXACT_FLOAT_BITS,
     IntTensor,
     Tensor,
     ceil_log2,
@@ -139,8 +141,10 @@ def execute(x: IntTensor, w: ShiftedWeights) -> IntTensor:
     headroom_problem(), which bounds the worst-case partial sum strictly
     below 2^63. Within 24 bits the product runs exactly on float32 BLAS,
     within 53 bits on float64 BLAS, above that in int64 (see
-    tensor.code_matmul); the BLAS result is cast straight to the int64
-    accumulator, exactly, since every entry is an integer.
+    tensor.code_matmul). Within 24 bits the float32 product is the
+    accumulator, exact since every partial sum is below 2^24; within 53
+    bits the float64 result is cast to an int64 accumulator, exactly,
+    since every entry is an integer.
     """
     if not isinstance(x, IntTensor):
         raise DomainError("execute expects IntTensor activations")
@@ -156,8 +160,14 @@ def execute(x: IntTensor, w: ShiftedWeights) -> IntTensor:
     if problem is not None:
         raise HeadroomError(problem)
     budget = accumulator_budget(x.nominal_bits, w.source_bits, w.max_shift, c_in)
-    acc = code_matmul(x.codes, w.operand(budget), budget, result=np.int64)
-    return IntTensor(acc, ACCUMULATOR_BITS)
+    codes = x.codes
+    if budget > EXACT_FLOAT_BITS:
+        # The einsum tier sums in the codes' dtype: float32 codes would
+        # make it float64, which rounds past 2^53.
+        codes = codes.astype(np.int64, copy=False)
+    result = np.float32 if budget <= EXACT_FLOAT32_BITS else np.int64
+    acc = code_matmul(codes, w.operand(budget), budget, result=result)
+    return IntTensor._bounded(acc, ACCUMULATOR_BITS, True)
 
 
 def apply_output_scales(
@@ -166,19 +176,21 @@ def apply_output_scales(
     """Scale a raw accumulator into real outputs: (s_x * s_w_j) * acc_ij.
 
     The product of the two scales is formed first, so every caller that
-    scales an accumulator this way agrees bit for bit. out, when given,
-    receives the result (it may be acc itself).
+    scales an accumulator this way agrees bit for bit. acc may hold its
+    integers in any numeric dtype: each entry is widened to float64 as it
+    is multiplied, exactly, in one pass. out, when given, receives the
+    result (it may be acc itself, when acc is float64).
     """
     combined = float(act_scale) * np.asarray(weight_scales, dtype=np.float64)
-    return np.multiply(np.asarray(acc, dtype=np.float64), combined[None, :], out=out)
+    return np.multiply(acc, combined[None, :], out=out)
 
 
 def dequantize_output(acc: IntTensor, act_scale: float, weight_scales) -> Tensor:
-    """Turn a raw accumulator into real outputs: (s_x * s_w_j) * acc_ij."""
+    """Turn a raw accumulator into real outputs: (s_x * s_w_j) * acc_ij,
+    a new float64 array made in one pass over the accumulator."""
     if not isinstance(acc, IntTensor):
         raise DomainError("dequantize_output expects an IntTensor accumulator")
     weight_scales = np.asarray(weight_scales, dtype=np.float64).reshape(-1)
     if acc.codes.ndim != 2 or acc.codes.shape[1] != weight_scales.shape[0]:
         raise DimensionError("one weight scale per output column required")
-    out = acc.codes.astype(np.float64)
-    return apply_output_scales(out, act_scale, weight_scales, out=out)
+    return apply_output_scales(acc.codes, act_scale, weight_scales)

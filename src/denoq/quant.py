@@ -29,7 +29,7 @@ from .igemm import (
     apply_output_scales,
     shift_weights,
 )
-from .tensor import IntTensor, Tensor, as_real, code_matmul
+from .tensor import EXACT_FLOAT32_BITS, IntTensor, Tensor, as_real, code_matmul
 
 SCALE_FLOOR = 1e-12
 
@@ -102,12 +102,18 @@ def quantize(x: Tensor, params: QuantParams) -> IntTensor:
     range. Returns an IntTensor tagged with the nominal bit-width and
     signedness; the clamp bounds the codes, so they are not scanned again.
     """
+    return _quantize(x, params, np.int64)
+
+
+def _quantize(x: Tensor, params: QuantParams, dtype) -> IntTensor:
+    """quantize, with the codes clipped straight into a new array of dtype,
+    which must hold every code exactly."""
     x = as_real(x, "quantize input")
     l, u = params.bounds
     codes = np.divide(x, params.scale_for(x.shape))
     np.rint(codes, out=codes)
-    np.clip(codes, l, u, out=codes)
-    return IntTensor._bounded(codes.astype(np.int64), params.bits, params.signed)
+    codes = np.clip(codes, l, u, out=np.empty(codes.shape, dtype), casting="unsafe")
+    return IntTensor._bounded(codes, params.bits, params.signed)
 
 
 def dequantize(q: IntTensor, params: QuantParams) -> Tensor:
@@ -175,6 +181,9 @@ class QuantizedLayer:
     Derived when the layer is built, not passed in:
         act_code_params: the per-input-channel quantizer activation_codes
             applies; its scale is the divisor 2^pts_exponents * fused_tau.
+        accumulator_budget: the bits that bound every partial sum of the
+            layer's code product (igemm.accumulator_budget), which pick its
+            tier in tensor.code_matmul.
     Derived once, on first use:
         shifted_weights: the weight codes with pts_exponents folded in as
             left shifts, ready for igemm.execute (igemm.shift_weights,
@@ -193,6 +202,7 @@ class QuantizedLayer:
     fused_tau: np.ndarray
     pts_exponents: np.ndarray = field(default=None)
     act_code_params: QuantParams = field(init=False, repr=False, compare=False)
+    accumulator_budget: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.weight_codes.codes.ndim != 2:
@@ -237,6 +247,13 @@ class QuantizedLayer:
             "act_code_params",
             QuantParams(divisor, self.act_params.bits, self.act_params.signed, axis=1),
         )
+        object.__setattr__(
+            self,
+            "accumulator_budget",
+            accumulator_budget(
+                self.act_params.bits, self.weight_codes.nominal_bits, self.max_shift, c_in
+            ),
+        )
 
     @cached_property
     def shifted_weights(self) -> ShiftedWeights:
@@ -268,8 +285,13 @@ def activation_codes(x: Tensor, layer: QuantizedLayer) -> IntTensor:
     Dividing by tau first and then by s can round a value on the other
     side of a half-code boundary, so that two-step path is not the same
     codes in general.
+
+    On a layer whose accumulator budget is at most 24 bits the codes are
+    float32, the operand igemm.execute hands to sgemm; above that they are
+    int64, as quantize makes them. The rounding and clamp are quantize's.
     """
-    return quantize(x, layer.act_code_params)
+    dtype = np.float32 if layer.accumulator_budget <= EXACT_FLOAT32_BITS else np.int64
+    return _quantize(x, layer.act_code_params, dtype)
 
 
 def quantized_matmul_reference(x: Tensor, layer: QuantizedLayer) -> Tensor:
@@ -293,9 +315,5 @@ def quantized_matmul_reference(x: Tensor, layer: QuantizedLayer) -> Tensor:
     shifted_w = layer.weight_codes.codes.astype(np.float64) * np.exp2(
         layer.pts_exponents.astype(np.float64)
     )[:, None]
-    budget = accumulator_budget(
-        codes_x.nominal_bits, layer.weight_codes.nominal_bits, layer.max_shift,
-        layer.c_in,
-    )
-    acc = code_matmul(codes_x.codes, shifted_w, budget)
+    acc = code_matmul(codes_x.codes, shifted_w, layer.accumulator_budget)
     return apply_output_scales(acc, layer.act_params.scale, layer.weight_scale_vector())

@@ -18,6 +18,11 @@ ceil(log2 C_in):
 
 In the two BLAS tiers the result is the same in any summation order and at
 any thread count, because no partial sum is ever rounded.
+
+A layer whose budget is at most 24 bits keeps its integers in float32 from
+end to end: its activation codes are made as float32, and the sgemm
+product is its accumulator, with no int64 array in between (see
+:class:`IntTensor`).
 """
 
 from __future__ import annotations
@@ -54,10 +59,19 @@ def _as_vector(v, length: int, name: str) -> np.ndarray:
 class IntTensor:
     """Integer codes plus the nominal bit-width they were produced under.
 
-    Codes are stored as int64 regardless of nominal_bits; the declared width
-    and signedness are what range checks reason about: [-2^(b-1), 2^(b-1) - 1]
-    for signed codes, [0, 2^b - 1] for unsigned ones. Either way every code
-    has magnitude below 2^b, which is all the accumulator headroom math needs.
+    The declared width and signedness are what range checks reason about:
+    [-2^(b-1), 2^(b-1) - 1] for signed codes, [0, 2^b - 1] for unsigned
+    ones. Either way every code has magnitude below 2^b, which is all the
+    accumulator headroom math needs.
+
+    The dtype of the codes depends on the tier of the product they feed
+    (see code_matmul):
+    * float32 tier (the layer's budget is at most 24 bits): the activation
+      codes quant.activation_codes makes and the accumulator igemm.execute
+      returns are float32 arrays of exact integers, since float32 holds
+      every integer up to 2^24;
+    * every other case: int64. The constructor only accepts integer dtypes;
+      float32 codes come from _bounded, whose callers have bounded them.
 
     An int64 array is taken over as it is, not copied: the tensor owns it
     from then on, and the caller must not write to it. Other integer dtypes
@@ -88,11 +102,13 @@ class IntTensor:
 
     @classmethod
     def _bounded(cls, codes: np.ndarray, nominal_bits: int, signed: bool) -> "IntTensor":
-        """Take over int64 codes already known to lie in their range, unscanned.
+        """Take over codes already known to lie in their range, unscanned.
 
-        For quant.quantize, whose clip has just bounded the codes: a min/max
-        rescan would only repeat it. Everything else goes through the
-        checking constructor.
+        For quant.quantize and quant.activation_codes, whose clip has just
+        bounded the codes, and igemm.execute, whose headroom check bounds
+        the accumulator: a min/max rescan would only repeat it. The codes
+        are int64, or float32 in the float32 tier. Everything else goes
+        through the checking constructor.
         """
         t = object.__new__(cls)
         object.__setattr__(t, "codes", codes)
@@ -145,16 +161,18 @@ def code_matmul(
     24 bits each partial sum is an integer float32 holds exactly, so the
     float32 BLAS product is exact and identical in any order; within 53
     bits the same holds for float64. Either way the result has dtype result
-    (float64 unless asked for int64, which holds every entry exactly), or
-    is written into out when given. Above 53 bits the fixed-order einsum
-    runs in the operands' common dtype, and out must have that dtype.
+    (float64 unless asked for int64, or, in the float32 tier, float32: each
+    holds every entry exactly; a float32 result is the sgemm product
+    itself), or is written into out when given. Above 53 bits the
+    fixed-order einsum runs in the operands' common dtype, and out must
+    have that dtype.
     """
     if budget_bits <= EXACT_FLOAT32_BITS:
         acc = np.matmul(
             a.astype(np.float32, copy=False), b.astype(np.float32, copy=False)
         )
         if out is None:
-            return acc.astype(result)
+            return acc.astype(result, copy=False)
         np.copyto(out, acc)
         return out
     if budget_bits <= EXACT_FLOAT_BITS:

@@ -133,23 +133,47 @@ _PARAM_SHAPES = (
 )
 
 
-def _sigmoid(v):
-    """sigmoid(v) from exp(-|v|), which cannot overflow, in a new array.
+def _sigmoid(v, out=None, den=None):
+    """sigmoid(v) from exp(-|v|), which cannot overflow.
 
     The numerator is 1 for v >= 0 and exp(-|v|) below zero; since
-    exp(-|v|) <= 1, np.maximum(ev, v >= 0) picks exactly that.
+    exp(-|v|) <= 1, np.maximum(ev, v >= 0) picks exactly that. The result
+    goes into out and the denominator into den, arrays of v's shape other
+    than v; each is a new array when not given.
     """
-    ev = np.abs(v)
+    ev = np.abs(v, out=out)
     np.negative(ev, out=ev)
     np.exp(ev, out=ev)
-    den = ev + 1.0
+    den = np.add(ev, 1.0, out=den)
     np.maximum(ev, v >= 0, out=ev)
     return np.divide(ev, den, out=ev)
 
 
-def _silu(v):
-    sig = _sigmoid(v)
-    return np.multiply(v, sig, out=sig)
+def _silu(v, out=None, ev=None, den=None):
+    """silu(v) = v * sigmoid(v), into out (which may be v itself) or a new
+    array; ev and den are _sigmoid's buffers."""
+    sig = _sigmoid(v, ev, den)
+    return np.multiply(v, sig, out=sig if out is None else out)
+
+
+class _ForwardBuffers:
+    """The arrays one ToyDenoiser.forward writes, for a batch of B rows.
+
+    sample() makes one set per call and hands it to every forward of that
+    call, so a trajectory does not allocate these per step and nothing
+    outlives the call. forward writes only into these arrays:
+        h0      the stem input [x, embed[t]];
+        h       the stem activation, then the skip input, then the mid
+                activation;
+        r       the residual activation, then the residual sum and its
+                activation;
+        ev, den SiLU's exp(-|v|) and denominator.
+    """
+
+    def __init__(self, batch: int, width: int, hidden: int):
+        self.batch = batch
+        self.h0 = np.empty((batch, width))
+        self.h, self.r, self.ev, self.den = (np.empty((batch, hidden)) for _ in range(4))
 
 
 class ToyDenoiser:
@@ -225,12 +249,24 @@ class ToyDenoiser:
     def parameter_count(self) -> int:
         return sum(v.size for v in self.params.values())
 
-    def forward(self, x, t: int, overrides=None, capture=None) -> np.ndarray:
-        """Predict the noise in x at timestep t.
+    def forward_buffers(self, batch: int) -> _ForwardBuffers:
+        """Buffers for forward calls on batches of `batch` rows."""
+        return _ForwardBuffers(batch, self.dim + self.embed_dim, self.hidden)
+
+    def forward(
+        self, x, t: int, overrides=None, capture=None, buffers=None
+    ) -> np.ndarray:
+        """Predict the noise in x at timestep t, as a new array.
 
         overrides maps a quantizable layer name to a callable replacing its
         matmul (input activation in, product out). capture maps layer names
-        to lists that receive (input activation, t) pairs.
+        to lists that receive (input activation, t) pairs. buffers, from
+        forward_buffers(len(x)), receives the intermediate activations, so a
+        caller that runs many steps allocates them once; without it the
+        call makes its own. An override's input is one of these buffers,
+        rewritten later in the call or by the next call that shares them,
+        so an override that keeps its input copies it (capture does). The
+        call writes into no other array: not x, not an override's product.
         """
         x = as_real(x, "x")
         if x.ndim != 2 or x.shape[1] != self.dim:
@@ -239,6 +275,9 @@ class ToyDenoiser:
         if not (0 <= t <= self.t_table_max):
             raise DomainError(f"timestep {t} outside the embedding table")
         overrides = overrides or {}
+        b = buffers if buffers is not None else self.forward_buffers(x.shape[0])
+        if b.batch != x.shape[0]:
+            raise DimensionError(f"buffers hold {b.batch} rows, x has {x.shape[0]}")
 
         def run(name, a):
             if capture is not None and name in capture:
@@ -247,14 +286,17 @@ class ToyDenoiser:
             return fn(a) if fn is not None else a @ self.params[f"{name}_w"]
 
         p = self.params
-        emb = np.broadcast_to(p["embed"][t], (x.shape[0], self.embed_dim))
-        h0 = np.concatenate([x, emb], axis=1)
-        h1 = _silu(h0 @ p["stem_w"] + p["stem_b"])
-        r = _silu(run("res1", h1))
+        b.h0[:, : self.dim] = x
+        b.h0[:, self.dim :] = p["embed"][t]
+        h1 = np.matmul(b.h0, p["stem_w"], out=b.h)
+        np.add(h1, p["stem_b"], out=h1)
+        _silu(h1, h1, b.ev, b.den)
+        r = _silu(run("res1", h1), b.r, b.ev, b.den)
         r = run("res2", r)
-        sk = run("skip", h1 * p["gain"])
-        h4 = _silu(r + sk)
-        m = _silu(run("mid", h4))
+        # Each buffer is rewritten only once every product of it has run.
+        sk = run("skip", np.multiply(h1, p["gain"], out=b.h))
+        h4 = _silu(np.add(r, sk, out=b.r), b.r, b.ev, b.den)
+        m = _silu(run("mid", h4), b.h, b.ev, b.den)
         return m @ p["head_w"] + p["head_b"]
 
 
@@ -348,7 +390,9 @@ def sample(
 
     steps is either a step count (a uniform grid is built) or an explicit
     ascending grid starting at 0. The same rng drives the initial noise and
-    any eta > 0 injections, so a seed pins the whole trajectory.
+    any eta > 0 injections, so a seed pins the whole trajectory. Every
+    forward call of the run writes into one set of buffers, made here for
+    the batch and freed on return.
     """
     if isinstance(steps, (int, np.integer)):
         grid = ddim_timesteps(schedule.t_max, int(steps))
@@ -362,11 +406,14 @@ def sample(
         x = rng.standard_normal((batch, model.dim))
     else:
         x = as_real(x_init, "x_init")
+    buffers = model.forward_buffers(x.shape[0])
     states = [x]
     evaluated = []
     for i in range(len(grid) - 1, 0, -1):
         t, t_prev = int(grid[i]), int(grid[i - 1])
-        eps_hat = model.forward(x, t, overrides=overrides, capture=capture)
+        eps_hat = model.forward(
+            x, t, overrides=overrides, capture=capture, buffers=buffers
+        )
         noise = rng.standard_normal(x.shape) if eta > 0.0 else None
         x = ddim_step(x, eps_hat, t, t_prev, schedule, eta=eta, noise=noise)
         states.append(x)
@@ -439,10 +486,15 @@ class _BumpedModel:
 
     def __init__(self, model: ToyDenoiser, t: int, bump: np.ndarray):
         self.dim = model.dim
+        self.forward_buffers = model.forward_buffers
         self._model, self._t, self._bump = model, t, bump
 
-    def forward(self, x, t: int, overrides=None, capture=None) -> np.ndarray:
-        eps_hat = self._model.forward(x, t, overrides=overrides, capture=capture)
+    def forward(
+        self, x, t: int, overrides=None, capture=None, buffers=None
+    ) -> np.ndarray:
+        eps_hat = self._model.forward(
+            x, t, overrides=overrides, capture=capture, buffers=buffers
+        )
         return eps_hat + self._bump if t == self._t else eps_hat
 
 
@@ -586,8 +638,13 @@ def load_checkpoint(path) -> tuple[ToyDenoiser, NoiseSchedule]:
                 f"{path}: tensor {name!r} data truncated "
                 f"(needs bytes up to {end}, file has {len(raw)})"
             )
-        arr = np.frombuffer(raw[offset:end], dtype="<f4").astype(np.float64)
-        tensors[name] = arr.reshape(dims)
+        stored = np.frombuffer(raw[offset:end], dtype="<f4")
+        # Checked before widening: widening a signalling NaN warns.
+        if not np.all(np.isfinite(stored)):
+            raise FormatError(
+                f"{path}: invalid checkpoint contents: {name} contains non-finite values"
+            )
+        tensors[name] = stored.astype(np.float64).reshape(dims)
         pos = end
     if pos != len(raw):
         raise FormatError(f"{path}: {len(raw) - pos} unexpected trailing bytes")

@@ -252,7 +252,8 @@ def test_prepared_layer_matches_the_reference_in_every_tier(budget, signed):
     """activation_codes -> execute on the layer's prepared shifted weights
     -> dequantize_output equals quantized_matmul_reference bit for bit, on
     both sides of the float32 and float64 tier limits and at the 63-bit
-    limit, and its accumulator equals arbitrary-precision integers."""
+    limit, and its accumulator equals arbitrary-precision integers. Codes
+    and accumulator are float32 in the float32 tier and int64 above it."""
     layer, x = _layer_at_budget(budget, signed, seed=budget + 100 * signed)
     codes = activation_codes(x, layer)
     l, u = layer.act_params.bounds
@@ -262,7 +263,8 @@ def test_prepared_layer_matches_the_reference_in_every_tier(budget, signed):
         layer.weight_codes.codes.astype(object)
         * (2 ** layer.pts_exponents.astype(object))[:, None]
     )
-    assert acc.codes.dtype == np.int64
+    tier_dtype = np.float32 if budget <= 24 else np.int64
+    assert codes.codes.dtype == tier_dtype and acc.codes.dtype == tier_dtype
     assert [int(v) for v in acc.codes.ravel()] == [int(v) for v in exact.ravel()]
     got = dequantize_output(acc, layer.act_params.scale, layer.weight_scale_vector())
     assert np.array_equal(got, quantized_matmul_reference(x, layer))

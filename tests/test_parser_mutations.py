@@ -9,6 +9,7 @@ file or TDN1 checkpoint has exactly two acceptable outcomes:
 
 A mutation is drawn as a recipe and applied to the file bytes inside the
 test, so that mutants found by the search can be pinned with @example.
+Warnings are errors here: a parser refuses a file without printing one.
 """
 
 from dataclasses import dataclass, field
@@ -134,6 +135,7 @@ def assert_format_error_or_round_trip(raw, path, read, write):
     assert again.read_bytes() == raw
 
 
+@pytest.mark.filterwarnings("error")
 @settings(max_examples=400, deadline=None)
 @given(recipe=mutations())
 @example(recipe=("flip", 0, [(8, 0x82)]))  # flags 0x01 -> 0x83
@@ -144,6 +146,7 @@ def test_dmq1_mutants_are_refused_or_round_trip(corpus, recipe):
     )
 
 
+@pytest.mark.filterwarnings("error")
 @settings(max_examples=400, deadline=None)
 @given(recipe=mutations())
 def test_tdn1_mutants_are_refused_or_round_trip(corpus, recipe):

@@ -545,3 +545,25 @@ def test_output_bytes_do_not_depend_on_blas_threads(tmp_path):
               "eval.txt", "eval_layers.tsv", "eval_summary.tsv")]
         )
     assert outputs[0] == outputs[1]
+
+
+_GOLDEN_SCRIPT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from regenerate_golden import golden_lines
+sys.stdout.write("\\n".join(golden_lines(sys.argv[2])) + "\\n")
+"""
+
+
+def test_golden_file_reproduces_at_one_blas_thread():
+    """The benchmark pins BLAS to one thread, so golden/ordering.txt must
+    come out of scripts/regenerate_golden.py byte for byte at that count."""
+    env = dict(os.environ)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    done = subprocess.run(
+        [sys.executable, "-c", _GOLDEN_SCRIPT, str(ROOT / "scripts"),
+         str(ROOT / "configs" / "w4a8.cfg")],
+        env=env, check=True, timeout=300, capture_output=True,
+    )
+    assert done.stdout == (ROOT / "golden" / "ordering.txt").read_bytes()

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from denoq.errors import DimensionError, DomainError, FormatError
+from denoq.pipeline import _layer_runner
+from denoq.quant import QuantizedLayer, minmax_scale, quantize, quantized_matmul_reference
 from denoq.tensor import Rng
 from denoq.toydiff import (
     NoiseSchedule,
@@ -496,6 +498,19 @@ class TestCheckpointContents:
             load_checkpoint(p)
         assert why in str(info.value)
 
+    @pytest.mark.filterwarnings("error")
+    def test_a_signalling_nan_is_refused_without_a_warning(self, tmp_path):
+        """The float32 record is checked before it is widened, and widening
+        a signalling NaN is what would warn."""
+        model, sched = tiny_model()
+        p = tmp_path / "snan.ckpt"
+        save_checkpoint(p, model, sched)
+        raw = bytearray(p.read_bytes())
+        raw[-4:] = struct.pack("<I", 0x7FA00000)  # last value of stem_w
+        p.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="stem_w contains non-finite values"):
+            load_checkpoint(p)
+
     def test_untouched_tensors_still_load(self, tmp_path):
         p = tmp_path / "ok.ckpt"
         write_bad_checkpoint(p, lambda t: None)
@@ -536,6 +551,91 @@ class TestBundledCheckpoint:
         out = perturbation_sensitivity(model, sched, 10, 4, Rng(1))
         assert set(out) == {"early", "late"}
         assert all(np.isfinite(v) and v >= 0 for v in out.values())
+
+
+def served_layers(model, sched, budget):
+    """A QuantizedLayer per quantizable layer of the bundled model whose
+    accumulator budget is exactly `budget` bits: 8-bit activations, 7-bit
+    weights, 64 channels (6 bits) and rescue exponents up to budget - 21."""
+    records = collect_calibration(model, sched, 5, 4, Rng(1))
+    shift = budget - 21
+    layers = {}
+    for spec in model.quantizable_layers():
+        rng = Rng(budget).child(spec.name)
+        record = records[spec.name]
+        tau = np.exp(rng.uniform(-0.5, 0.5, spec.c_in))
+        act = minmax_scale(record.activations / tau, 8)
+        w_hat = record.weight * tau[:, None]
+        wp = minmax_scale(w_hat, 7, axis=1)
+        delta = rng.integers(0, shift + 1, spec.c_in)
+        delta[0] = shift
+        layer = QuantizedLayer(
+            spec.name, quantize(w_hat, wp), wp, act, tau * act.scale, delta
+        )
+        assert layer.accumulator_budget == budget
+        layers[spec.name] = layer
+    return layers
+
+
+class TestServedForward:
+    """sample() hands every forward call of a run one set of buffers; the
+    quantized layers run on activation_codes -> execute -> dequantize_output,
+    in float32 codes up to 24 bits and int64 codes above."""
+
+    @pytest.mark.parametrize("budget", [24, 25])
+    def test_integer_runners_equal_the_reference_path(self, bundled, budget):
+        model, sched = bundled
+        layers = served_layers(model, sched, budget)
+        xi = Rng(2).standard_normal((64, 2))
+
+        def run(overrides):
+            return sample(model, sched, 20, 64, Rng(3), overrides=overrides, x_init=xi)
+
+        served = run({n: _layer_runner(l) for n, l in layers.items()})
+        ref = run({n: (lambda a, l=l: quantized_matmul_reference(a, l)) for n, l in layers.items()})
+        assert served.states.tobytes() == ref.states.tobytes()
+        assert not np.array_equal(served.endpoint, run(None).endpoint)
+
+    def test_alternating_batch_sizes_repeat_bit_for_bit(self, bundled):
+        model, sched = bundled
+        overrides = {n: _layer_runner(l) for n, l in served_layers(model, sched, 24).items()}
+        runs = [
+            sample(model, sched, 10, batch, Rng(batch), overrides=overrides).states.tobytes()
+            for batch in (3, 40, 3, 40, 3)
+        ]
+        assert runs[0] == runs[2] == runs[4] and runs[1] == runs[3]
+
+    def test_forward_writes_no_array_it_did_not_make(self, bundled):
+        """x, every override's product and every captured copy are left as
+        they were, also through later calls that reuse the buffers."""
+        model, _ = bundled
+        x = Rng(4).standard_normal((5, 2))
+        x_before = x.copy()
+        products = []
+
+        def product(name):
+            def run(a):
+                out = a @ model.layer_weight(name)
+                products.append((out, out.copy()))
+                return out
+            return run
+
+        overrides = {s.name: product(s.name) for s in model.quantizable_layers()}
+        buffers = model.forward_buffers(5)
+        captured = []
+        for t in (7, 3, 11):
+            cap = {s.name: [] for s in model.quantizable_layers()}
+            eps = model.forward(x, t, overrides=overrides, capture=cap, buffers=buffers)
+            assert eps.tobytes() == model.forward(x, t).tobytes()
+            captured += [(a, a.copy()) for pairs in cap.values() for a, _ in pairs]
+        assert x.tobytes() == x_before.tobytes()
+        assert len(products) == 12 and len(captured) == 12
+        assert all(a.tobytes() == kept.tobytes() for a, kept in products + captured)
+
+    def test_buffers_must_match_the_batch(self, bundled):
+        model, _ = bundled
+        with pytest.raises(DimensionError):
+            model.forward(np.zeros((4, 2)), 3, buffers=model.forward_buffers(5))
 
 
 def test_ring_data_statistics():
