@@ -94,6 +94,15 @@ def _scaled_pair(x: Tensor, w: Tensor, tau: np.ndarray) -> tuple[Tensor, Tensor]
     return x / tau[None, :], w * tau[:, None]
 
 
+def _clamp(v: np.ndarray, l: float, u: float, out: np.ndarray) -> np.ndarray:
+    """np.clip(v, l, u, out=out) bit for bit, without np.clip's Python
+    wrapper: v is clamped in place, then written into out. The lower bound
+    goes first so that a -0.0 against l = 0 stays -0.0, as np.clip keeps it.
+    """
+    np.maximum(l, v, out=v)
+    return np.minimum(v, u, out=out)
+
+
 def _fake_quant(v: Tensor, params: QuantParams, rounded: bool):
     """Fake-quantize v; returns (values, straight-through mask).
 
@@ -105,8 +114,8 @@ def _fake_quant(v: Tensor, params: QuantParams, rounded: bool):
     ratio = v / s
     mask = (ratio >= l) & (ratio <= u)
     if rounded:
-        ratio = np.rint(ratio)
-    return s * np.clip(ratio, l, u), mask
+        np.rint(ratio, out=ratio)
+    return s * _clamp(ratio, l, u, ratio), mask
 
 
 def _les_pass(
@@ -224,7 +233,7 @@ def _codes_into(
     l, u = params.bounds
     np.divide(v, divisor, out=buf)
     np.rint(buf, out=buf)
-    return np.clip(buf, l, u, out=buf if out is None else out)
+    return _clamp(buf, l, u, buf if out is None else out)
 
 
 def _check_buffers(x: Tensor, ref: Tensor, bits_a: int, bits_w: int) -> tuple:

@@ -10,11 +10,16 @@ field has a default; `checkpoint` is the one field with no useful default,
 so in practice a config file names at least that. A relative `checkpoint`
 in a config file is relative to that file's directory.
 
-Quantization is layer-sequential in checkpoint order, each layer calibrated
-against full-precision inputs by default. With propagate_quantized_inputs
-on, calibration activations are re-captured before each layer with all
-previously quantized layers running quantized, so later layers see the
-inputs they will actually receive at inference time.
+By default every layer is calibrated against full-precision inputs, so no
+layer's learned factors read another layer's result: LES learns the layers
+side by side (_learn_layers), in forked processes on as many CPUs as the
+process may use, and the rest of quantization then runs layer by layer in
+checkpoint order. The worker count never changes an output byte. With
+propagate_quantized_inputs on, calibration activations are re-captured
+before each layer with all previously quantized layers running quantized,
+so later layers see the inputs they will actually receive at inference
+time; each layer's factors then depend on the layers before it, and the
+whole run is sequential.
 
 Quantized layers run, in quantize and in eval alike, on the deployed
 integer path: activation codes against the layer's prepared shift-folded
@@ -30,13 +35,14 @@ from __future__ import annotations
 import dataclasses
 import io
 import os
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import igemm, quant
-from .errors import ConfigError, DomainError, NumericalError
-from .les import fuse, optimize_layer, smoothquant_tau
+from .errors import ConfigError, DenoqError, DomainError, NumericalError
+from .les import LesResult, fuse, optimize_layer, smoothquant_tau
 from .modelfile import QuantizedModel, export_model, import_model
 from .pts import calibrate_activation_scaling
 from .quant import QuantParams, QuantizedLayer, minmax_scale, quantize
@@ -336,15 +342,130 @@ def _layer_mse(x, w, run) -> float:
     return float(np.mean((matmul(x, w) - run(x)) ** 2))
 
 
+def _learn(config: Config, name: str, record, root: Rng, tset_desc: list) -> LesResult:
+    """Learn one layer's LES factors from its calibration record."""
+    return optimize_layer(
+        record,
+        TimestepWeighter(tset_desc, alpha=config.alpha, xi=config.xi),
+        root.child(f"les-{name}"),
+        bits_a=config.bits_a,
+        bits_w=config.bits_w,
+        iterations=config.iterations,
+        lr=config.lr,
+        batch_size=config.B,
+        optimizer=config.optimizer,
+        scale_refresh=config.scale_refresh,
+        act_signed=not config.act_unsigned,
+    )
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where it cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _learn_share(config: Config, names, records, root: Rng, tset_desc: list) -> dict:
+    """{name: LesResult} for the named layers, in order. A layer whose
+    learning raises maps to the exception, and the share stops there: the
+    quantize loop raises it on reaching that layer, as a sequential run
+    would."""
+    learned = {}
+    for name in names:
+        try:
+            learned[name] = _learn(config, name, records[name], root, tset_desc)
+        except Exception as exc:
+            learned[name] = exc
+            break
+    return learned
+
+
+def _fork_share(config: Config, names, records, root: Rng, tset_desc: list):
+    """Learn a share in a forked child; returns (pid, read fd, names), or
+    None when no child could be started. The child inherits the records
+    copy-on-write and writes back only the pickled _learn_share dict."""
+    try:
+        read_fd, write_fd = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            payload = pickle.dumps(_learn_share(config, names, records, root, tset_desc))
+            with os.fdopen(write_fd, "wb") as fh:
+                fh.write(payload)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, read_fd, names
+
+
+def _collect(pid: int, read_fd: int, names) -> dict:
+    """Read a child's result and reap it. A child that leaves no result
+    maps its first layer to a DenoqError naming the share and the wait
+    status; this never raises."""
+    with os.fdopen(read_fd, "rb") as fh:
+        payload = fh.read()
+    _, status = os.waitpid(pid, 0)
+    try:
+        return pickle.loads(payload)
+    except Exception:
+        code = os.waitstatus_to_exitcode(status)
+        how = f"exit status {code}" if code >= 0 else f"killed by signal {-code}"
+        return {names[0]: DenoqError(
+            f"LES worker for layers {', '.join(names)} ended without a result ({how})"
+        )}
+
+
+def _learn_layers(config: Config, names, records, root: Rng, tset_desc: list) -> dict:
+    """Learn every layer's LES factors, side by side.
+
+    The layers are dealt round-robin into one share per usable CPU (at most
+    one per layer). The parent learns the first share, and each other in a
+    forked child, or itself when the fork fails. Returns _learn_share's
+    mapping for all the layers; it is the same whatever the share count.
+    """
+    k = min(len(names), _usable_cpus())
+    shares = [names[i::k] for i in range(k)]
+    own = shares[:1]
+    children = []
+    learned = {}
+    try:
+        for share in shares[1:]:
+            child = _fork_share(config, share, records, root, tset_desc)
+            if child is None:
+                own.append(share)
+            else:
+                children.append(child)
+        for share in own:
+            learned.update(_learn_share(config, share, records, root, tset_desc))
+    finally:
+        for child in children:
+            learned.update(_collect(*child))
+    return learned
+
+
 def _quantize_layer(
-    config: Config, spec, record, root: Rng, tset_desc: list
+    config: Config, spec, record, les_result: LesResult | None, tset_desc: list
 ) -> tuple[QuantizedLayer, LayerSummary, list]:
     """Quantize one layer from its calibration record.
 
-    Learns (or looks up) channel scaling factors, picks the activation scale
-    and any power-of-two rescue exponents on the scaled activations, fuses
-    factors into divisors and weights and quantizes the weights. Returns the
-    layer, its summary and its (layer, timestep, mse) rows.
+    Takes the learned channel scaling factors (les_result, when the run
+    learns them) or looks them up, picks the activation scale and any
+    power-of-two rescue exponents on the scaled activations, fuses factors
+    into divisors and weights and quantizes the weights. Returns the layer,
+    its summary and its (layer, timestep, mse) rows.
     """
     act_signed = not config.act_unsigned
     c_in = record.activations.shape[1]
@@ -352,22 +473,8 @@ def _quantize_layer(
     if config.baseline == "smoothquant":
         tau = smoothquant_tau(record.activations, record.weight)
     elif config.les:
-        weighter = TimestepWeighter(tset_desc, alpha=config.alpha, xi=config.xi)
-        result = optimize_layer(
-            record,
-            weighter,
-            root.child(f"les-{spec.name}"),
-            bits_a=config.bits_a,
-            bits_w=config.bits_w,
-            iterations=config.iterations,
-            lr=config.lr,
-            batch_size=config.B,
-            optimizer=config.optimizer,
-            scale_refresh=config.scale_refresh,
-            act_signed=act_signed,
-        )
-        tau = result.tau
-        initial_loss, final_loss = result.initial_loss, result.final_loss
+        tau = les_result.tau
+        initial_loss, final_loss = les_result.initial_loss, les_result.final_loss
     else:
         tau = np.ones(c_in)
     # Without factors x / 1.0 would be x bit for bit: no scaled copy is made.
@@ -442,6 +549,9 @@ def run_quantize(config: Config) -> tuple[QuantizedModel, EvalReport]:
     # With propagated inputs every layer reads a capture of its own, taken
     # after the last one is freed, that records only that layer.
     records = capture("calib", None, [specs[0].name] if propagate else None)
+    learns = config.les and config.baseline == "none"
+    if learns and not propagate:
+        learned = _learn_layers(config, [s.name for s in specs], records, root, tset_desc)
     overrides = {}
     qlayers = []
     summaries = []
@@ -449,8 +559,17 @@ def run_quantize(config: Config) -> tuple[QuantizedModel, EvalReport]:
     for idx, spec in enumerate(specs):
         if propagate and overrides:
             records = capture(f"calib-{idx}", overrides, [spec.name])
+        if not learns:
+            les_result = None
+        elif propagate:
+            les_result = _learn(config, spec.name, records[spec.name], root, tset_desc)
+        else:
+            les_result = learned.pop(spec.name)
+            if isinstance(les_result, Exception):
+                raise les_result
+        # Popped in the call, so no name holds the record into the next capture.
         qlayer, summary, layer_rows = _quantize_layer(
-            config, spec, records.pop(spec.name), root, tset_desc
+            config, spec, records.pop(spec.name), les_result, tset_desc
         )
         qlayers.append(qlayer)
         overrides[spec.name] = _layer_runner(qlayer)

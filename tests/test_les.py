@@ -7,6 +7,7 @@ from denoq.errors import DimensionError, DomainError
 from denoq.les import (
     LayerCalibRecord,
     _check_buffers,
+    _clamp,
     _mean_full_loss,
     _scaled_pair,
     fuse,
@@ -275,6 +276,21 @@ def test_keep_best_check_divides_once_like_the_exported_layer():
         np.array([[76], [127]]) @ qw, s, wgt_p.scale
     )
     assert got != float(np.mean(np.einsum("ij,ij->i", two_step, two_step)))
+
+
+@pytest.mark.parametrize("bounds", [(0.0, 255.0), (-128.0, 127.0), (-8.0, 7.0)])
+@pytest.mark.parametrize("out_dtype", [np.float64, np.float32])
+def test_clamp_is_np_clip_bit_for_bit(bounds, out_dtype):
+    """Signed zeros included: rint sends small negatives to -0.0, and
+    np.clip keeps -0.0 against a lower bound of 0.0."""
+    rng = np.random.default_rng(5)
+    v = np.rint(rng.standard_normal((37, 29)) * 200)
+    v[rng.random(v.shape) < 0.3] = -0.0
+    expected = np.clip(v, *bounds).astype(out_dtype)
+    out = np.empty(v.shape, out_dtype)
+    got = _clamp(v.copy(), *bounds, out)
+    assert got is out
+    assert got.tobytes() == expected.tobytes()
 
 
 class TestFusion:
