@@ -6,7 +6,7 @@ Subcommands:
     calibrate       run calibration capture and print activation statistics
     export-inspect  print a model file's header and per-layer summary
 
-Exit codes: 0 success; 2 configuration or argument problems (and an LES
+Exit codes: 0 success; 2 configuration or argument problems (and a
 worker process that died without a result); 3 file and format problems;
 4 numerical failures (non-finite values, headroom).
 """

@@ -14,12 +14,17 @@ By default every layer is calibrated against full-precision inputs, so no
 layer's learned factors read another layer's result: LES learns the layers
 side by side (_learn_layers), in forked processes on as many CPUs as the
 process may use, and the rest of quantization then runs layer by layer in
-checkpoint order. The worker count never changes an output byte. With
-propagate_quantized_inputs on, calibration activations are re-captured
-before each layer with all previously quantized layers running quantized,
-so later layers see the inputs they will actually receive at inference
-time; each layer's factors then depend on the layers before it, and the
-whole run is sequential.
+checkpoint order. With propagate_quantized_inputs on, calibration
+activations are re-captured before each layer with all previously
+quantized layers running quantized, so later layers see the inputs they
+will actually receive at inference time; each layer's capture and factors
+then depend on the layers before it, and that chain runs in order. Off the
+chain, forked workers (workers.start) run the full-precision half of the
+endpoint run from the start, and score each layer's report rows while the
+next layer is captured. In both modes the PTS vote of a large layer runs
+in channel shares (pts.calibrate_activation_scaling). The worker count
+never changes an output byte, and a worker's error is raised where a
+sequential run would meet it.
 
 Quantized layers run, in quantize and in eval alike, on the deployed
 integer path: activation codes against the layer's prepared shift-folded
@@ -35,13 +40,12 @@ from __future__ import annotations
 import dataclasses
 import io
 import os
-import pickle
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import igemm, quant
-from .errors import ConfigError, DenoqError, DomainError, NumericalError
+from . import igemm, quant, workers
+from .errors import ConfigError, DomainError, NumericalError
 from .les import LesResult, fuse, optimize_layer, smoothquant_tau
 from .modelfile import QuantizedModel, export_model, import_model
 from .pts import calibrate_activation_scaling
@@ -359,15 +363,6 @@ def _learn(config: Config, name: str, record, root: Rng, tset_desc: list) -> Les
     )
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on; 1 where it cannot fork."""
-    if not hasattr(os, "fork"):
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _learn_share(config: Config, names, records, root: Rng, tset_desc: list) -> dict:
     """{name: LesResult} for the named layers, in order. A layer whose
     learning raises maps to the exception, and the share stops there: the
@@ -383,89 +378,48 @@ def _learn_share(config: Config, names, records, root: Rng, tset_desc: list) -> 
     return learned
 
 
-def _fork_share(config: Config, names, records, root: Rng, tset_desc: list):
-    """Learn a share in a forked child; returns (pid, read fd, names), or
-    None when no child could be started. The child inherits the records
-    copy-on-write and writes back only the pickled _learn_share dict."""
-    try:
-        read_fd, write_fd = os.pipe()
-    except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        return None
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            payload = pickle.dumps(_learn_share(config, names, records, root, tset_desc))
-            with os.fdopen(write_fd, "wb") as fh:
-                fh.write(payload)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    return pid, read_fd, names
-
-
-def _collect(pid: int, read_fd: int, names) -> dict:
-    """Read a child's result and reap it. A child that leaves no result
-    maps its first layer to a DenoqError naming the share and the wait
-    status; this never raises."""
-    with os.fdopen(read_fd, "rb") as fh:
-        payload = fh.read()
-    _, status = os.waitpid(pid, 0)
-    try:
-        return pickle.loads(payload)
-    except Exception:
-        code = os.waitstatus_to_exitcode(status)
-        how = f"exit status {code}" if code >= 0 else f"killed by signal {-code}"
-        return {names[0]: DenoqError(
-            f"LES worker for layers {', '.join(names)} ended without a result ({how})"
-        )}
-
-
 def _learn_layers(config: Config, names, records, root: Rng, tset_desc: list) -> dict:
     """Learn every layer's LES factors, side by side.
 
     The layers are dealt round-robin into one share per usable CPU (at most
-    one per layer). The parent learns the first share, and each other in a
-    forked child, or itself when the fork fails. Returns _learn_share's
-    mapping for all the layers; it is the same whatever the share count.
+    one per layer), and workers.run_shares learns them. Returns
+    _learn_share's mapping for all the layers; it is the same whatever the
+    share count. A share whose worker died maps its first layer to the
+    worker's DenoqError.
     """
-    k = min(len(names), _usable_cpus())
+    k = min(len(names), workers.usable_cpus())
     shares = [names[i::k] for i in range(k)]
-    own = shares[:1]
-    children = []
+    outcomes = workers.run_shares(
+        lambda share: _learn_share(config, share, records, root, tset_desc),
+        shares,
+        lambda share: f"LES worker for layers {', '.join(share)}",
+    )
     learned = {}
-    try:
-        for share in shares[1:]:
-            child = _fork_share(config, share, records, root, tset_desc)
-            if child is None:
-                own.append(share)
-            else:
-                children.append(child)
-        for share in own:
-            learned.update(_learn_share(config, share, records, root, tset_desc))
-    finally:
-        for child in children:
-            learned.update(_collect(*child))
+    for share, outcome in zip(shares, outcomes):
+        learned.update({share[0]: outcome} if isinstance(outcome, Exception) else outcome)
     return learned
 
 
+def _layer_rows(name: str, record, run, tset_desc: list) -> list:
+    """(layer, timestep, mse) rows of one layer runner on its calibration
+    record, in sampler order."""
+    return [
+        (name, t, _layer_mse(record.activations[record.timesteps == t], record.weight, run))
+        for t in tset_desc
+    ]
+
+
 def _quantize_layer(
-    config: Config, spec, record, les_result: LesResult | None, tset_desc: list
-) -> tuple[QuantizedLayer, LayerSummary, list]:
+    config: Config, spec, record, les_result: LesResult | None, tset_desc: list, beside
+) -> tuple[QuantizedLayer, LayerSummary, workers.Job]:
     """Quantize one layer from its calibration record.
 
     Takes the learned channel scaling factors (les_result, when the run
     learns them) or looks them up, picks the activation scale and any
     power-of-two rescue exponents on the scaled activations, fuses factors
     into divisors and weights and quantizes the weights. Returns the layer,
-    its summary and its (layer, timestep, mse) rows.
+    its summary and the job of its (layer, timestep, mse) rows, which
+    beside (workers.start or workers.here) runs.
     """
     act_signed = not config.act_unsigned
     c_in = record.activations.shape[1]
@@ -500,11 +454,6 @@ def _quantize_layer(
     qlayer = QuantizedLayer(
         spec.name, quantize(w_scaled, w_params), w_params, act_params, fused, delta
     )
-    run = _layer_runner(qlayer)
-    rows = []
-    for t in tset_desc:
-        x = record.activations[record.timesteps == t]
-        rows.append((spec.name, t, _layer_mse(x, record.weight, run)))
     summary = LayerSummary(
         spec.name,
         float(tau.min()),
@@ -514,6 +463,11 @@ def _quantize_layer(
         agreement_min,
         initial_loss,
         final_loss,
+    )
+    run = _layer_runner(qlayer)
+    rows = beside(  # last, so that nothing raises between its start and the return
+        lambda: _layer_rows(spec.name, record, run, tset_desc),
+        f"report-row worker for layer {spec.name}",
     )
     return qlayer, summary, rows
 
@@ -547,59 +501,96 @@ def run_quantize(config: Config) -> tuple[QuantizedModel, EvalReport]:
         return recs
 
     # With propagated inputs every layer reads a capture of its own, taken
-    # after the last one is freed, that records only that layer.
-    records = capture("calib", None, [specs[0].name] if propagate else None)
-    learns = config.les and config.baseline == "none"
-    if learns and not propagate:
-        learned = _learn_layers(config, [s.name for s in specs], records, root, tset_desc)
-    overrides = {}
-    qlayers = []
-    summaries = []
-    rows = []
-    for idx, spec in enumerate(specs):
-        if propagate and overrides:
-            records = capture(f"calib-{idx}", overrides, [spec.name])
-        if not learns:
-            les_result = None
-        elif propagate:
-            les_result = _learn(config, spec.name, records[spec.name], root, tset_desc)
-        else:
-            les_result = learned.pop(spec.name)
-            if isinstance(les_result, Exception):
-                raise les_result
-        # Popped in the call, so no name holds the record into the next capture.
-        qlayer, summary, layer_rows = _quantize_layer(
-            config, spec, records.pop(spec.name), les_result, tset_desc
-        )
-        qlayers.append(qlayer)
-        overrides[spec.name] = _layer_runner(qlayer)
-        summaries.append(summary)
-        rows += layer_rows
+    # after the last one is freed, that records only that layer. Off that
+    # chain of captures, the full-precision half of the endpoint run and
+    # each layer's report rows then run beside it in forked workers.
+    beside = workers.start if propagate else workers.here
+    fp_endpoint = beside(
+        lambda: _endpoint(model, schedule, config, root), "full-precision endpoint worker"
+    )
+    layer_rows = workers.here(list, "no layer")  # the rows of the layer before
+    jobs = [fp_endpoint]  # every worker started, reaped in the finally
+    try:
+        records = capture("calib", None, [specs[0].name] if propagate else None)
+        learns = config.les and config.baseline == "none"
+        if learns and not propagate:
+            learned = _learn_layers(config, [s.name for s in specs], records, root, tset_desc)
+        overrides = {}
+        qlayers = []
+        summaries = []
+        rows = []
+        for idx, spec in enumerate(specs):
+            try:
+                if propagate and overrides:
+                    records = capture(f"calib-{idx}", overrides, [spec.name])
+                if not learns:
+                    les_result = None
+                elif propagate:
+                    les_result = _learn(config, spec.name, records[spec.name], root, tset_desc)
+                else:
+                    les_result = learned.pop(spec.name)
+                    if isinstance(les_result, Exception):
+                        raise les_result
+                # Popped in the call, so no name holds the record into the
+                # next capture.
+                qlayer, summary, next_rows = _quantize_layer(
+                    config, spec, records.pop(spec.name), les_result, tset_desc, beside
+                )
+                jobs.append(next_rows)
+            finally:
+                # A sequential run scores the layer before first, so its
+                # error, if any, is the one raised.
+                rows += layer_rows.result()
+            layer_rows = next_rows
+            qlayers.append(qlayer)
+            overrides[spec.name] = _layer_runner(qlayer)
+            summaries.append(summary)
+        try:
+            endpoint = _paired_endpoint_mse(
+                model, schedule, config, overrides, root, fp_endpoint=fp_endpoint
+            )
+        finally:
+            rows += layer_rows.result()
+    finally:
+        for job in jobs:
+            job.outcome()  # reaps a worker that an error left running
     qmodel = QuantizedModel(
         config.bits_w, config.bits_a, not config.act_unsigned, tuple(qlayers)
     )
-    endpoint = _paired_endpoint_mse(model, schedule, config, overrides, root)
     report = EvalReport(config.echo(), "quantize", tuple(rows), endpoint, tuple(summaries))
     return qmodel, report
 
 
+def _endpoint(model, schedule, config: Config, root: Rng, overrides=None, capture=None):
+    """Endpoint of the evaluation trajectory, full precision or, with
+    overrides, quantized. Every call draws the same noise, so two pair."""
+    init = root.child("eval-init").standard_normal((config.n, model.dim))
+    return sample(
+        model, schedule, config.T, config.n, root.child("eval-noise"),
+        eta=config.eta, overrides=overrides, capture=capture, x_init=init,
+    ).endpoint
+
+
 def _paired_endpoint_mse(
-    model, schedule, config: Config, overrides, root: Rng, capture=None
+    model, schedule, config: Config, overrides, root: Rng, capture=None, fp_endpoint=None
 ) -> float:
     """Endpoint MSE between quantized and full-precision trajectories that
     share initial noise (and, when eta > 0, the injected noise sequence).
-    capture, when given, receives the quantized trajectory's layer inputs."""
-    init = root.child("eval-init").standard_normal((config.n, model.dim))
-    traj_fp = sample(
-        model, schedule, config.T, config.n, root.child("eval-noise"),
-        eta=config.eta, x_init=init,
-    )
-    traj_q = sample(
-        model, schedule, config.T, config.n, root.child("eval-noise"),
-        eta=config.eta, overrides=overrides, capture=capture, x_init=init,
-    )
-    _check_finite(traj_q.endpoint, "quantized trajectory endpoint")
-    return float(np.mean((traj_q.endpoint - traj_fp.endpoint) ** 2))
+    capture, when given, receives the quantized trajectory's layer inputs.
+    fp_endpoint, when given, is a job already started on the full-precision
+    half; otherwise that half runs here, first."""
+    if fp_endpoint is None:
+        fp_endpoint = workers.here(
+            lambda: _endpoint(model, schedule, config, root), "full-precision endpoint"
+        )
+    try:
+        quantized = _endpoint(model, schedule, config, root, overrides, capture)
+    finally:
+        # A sequential run samples the full-precision half first, so its
+        # error, if any, is the one raised.
+        full = fp_endpoint.result()
+    _check_finite(quantized, "quantized trajectory endpoint")
+    return float(np.mean((quantized - full) ** 2))
 
 
 # ---------------------------------------------------------------------------

@@ -22,13 +22,20 @@ well behaved most of the time.
 The calibration ladder runs that vote at D+1 base scales a power of two
 apart, so its (D+1)^2 candidate scales are only 2D+1 distinct ones. One
 kernel walks the activations in row blocks, scores each distinct scale once
-per block into cache-sized buffers, adds every rung's winners to exact
+per block into cache-sized buffers (one division by the smallest scale,
+then exact power-of-two multiplies), adds every rung's winners to exact
 integer vote counts and sums each candidate's errors per channel. A rung's
 post-rescue error is one of those sums per channel, so the ladder is scored
 without another pass over the activations. The sums run over the rows in
 order and the counts are exact, so the result does not depend on the block
 size; the working memory beyond the activations is at most one N x C plane
 for any D.
+
+Every count and every sum belongs to one channel, so a large tensor's vote
+is split into channel shares, one per usable CPU (see _SHARE_ELEMENTS):
+this process scores the first share in place, a forked worker copies and
+scores each other one, and the shares are joined along the channel axis
+bit for bit.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import workers
 from .errors import DimensionError, DomainError
 from .quant import code_bounds, minmax_scale
 # Unused here; kept because the benchmark's span tracer (perfbench/spans.py)
@@ -83,11 +91,16 @@ def _candidate_error(x: np.ndarray, scale, l: int, u: int, out=None) -> np.ndarr
     (allocated when None) one operation at a time, so no temporary is made.
     """
     out = np.divide(x, scale, out=out)
-    np.rint(out, out=out)
-    np.clip(out, l, u, out=out)
-    np.multiply(out, scale, out=out)
-    np.subtract(x, out, out=out)
-    return np.square(out, out=out)
+    return _error_of_quotient(x, out, scale, l, u)
+
+
+def _error_of_quotient(x: np.ndarray, q: np.ndarray, scale, l: int, u: int) -> np.ndarray:
+    """_candidate_error from the quotient q = x / scale, in place in q."""
+    np.rint(q, out=q)
+    np.clip(q, l, u, out=q)
+    np.multiply(q, scale, out=q)
+    np.subtract(x, q, out=q)
+    return np.square(q, out=q)
 
 
 # Row blocks of the selection kernel hold the candidate error planes of one
@@ -148,6 +161,16 @@ def _block_winners(
         steps = [slice(k, k + rungs) for k in index[0]]
     else:  # an overflowed or subnormal scale broke the pattern: gather
         steps = list(index.T)
+    # scales[k] = scales[0] * 2^k with every scale a finite normal number:
+    # then x / scales[k] is (x / scales[0]) * 2^-k bit for bit wherever the
+    # quotient is normal. Where it is subnormal it rounds to a zero of x's
+    # sign either way, and where x / scales[0] overflows both clip to u or
+    # l, so every error plane is the one a division of its own would give.
+    doubling = (
+        scales[0] >= np.finfo(np.float64).tiny
+        and np.isfinite(scales[-1])
+        and all(s == scales[0] * 2.0**k for k, s in enumerate(scales))
+    )
     block = max(1, _BLOCK_BYTES // (len(scales) * max(c, 1) * 8))
     row_planes = len(scales) + rungs  # N x C planes' worth of buffers per row
     if n >= row_planes:
@@ -161,8 +184,15 @@ def _block_winners(
         rows = slice(start, min(start + block, n))
         xb = x[rows]
         m = xb.shape[0]
-        for k, s in enumerate(scales):
-            _candidate_error(xb, s, l, u, out=planes[k, :m])
+        if doubling:
+            q0 = np.divide(xb, scales[0], out=planes[0, :m])
+            for k in range(len(scales) - 1, 0, -1):
+                q = np.multiply(q0, 2.0**-k, out=planes[k, :m])
+                _error_of_quotient(xb, q, scales[k], l, u)
+            _error_of_quotient(xb, q0, scales[0], l, u)
+        else:
+            for k, s in enumerate(scales):
+                _candidate_error(xb, s, l, u, out=planes[k, :m])
         w, up = winners[:, :m], better[:, :m]
         w.fill(0)
         best = planes[steps[0], :m]  # running minimum, d = 0 first
@@ -263,8 +293,9 @@ def _ladder_votes(x, rung_scales, max_exponent: int, l: int, u: int):
 
     counts[g, d, c]: the samples of channel c whose rung-g nomination is d.
     Each block's nominations of all rungs are tallied in one bincount, in
-    the bin (r * (D+1) + d) * C + c of rung r in the kernel's finest-first
-    order; exact integers, so the block size cannot change them.
+    the bin (r * C + c) * (D+1) + d of rung r in the kernel's finest-first
+    order, so the bins are the winners plus one fixed offset, with no
+    multiply. Exact integers, so the block size cannot change them.
 
     errors[g, d, c]: the squared reconstruction error of channel c at rung
     g's candidate scale for exponent d, summed over the samples.
@@ -273,16 +304,33 @@ def _ladder_votes(x, rung_scales, max_exponent: int, l: int, u: int):
     finest_first = rung_scales[::-1]
     scales, index = _shared_candidates(finest_first, max_exponent)
     sums = np.zeros((len(scales), c))
-    counts = np.zeros((rungs, max_exponent + 1, c), dtype=np.int64)
-    flat = counts.reshape(-1)
-    offset = np.add.outer(np.arange(rungs) * (max_exponent + 1) * c, np.arange(c))
-    for _, winners, bins in _block_winners(
-        x, finest_first, max_exponent, l, u, sums=sums
-    ):
-        np.multiply(winners, c, out=bins, dtype=np.intp)
-        np.add(bins, offset[:, None, :], out=bins)
-        flat += np.bincount(bins.reshape(-1), minlength=flat.size)
+    bins = rungs * c * (max_exponent + 1)
+    offset = (np.arange(rungs * c) * (max_exponent + 1)).reshape(rungs, 1, c)
+    counts = np.zeros(bins, dtype=np.int64)
+    for _, winners, scratch in _block_winners(x, finest_first, max_exponent, l, u, sums=sums):
+        np.copyto(scratch, winners)  # no cast buffer, as np.add would take
+        np.add(scratch, offset, out=scratch)
+        counts += np.bincount(scratch.reshape(-1), minlength=bins)
+    counts = counts.reshape(rungs, c, max_exponent + 1).transpose(0, 2, 1)
     return counts[::-1], sums[index[::-1]]
+
+
+# The ladder vote of one tensor is split into channel shares, one per usable
+# CPU, only while every share keeps at least about this many elements. On a
+# 2 vCPU Xeon (1 BLAS thread) the vote scores ~60 ns per element at D = 3,
+# and forking a share and joining it costs ~3 ms at 50 MB RSS: a share this
+# size is ~30 ms of work, ten of those round trips. A w4a8 layer (1 280 x 64)
+# stays whole; a rescue_wide layer (20 480 x 64) splits.
+_SHARE_ELEMENTS = 500_000
+
+
+def _channel_shares(n: int, c: int) -> list:
+    """Column slices of an N x C tensor, one per share of its ladder vote:
+    at most one per usable CPU and one per channel, and more than one only
+    while they average at least _SHARE_ELEMENTS elements."""
+    k = max(1, min(workers.usable_cpus(), c, n * c // _SHARE_ELEMENTS))
+    edges = [c * i // k for i in range(k + 1)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
 def calibrate_activation_scaling(
@@ -313,7 +361,9 @@ def calibrate_activation_scaling(
     the ones its own quantization would make, so no further pass is needed.
     Beyond x_hat the call needs at most one N x C float64 plane of block
     buffers, whatever max_exponent is, and at most ~2 MB of candidate
-    planes per block.
+    planes per block. A tensor large enough (_channel_shares) is voted in
+    channel shares, all but the first in forked workers; the counts and
+    sums are joined along the channel axis, so the result is the same bits.
 
     x_hat must already carry any learned channel scaling.
     """
@@ -328,7 +378,21 @@ def calibrate_activation_scaling(
     _check_kappa(kappa)
     l, u = code_bounds(bits, signed)
     rung_scales = [s0 / float(2**g) for g in range(max_exponent + 1)]  # exact
-    counts, errors = _ladder_votes(x_hat, rung_scales, max_exponent, l, u)
+    shares = _channel_shares(n, c)
+
+    def share_votes(cols: slice):
+        # A child copies its columns; this process reads its own in place.
+        x = x_hat[:, cols] if cols is shares[0] else np.ascontiguousarray(x_hat[:, cols])
+        return _ladder_votes(x, rung_scales, max_exponent, l, u)
+
+    outcomes = workers.run_shares(
+        share_votes, shares, lambda cols: f"PTS worker for channels {cols.start}-{cols.stop - 1}"
+    )
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    counts = np.concatenate([votes for votes, _ in outcomes], axis=2)
+    errors = np.concatenate([errs for _, errs in outcomes], axis=2)
     channels = np.arange(c)
     best = None
     for g, s_g in enumerate(rung_scales):

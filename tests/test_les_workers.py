@@ -1,10 +1,10 @@
 """LES learned side by side in forked processes.
 
 run_quantize learns the layers' factors in one share per usable CPU; these
-tests force that count through the private helper pipeline._usable_cpus
-and check that the output bytes never depend on it, that a failing or
-dying worker surfaces as the right DenoqError, that a fork which cannot
-start falls back to the parent, and that no child is left behind.
+tests force that count through workers.usable_cpus and check that the
+output bytes never depend on it, that a failing or dying worker surfaces
+as the right DenoqError, that a fork which cannot start falls back to the
+parent, and that no child is left behind.
 """
 
 import dataclasses
@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from denoq import cli, pipeline
+from denoq import cli, pipeline, workers
 from denoq.errors import DenoqError, DomainError, NumericalError
 from denoq.pipeline import parse_config, quantize_to_file
 from denoq.toydiff import load_checkpoint
@@ -54,7 +54,7 @@ def forks(monkeypatch):
 
 
 def cpus(monkeypatch, count):
-    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: count)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: count)
 
 
 def small_cfg_file(tmp_path) -> Path:
@@ -96,9 +96,13 @@ def test_worker_count_does_not_change_output(seed, tmp_path, monkeypatch, forks)
     ],
 )
 def test_runs_without_independent_les_do_not_fork(kw, tmp_path, monkeypatch, forks):
+    """No LES worker is forked. Propagate mode forks its full-precision
+    endpoint worker and one report-row worker per layer instead; its small
+    PTS tensors stay whole."""
     cpus(monkeypatch, 4)
     quantize_bytes(small_w4a8(**kw), tmp_path / "out")
-    assert forks == []
+    propagate = kw.get("propagate_quantized_inputs", False)
+    assert len(forks) == (1 + len(LAYERS) if propagate else 0)
 
 
 def test_one_usable_cpu_does_not_fork(tmp_path, monkeypatch, forks):
@@ -108,7 +112,7 @@ def test_one_usable_cpu_does_not_fork(tmp_path, monkeypatch, forks):
 
 
 def test_usable_cpus_is_at_least_one():
-    assert pipeline._usable_cpus() >= 1
+    assert workers.usable_cpus() >= 1
 
 
 def fail_in(monkeypatch, layer, action):

@@ -570,3 +570,71 @@ class TestCalibrationRefusals:
             calibrate_activation_scaling(
                 np.ones((5, 2)), bits=8, max_exponent=-1, kappa=0.6
             )
+
+
+def awkward_values(scales, l, u):
+    """Values where a quotient taken as (x / scales[0]) * 2^-k could part
+    from x / scales[k]: signed zeros, subnormals and the smallest normals,
+    tiny values whose quotients turn subnormal, half-code boundaries and
+    range edges of every candidate scale, and values whose quotient by the
+    smallest scale overflows."""
+    rng = Rng(17)
+    tiny = np.ldexp(rng.uniform(1.0, 2.0, 40), rng.integers(-1074, -990, 40))
+    parts = [
+        [0.0, -0.0, 5e-324, -5e-324, 2.5e-320, -1.1e-310],
+        [2.2250738585072014e-308, -2.2250738585072014e-308, 1e-300, -3e-305],
+        tiny,
+        -tiny,
+        [1.7e308, -1.7e308, 1e300, -1e200],
+        rng.standard_normal(40) * scales[-1] * u,
+    ]
+    codes = np.arange(l - 2, u + 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in scales:
+            parts += [(codes + 0.5) * s, codes * s, (codes + 0.5) * s * (1 + 2.0**-52)]
+        x = np.concatenate([np.asarray(p, dtype=np.float64) for p in parts])
+    return x[np.isfinite(x)]
+
+
+@pytest.mark.parametrize(
+    "s0, doubling",
+    [
+        (1e-300, True),
+        (2.0**-1000 * 3, True),
+        (0.0123, True),
+        (1.0, True),
+        (3.7e5, True),
+        (1e300, True),
+        (1e-310, False),  # subnormal candidate scales
+        (2.0**-1070, False),  # subnormal ones, exactly a power of two apart
+        (1.7e308, False),  # candidate scales that overflow
+    ],
+)
+@pytest.mark.parametrize("max_exponent", [1, 3])
+@pytest.mark.parametrize("bits, signed", [(4, True), (4, False), (8, True), (8, False)])
+def test_error_planes_equal_one_division_per_plane(
+    s0, doubling, max_exponent, bits, signed, monkeypatch
+):
+    """The kernel divides once by the smallest candidate scale and reaches
+    the other planes by power-of-two multiplies; every error plane and
+    winner is the one a division per plane gives, bit for bit. A ladder
+    with an overflowed or subnormal scale keeps dividing per plane."""
+    l, u = code_bounds(bits, signed)
+    rungs = [s0 / float(2**g) for g in range(max_exponent + 1)][::-1]
+    scales, index = pts._shared_candidates(rungs, max_exponent)
+    x = awkward_values(scales, l, u)[None, :]  # one row: its sums are its planes
+    real = pts._candidate_error
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.stack([real(x[0], s, l, u) for s in scales])
+    divisions = []
+    monkeypatch.setattr(
+        pts, "_candidate_error", lambda *a, **k: divisions.append(1) or real(*a, **k)
+    )
+    got = np.zeros((len(scales), x.shape[1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        [(_, winners, _)] = list(pts._block_winners(x, rungs, max_exponent, l, u, sums=got))
+    assert (divisions == []) == doubling
+    assert got.tobytes() == want.tobytes()
+    if doubling:  # an infinite scale's NaN planes have no argmin to compare
+        for r, row in enumerate(index):
+            assert np.array_equal(winners[r, 0], np.argmin(want[row], axis=0))
