@@ -335,8 +335,7 @@ def optimize_layer(
             act_p, wgt_p = fitted
         tb = record.timesteps[batch]
         # The record and the clipped log_tau already guarantee what
-        # les_loss / les_grad would validate. Rows of the fixed-order ref
-        # equal the batch's own product bit for bit.
+        # les_loss / les_grad would validate.
         lam = weighter.weights(tb)
         losses, grad = _les_pass(
             x[batch], w, ref[batch], tau, act_p, wgt_p, True, lam

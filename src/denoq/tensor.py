@@ -2,10 +2,11 @@
 
 Arrays are plain numpy ndarrays in row-major layout; every public helper
 normalizes its inputs to float64 so downstream numerics behave identically
-everywhere. Products of real values go through :func:`matmul`, which uses a
-fixed accumulation order (ascending reduction index, no BLAS dispatch) so
-repeated calls with identical inputs are bit-identical regardless of thread
-count.
+everywhere. Products of real values go through :func:`matmul`, one float64
+BLAS product, the same one the toy denoiser's forward pass takes. Their
+determinism rests on BLAS: on one machine and one numpy/BLAS build,
+identical inputs give identical bits, and the tests check that at 1 and 2
+BLAS threads. Across builds their last bits may differ.
 
 Products of integer codes go through :func:`code_matmul` instead, in one
 of three tiers chosen by the worst-case budget bits_a + bits_w + max_shift +
@@ -14,7 +15,9 @@ ceil(log2 C_in):
 * at most 24 bits: every partial sum is an integer that float32 holds
   exactly, so the product runs on float32 BLAS (sgemm);
 * at most 53 bits: the same holds for float64, so it runs on float64 BLAS;
-* past 53 bits: the fixed-order einsum, in the operands' common dtype.
+* past 53 bits: a fixed-order einsum (ascending reduction index, no
+  BLAS), in the operands' common dtype. This is the only product in the
+  package that does not run on BLAS.
 
 In the two BLAS tiers the result is the same in any summation order and at
 any thread count, because no partial sum is ever rounded.
@@ -122,12 +125,15 @@ class IntTensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of real values with a fixed accumulation order.
+    """Matrix product of real values, [M x K] . [K x N], on float64 BLAS.
 
-    einsum (non-optimized) walks the reduction index in ascending order with
-    no BLAS involvement, so the result is reproducible bit-for-bit across
-    runs and thread counts. Shapes must be [M x K] . [K x N]. Products of
-    integer codes use :func:`code_matmul`, which may take BLAS exactly.
+    Both operands are checked for non-finite values. The product is the
+    one ToyDenoiser.forward computes with @: the same inputs give the same
+    bits on one machine and numpy/BLAS build, at any BLAS thread count (the
+    tests pin that at 1 and 2 threads on the shapes the package runs).
+    Which rows are multiplied together is part of the input: a row subset
+    of a product need not equal the product of that subset bit for bit.
+    Products of integer codes use :func:`code_matmul`, which is exact.
     """
     a = as_real(a, "matmul lhs")
     b = as_real(b, "matmul rhs")
@@ -135,7 +141,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError("matmul expects two 2-d tensors")
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"inner dimensions differ: {a.shape} . {b.shape}")
-    return np.einsum("ik,kj->ij", a, b, optimize=False)
+    return np.matmul(a, b)
 
 
 # float32 and float64 hold every integer of magnitude up to 2^24 and 2^53

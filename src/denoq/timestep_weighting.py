@@ -38,7 +38,9 @@ class TimestepWeighter:
             of being dragged up from zero.
 
     The state is two arrays indexed by a timestep's position in the subset:
-    the running averages and whether each has been updated yet.
+    the running averages and whether each has been updated yet. The weight
+    table derived from them is built on first use and kept until the
+    averages change.
     """
 
     def __init__(self, timesteps: Iterable[int], alpha: float = 1.0, xi: float = 0.95):
@@ -58,6 +60,7 @@ class TimestepWeighter:
         self._sorted = np.array(steps, dtype=np.int64)[self._order]
         self._avg = np.zeros(len(steps))
         self._seen = np.zeros(len(steps), dtype=bool)
+        self._cached_table = None
 
     def running_average(self, t: int) -> float:
         return float(self._avg[self._positions(t)[0]])
@@ -91,9 +94,14 @@ class TimestepWeighter:
         return sum(self._avg.tolist())
 
     def _table(self) -> np.ndarray:
-        """The current weight of every position in the subset."""
-        total = self._total()
-        return np.array([self._weight_from(a, total) for a in self._avg.tolist()])
+        """The current weight of every position in the subset; callers
+        must not write to it."""
+        if self._cached_table is None:
+            total = self._total()
+            self._cached_table = np.array(
+                [self._weight_from(a, total) for a in self._avg.tolist()]
+            )
+        return self._cached_table
 
     def _weight_from(self, avg: float, total: float) -> float:
         if self.alpha == 0.0 or total == 0.0:
@@ -152,3 +160,4 @@ class TimestepWeighter:
         fresh = present & ~self._seen
         self._avg = np.where(fresh, means, np.where(present, blended, self._avg))
         self._seen |= present
+        self._cached_table = None

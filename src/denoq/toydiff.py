@@ -390,7 +390,8 @@ def sample(
 
     steps is either a step count (a uniform grid is built) or an explicit
     ascending grid starting at 0. The same rng drives the initial noise and
-    any eta > 0 injections, so a seed pins the whole trajectory. Every
+    any eta > 0 injections, so a seed pins the whole trajectory. x_init,
+    when given, replaces the initial noise and must be [batch x dim]. Every
     forward call of the run writes into one set of buffers, made here for
     the batch and freed on return.
     """
@@ -406,6 +407,11 @@ def sample(
         x = rng.standard_normal((batch, model.dim))
     else:
         x = as_real(x_init, "x_init")
+        if x.shape != (batch, model.dim):
+            raise DimensionError(
+                f"x_init must be {batch} x {model.dim} for batch {batch}, "
+                f"got shape {x.shape}"
+            )
     buffers = model.forward_buffers(x.shape[0])
     states = [x]
     evaluated = []

@@ -250,6 +250,30 @@ def test_keep_best_check_matches_the_direct_loss(bits_a, bits_w, act_signed):
         assert act_p.scale == want_act.scale
 
 
+@pytest.mark.parametrize("act_signed", [True, False])
+def test_keep_best_check_is_the_same_at_budgets_24_and_25(act_signed):
+    """At a budget of 24 the check's code product runs on float32 BLAS, at
+    25 on float64 BLAS. Both hold every partial sum of 8 + 4 bits on 16
+    channels exactly, so loss and grid are the same bits."""
+    rec = make_record(12, n=96, c_in=16, c_out=12, outlier=(5, 30.0))
+    x, w = rec.activations, rec.weight
+    ref = matmul(x, w)
+    _, extremes, x_buf, _, acc_buf = _check_buffers(x, ref, 8, 4)
+    float32_tier = (24, extremes, x_buf, np.empty(x.shape, np.float32), acc_buf)
+    float64_tier = (25, extremes, x_buf, x_buf, acc_buf)
+    for seed in range(5):
+        tau = np.exp(Rng(seed).uniform(-2.0, 2.0, 16))
+        at24, (act24, wgt24) = _mean_full_loss(
+            ref, x, w, tau, 8, 4, act_signed, float32_tier
+        )
+        at25, (act25, wgt25) = _mean_full_loss(
+            ref, x, w, tau, 8, 4, act_signed, float64_tier
+        )
+        assert at24 == at25
+        assert act24.scale == act25.scale
+        assert np.array_equal(wgt24.scale, wgt25.scale)
+
+
 def test_keep_best_check_divides_once_like_the_exported_layer():
     """x / (tau * s) and (x / tau) / s round to different codes here. The
     exported layer divides once and takes 77; the keep-best check must

@@ -312,10 +312,10 @@ class TestVariants:
         assert rescued == {"res1": 0, "res2": 0, "skip": 1, "mid": 0}
         digest = lambda p: hashlib.sha256(p.read_bytes()).hexdigest()  # noqa: E731
         assert digest(out) == (
-            "05ea336199c3a37ec318f3d2ea7153d5105e6d2ea7c9f1ae9e733593f48a0fc5"
+            "4b1c5cf3fefe3c1d87378c515706dca5dd8e977f4a5082ff158f275dad7995ae"
         )
         assert digest(rep) == (
-            "839258e222c3605166bf9db2f4c629fede40527549f288d5e39e521de35524d2"
+            "7c492879c3f1894759608102bd2cc3b1f1d3d9bcc53049c31f8af4b23b6b8d07"
         )
 
 
@@ -567,3 +567,22 @@ def test_golden_file_reproduces_at_one_blas_thread():
         env=env, check=True, timeout=300, capture_output=True,
     )
     assert done.stdout == (ROOT / "golden" / "ordering.txt").read_bytes()
+
+
+def test_ordering_sweep_seed_0_agrees_with_the_golden_file():
+    """scripts/ordering_sweep.py runs the golden variants per seed; its
+    W4A8 seed-0 les_pts figure is the one golden/ordering.txt records."""
+    env = dict(os.environ)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "ordering_sweep.py"),
+         "--seeds", "0", "--bits-a", "8"],
+        env=env, check=True, timeout=300, capture_output=True, text=True,
+    )
+    lines = done.stdout.splitlines()
+    assert lines[2] == "W4A8" and lines[3].split() == ["seed", "minmax", "les_only", "les_pts"]
+    seed0 = lines[4].split()
+    assert seed0[0] == "0" and lines[5].startswith("median")
+    golden = (ROOT / "golden" / "ordering.txt").read_text(encoding="utf-8")
+    assert f"les_pts: endpoint_mse = {seed0[3]} " in golden

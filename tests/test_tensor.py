@@ -190,18 +190,46 @@ def test_matmul_is_reproducible_not_blas_order_dependent():
     assert np.array_equal(first, again)
 
 
-def test_matmul_rows_equal_the_product_of_those_rows():
-    """LES slices one full-set product per batch instead of recomputing it,
-    which needs the fixed-order product of a row subset to be the same bits
-    as those rows of the full product, down to a single row."""
-    rng = Rng(21)
-    for m, k, n in [(1, 1, 1), (33, 64, 64), (500, 128, 7), (3000, 17, 64)]:
-        x = rng.standard_normal((m, k)) * 10.0
-        w = rng.standard_normal((k, n))
-        full = matmul(x, w)
-        for b in (1, 2, 31, 32, m):
-            rows = rng.permutation(m)[:b]
-            assert np.array_equal(full[rows], matmul(x[rows], w))
+_MATMUL_THREADS_SCRIPT = """
+import hashlib
+import numpy as np
+from denoq.tensor import matmul
+rng = np.random.default_rng(5)
+h = hashlib.sha256()
+def real(*shape):
+    return rng.standard_normal(shape) * 10.0
+# The products the package runs: full-set references (1280 and 1024 rows),
+# the LES batch product and both gradient products, whose first operand or
+# second is a transposed view, and a square one.
+for a, b in [
+    (real(1280, 64), real(64, 64)),
+    (real(32, 64), real(64, 64)),
+    (real(32, 64).T, real(32, 64)),
+    (real(32, 64), real(64, 64).T),
+    (real(64, 64), real(64, 64)),
+    (real(1024, 64), real(64, 64)),
+]:
+    h.update(matmul(a, b).tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_matmul_bytes_do_not_depend_on_blas_threads():
+    """Real products run on BLAS, so their bits must not move with the
+    thread count on the shapes LES, the report rows and eval multiply."""
+    root = Path(__file__).resolve().parent.parent
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", _MATMUL_THREADS_SCRIPT], env=env, check=True,
+            timeout=120, capture_output=True, text=True,
+        )
+        digests.append(done.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 def test_matmul_rejects_bad_shapes():

@@ -239,6 +239,12 @@ class TestSample:
         with pytest.raises(DomainError):
             sample(model, sched, np.array([0, 100, 50]), 2, Rng(0))
 
+    def test_x_init_must_match_the_batch(self):
+        model, sched = tiny_model(t_max=100)
+        for shape in [(3, 2), (5, 2), (4, 3), (8,)]:
+            with pytest.raises(DimensionError, match="x_init"):
+                sample(model, sched, 5, 4, Rng(6), x_init=np.zeros(shape))
+
     def test_eta_adds_seeded_stochasticity(self):
         model, sched = tiny_model(t_max=50)
         xi = Rng(7).standard_normal((4, 2))

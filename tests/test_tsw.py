@@ -246,3 +246,30 @@ def test_scalar_calls_match_the_dict_oracle_bit_for_bit(alpha):
         for u in ts:
             assert got.running_average(u) == want.avg[u]
             assert got.weight(u) == want.weight(u)
+
+
+def test_cached_table_equals_a_fresh_one_after_every_fold():
+    """The weight table is built once per state: weights and weighted_mean
+    of one batch share it, and every fold (update or weighted_mean)
+    replaces it with the table of the new averages."""
+    rng = np.random.default_rng(13)
+    ts = [980, 35, 512, 7, 250]
+    got = TimestepWeighter(ts, alpha=1.5, xi=0.9)
+
+    def fresh_table():
+        twin = TimestepWeighter(ts, alpha=1.5, xi=0.9)
+        twin._avg, twin._seen = got._avg.copy(), got._seen.copy()
+        return twin._table()
+
+    for step in range(60):
+        steps = rng.choice(ts, int(rng.integers(1, 12)))
+        before = got._table()
+        assert before is got._table()
+        assert np.array_equal(before, fresh_table())
+        assert np.array_equal(got.weights(steps), before[got._positions(steps)])
+        if step % 3 == 2:
+            got.update(int(steps[0]), float(rng.uniform(0.0, 5.0)))
+        else:
+            got.weighted_mean(rng.uniform(0.0, 5.0, steps.size), steps)
+        assert got._table() is not before
+        assert np.array_equal(got._table(), fresh_table())
