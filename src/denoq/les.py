@@ -17,6 +17,16 @@ division where the loss above has two. The two agree except where x / tau
 lands next to a half-code boundary, so the keep-best check, which decides
 what is kept, uses the fused divisor.
 
+The keep-best check runs once per iteration on the whole calibration set.
+It validates what can go wrong at a new tau: the fitted MinMax scales must
+be positive reals, so a layer whose scaled activations or weights overflow
+fails there with DomainError. It does not clamp codes: a MinMax scale
+fitted at this tau bounds every code within the range already (see
+_codes_into). The descent's batch step runs on the validated record and
+the clipped tau, so its products skip tensor.matmul's scans; the
+weighter's check that every batch loss is finite stops a descent whose
+losses overflow.
+
 Gradients use the straight-through convention: rounding passes gradients
 unchanged, clamped elements pass nothing, and the quantizer scales are held
 constant within a step (the optimizer refreshes them on a fixed cadence).
@@ -26,13 +36,14 @@ initialization means "no scaling".
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, DomainError
 from .igemm import apply_output_scales
-from .quant import QuantParams, minmax_scale
+from .quant import SCALE_FLOOR, QuantParams, code_bounds, minmax_scale
 from .tensor import (
     EXACT_FLOAT32_BITS,
     Rng,
@@ -132,7 +143,11 @@ def _les_pass(
     x_hat, w_hat = _scaled_pair(x, w, tau)
     qx, mask_x = _fake_quant(x_hat, act_params, rounded)
     qw, mask_w = _fake_quant(w_hat, weight_params, rounded)
-    err = ref - matmul(qx, qw)
+    # Every operand below is made from validated inputs and clamped codes,
+    # so the products skip matmul's scans. A product that overflows shows
+    # as a non-finite loss, which les_loss returns as it is and the
+    # weighter refuses in the descent.
+    err = ref - np.matmul(qx, qw)
     losses = np.einsum("ij,ij->i", err, err, optimize=False)
     if sample_weights is None:
         return losses, None
@@ -140,11 +155,11 @@ def _les_pass(
     g = (-2.0 / x.shape[0]) * (sample_weights[:, None] * err)
     # Activation route: d x_hat / d log_tau_c = -x_hat[:, c].
     act_side = np.einsum(
-        "ic,ic->c", matmul(g, qw.T), np.where(mask_x, -x_hat, 0.0), optimize=False
+        "ic,ic->c", np.matmul(g, qw.T), np.where(mask_x, -x_hat, 0.0), optimize=False
     )
     # Weight route: d w_hat / d log_tau_c = +w_hat[c, :].
     wgt_side = np.einsum(
-        "cj,cj->c", matmul(qx.T, g), np.where(mask_w, w_hat, 0.0), optimize=False
+        "cj,cj->c", np.matmul(qx.T, g), np.where(mask_w, w_hat, 0.0), optimize=False
     )
     return losses, act_side + wgt_side
 
@@ -225,15 +240,28 @@ class LesResult:
 
 
 def _codes_into(
-    v: Tensor, divisor, params: QuantParams, buf: np.ndarray, out=None
+    v: Tensor, divisor, signed: bool, buf: np.ndarray, out=None
 ) -> np.ndarray:
-    """rint(v / divisor) computed in buf (which may be v itself); returns the
-    codes clipped to the range of params, written into out when given (its
-    dtype must hold them exactly), else into buf."""
-    l, u = params.bounds
+    """Codes of v against a MinMax scale fitted to v, without the clamp
+    that such a scale never hits; computed in buf (which may be v itself)
+    and written into out when given (its dtype must hold them exactly).
+
+    rint(v / divisor) stays within [-u, u]. An activation column's divisor
+    is one rounding of tau * s, a weight column's is s itself. s =
+    max(m / u, SCALE_FLOOR) is one rounding of m / u, where m is the
+    largest |x / tau| up to one rounding (for the weights, exactly the
+    largest |v|). So |v / divisor| <= u (1 + 4 eps) < u + 1/2 for every u
+    below 2^50, and rint cannot go past u, nor past -u on a signed grid,
+    whose lowest code is -u - 1. The floor only makes the quotients
+    smaller. An unsigned grid is fitted to max(v, 0) and keeps its lower
+    clamp at 0, which negative inputs reach.
+    """
     np.divide(v, divisor, out=buf)
+    if signed:
+        return np.rint(buf, out=buf if out is None else out)
     np.rint(buf, out=buf)
-    return _clamp(buf, l, u, buf if out is None else out)
+    # the bound goes first, so a -0.0 stays -0.0 as np.clip keeps it
+    return np.maximum(0.0, buf, out=buf if out is None else out)
 
 
 def _check_buffers(x: Tensor, ref: Tensor, bits_a: int, bits_w: int) -> tuple:
@@ -253,6 +281,44 @@ def _check_buffers(x: Tensor, ref: Tensor, bits_a: int, bits_w: int) -> tuple:
     return budget, extremes, x_buf, code_buf, np.empty_like(ref)
 
 
+def _check_loss(
+    ref: Tensor, x: Tensor, w: Tensor, tau: np.ndarray,
+    bits_a: int, bits_w: int, act_signed: bool, work: tuple,
+) -> tuple[float, float, np.ndarray]:
+    """_mean_full_loss's loss with the MinMax grid as its bare scales:
+    the activation scale and the weight scale of each output column.
+
+    The scales are minmax_scale's, from the same formulas, without its
+    scans: the activation scale from the column extremes divided by tau,
+    and the weight scales from w * tau. Each is checked to be a positive
+    real, as QuantParams would check it; a tau at which x / tau or w * tau
+    overflows is a DomainError.
+    """
+    budget, extremes, x_buf, code_buf, acc_buf = work
+    _, u_a = code_bounds(bits_a, act_signed)
+    _, u_w = code_bounds(bits_w, True)
+    scaled = extremes / tau[None, :]
+    hi, lo = float(scaled.max()), float(scaled.min())
+    s_x = max(max(hi, -lo if act_signed else 0.0) / u_a, SCALE_FLOOR)
+    w_hat = w * tau[:, None]
+    s_w = np.maximum(np.max(np.abs(w_hat), axis=0) / u_w, SCALE_FLOOR)
+    # The floor makes every scale that is not NaN positive. lo is read on
+    # an unsigned grid too: minmax_scale refuses an overflowed minimum
+    # although it does not set the scale.
+    if not (math.isfinite(lo) and math.isfinite(s_x) and np.isfinite(s_w).all()):
+        raise DomainError(
+            "keep-best check: the MinMax scales at this tau are not positive "
+            "reals (the scaled activations or weights overflow)"
+        )
+    x_codes = _codes_into(x, (tau * s_x)[None, :], act_signed, x_buf, code_buf)
+    w_codes = _codes_into(w_hat, s_w[None, :], True, w_hat)
+    acc = code_matmul(x_codes, w_codes, budget, out=acc_buf)
+    err = apply_output_scales(acc, s_x, s_w, out=acc)
+    np.subtract(ref, err, out=err)
+    loss = float(np.mean(np.einsum("ij,ij->i", err, err, optimize=False)))
+    return loss, s_x, s_w
+
+
 def _mean_full_loss(
     ref: Tensor, x: Tensor, w: Tensor, tau: np.ndarray,
     bits_a: int, bits_w: int, act_signed: bool, work: tuple,
@@ -264,20 +330,19 @@ def _mean_full_loss(
     quant.activation_codes divides by), then a code product with both
     scales applied outside the accumulation. work comes from
     _check_buffers, so the per-iteration check allocates nothing the size
-    of the set. Returns the loss and the MinMax grid fitted at tau.
+    of the set. Returns the loss and the MinMax grid fitted at tau, the
+    grid minmax_scale fits to x / tau and w * tau.
+
+    What it validates: the fitted scales are positive reals, or it raises
+    DomainError. What it does not do: clamp codes, since MinMax fitted at
+    this tau keeps every code within its range (_codes_into). The
+    descent calls _check_loss where it does not read the grid.
     """
-    budget, extremes, x_buf, code_buf, acc_buf = work
-    act_p = minmax_scale(extremes / tau[None, :], bits_a, signed=act_signed)
-    w_hat = w * tau[:, None]
-    wgt_p = minmax_scale(w_hat, bits_w, signed=True, axis=1)
-    fused = (tau * act_p.scale)[None, :]
-    x_codes = _codes_into(x, fused, act_p, x_buf, code_buf)
-    w_codes = _codes_into(w_hat, wgt_p.scale_for(w_hat.shape), wgt_p, w_hat)
-    acc = code_matmul(x_codes, w_codes, budget, out=acc_buf)
-    err = apply_output_scales(acc, act_p.scale, wgt_p.scale, out=acc)
-    np.subtract(ref, err, out=err)
-    loss = float(np.mean(np.einsum("ij,ij->i", err, err, optimize=False)))
-    return loss, (act_p, wgt_p)
+    loss, s_x, s_w = _check_loss(ref, x, w, tau, bits_a, bits_w, act_signed, work)
+    return loss, (
+        QuantParams(s_x, bits_a, act_signed),
+        QuantParams(s_w, bits_w, True, axis=1),
+    )
 
 
 def optimize_layer(
@@ -333,14 +398,14 @@ def optimize_layer(
         if iteration % scale_refresh == 0:
             # The last keep-best check already fitted MinMax at this tau.
             act_p, wgt_p = fitted
-        tb = record.timesteps[batch]
+        steps = weighter.lookup(record.timesteps[batch])
         # The record and the clipped log_tau already guarantee what
         # les_loss / les_grad would validate.
-        lam = weighter.weights(tb)
+        lam = weighter.weights(steps)
         losses, grad = _les_pass(
             x[batch], w, ref[batch], tau, act_p, wgt_p, True, lam
         )
-        weighter.weighted_mean(losses, tb)
+        weighter.weighted_mean(losses, steps)
         # Outlier layers produce enormous early gradients; a norm clip keeps
         # log-space steps sane without touching the descent direction.
         gnorm = float(np.sqrt(np.sum(grad * grad)))
@@ -356,11 +421,15 @@ def optimize_layer(
             m_hat = m / (1 - b1**k)
             v_hat = v / (1 - b2**k)
             log_tau = log_tau - lr * m_hat / (np.sqrt(v_hat) + eps)
-        np.clip(log_tau, -_LOG_TAU_BOUND, _LOG_TAU_BOUND, out=log_tau)
+        _clamp(log_tau, -_LOG_TAU_BOUND, _LOG_TAU_BOUND, log_tau)
         tau = np.exp(log_tau)
-        candidate, fitted = _mean_full_loss(
-            ref, x, w, tau, bits_a, bits_w, act_signed, work
-        )
+        if (iteration + 1) % scale_refresh == 0:
+            # the next iteration refreshes its grid from this check
+            candidate, fitted = _mean_full_loss(
+                ref, x, w, tau, bits_a, bits_w, act_signed, work
+            )
+        else:
+            candidate = _check_loss(ref, x, w, tau, bits_a, bits_w, act_signed, work)[0]
         if candidate < best:
             best = candidate
             best_tau = tau

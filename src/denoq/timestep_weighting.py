@@ -13,17 +13,33 @@ low-loss timesteps keep contributing. alpha=0 switches the mechanism off
 
 Weights are frozen for the duration of one batch: weighted_mean computes
 every sample's weight first, then folds the batch's fresh losses into the
-running averages afterwards.
+running averages afterwards. A caller that reads a batch's weights and then
+folds its losses looks the batch up once (lookup) and hands both calls the
+StepLookup in place of the timesteps.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, DomainError
+
+
+@dataclass(frozen=True)
+class StepLookup:
+    """A batch's timesteps, found once in one weighter's subset.
+
+    Made by TimestepWeighter.lookup; its weights and weighted_mean accept
+    it wherever they accept timesteps, and only from the weighter that
+    made it.
+    """
+
+    weighter: "TimestepWeighter"
+    positions: np.ndarray
 
 
 class TimestepWeighter:
@@ -65,6 +81,19 @@ class TimestepWeighter:
     def running_average(self, t: int) -> float:
         return float(self._avg[self._positions(t)[0]])
 
+    def lookup(self, timesteps: Sequence[int]) -> StepLookup:
+        """Find every entry of timesteps in the subset, once for a batch
+        whose weights are read and whose losses are then folded."""
+        return StepLookup(self, self._positions(timesteps))
+
+    def _found(self, timesteps) -> np.ndarray:
+        """Positions of timesteps, or of a StepLookup this weighter made."""
+        if not isinstance(timesteps, StepLookup):
+            return self._positions(timesteps)
+        if timesteps.weighter is not self:
+            raise DomainError("timesteps were looked up in another weighter")
+        return timesteps.positions
+
     def _positions(self, timesteps) -> np.ndarray:
         """Position of every entry of timesteps in the subset."""
         steps = np.asarray(timesteps).reshape(-1)
@@ -85,9 +114,9 @@ class TimestepWeighter:
         """
         return float(self._table()[self._positions(t)[0]])
 
-    def weights(self, timesteps: Sequence[int]) -> np.ndarray:
+    def weights(self, timesteps: Sequence[int] | StepLookup) -> np.ndarray:
         """weight(t) for every entry of timesteps, summing the averages once."""
-        return self._table()[self._positions(timesteps)]
+        return self._table()[self._found(timesteps)]
 
     def _total(self) -> float:
         # a sequential sum in subset order, as a plain Python sum
@@ -119,15 +148,22 @@ class TimestepWeighter:
             raise DomainError(f"batch mean loss must be finite and >= 0, got {loss}")
         self._fold(pos, np.array([loss]))
 
-    def weighted_mean(self, losses: Sequence[float], timesteps: Sequence[int]) -> float:
+    def weighted_mean(
+        self, losses: Sequence[float], timesteps: Sequence[int] | StepLookup
+    ) -> float:
         """Weighted mean of per-sample losses, then update the averages.
 
         Weights for the whole batch are taken from the state as it was when
         the batch started; the batch's own losses only influence later
-        batches. Returns (1/B) * sum_i weight(t_i) * loss_i.
+        batches. Returns (1/B) * sum_i weight(t_i) * loss_i. Losses must be
+        finite and non-negative: this check is what stops a descent whose
+        losses overflowed.
         """
         losses = np.asarray(losses, dtype=np.float64).reshape(-1)
-        steps = np.asarray(timesteps).reshape(-1)
+        if isinstance(timesteps, StepLookup):
+            steps = timesteps.positions
+        else:
+            steps = np.asarray(timesteps).reshape(-1)
         if losses.shape[0] != steps.shape[0]:
             raise DimensionError(
                 f"{losses.shape[0]} losses but {steps.shape[0]} timesteps"
@@ -136,7 +172,7 @@ class TimestepWeighter:
             raise DimensionError("weighted_mean needs a non-empty batch")
         if not np.all(np.isfinite(losses)) or np.any(losses < 0.0):
             raise DomainError("per-sample losses must be finite and >= 0")
-        pos = self._positions(steps)
+        pos = self._found(timesteps)
         result = float(np.mean(self._table()[pos] * losses))
         self._fold(pos, losses)
         return result

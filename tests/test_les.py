@@ -7,7 +7,9 @@ from denoq.errors import DimensionError, DomainError
 from denoq.les import (
     LayerCalibRecord,
     _check_buffers,
+    _check_loss,
     _clamp,
+    _codes_into,
     _mean_full_loss,
     _scaled_pair,
     fuse,
@@ -315,6 +317,100 @@ def test_clamp_is_np_clip_bit_for_bit(bounds, out_dtype):
     got = _clamp(v.copy(), *bounds, out)
     assert got is out
     assert got.tobytes() == expected.tobytes()
+
+
+CHECK_TAUS = {
+    "1e-4": lambda c: np.full(c, 1e-4),
+    "1e4": lambda c: np.full(c, 1e4),
+    "both": lambda c: np.where(np.arange(c) % 2 == 0, 1e-4, 1e4),
+}
+
+
+@pytest.mark.parametrize("bits_a", [2, 8, 16, 24])
+@pytest.mark.parametrize("tau_kind", sorted(CHECK_TAUS))
+def test_unclamped_signed_codes_equal_clamped_codes(bits_a, tau_kind):
+    """Every column holds its own maximum magnitude with both signs, so
+    the widest column of x / tau lands on the codes -u and u exactly. The
+    keep-best check takes its codes without a clamp; they must be the
+    clamped codes, and its loss the directly computed one."""
+    rng = np.random.default_rng(bits_a)
+    c = 16
+    x = rng.standard_normal((64, c)) * np.exp(rng.uniform(-6.0, 6.0, c))
+    peak = np.abs(x).max(axis=0)
+    x[0], x[1] = peak, -peak
+    w = rng.standard_normal((c, 8))
+    tau = CHECK_TAUS[tau_kind](c)
+    ref = matmul(x, w)
+    loss, (act_p, wgt_p) = _mean_full_loss(
+        ref, x, w, tau, bits_a, 4, True, _check_buffers(x, ref, bits_a, 4)
+    )
+    assert loss == direct_full_loss(ref, x, w, tau, bits_a, 4, True)[0]
+    for v, divisor, (l, u) in (
+        (x, tau * act_p.scale, act_p.bounds),
+        (w * tau[:, None], wgt_p.scale, wgt_p.bounds),
+    ):
+        got = _codes_into(v, divisor[None, :], True, np.empty_like(v))
+        want = np.clip(np.rint(v / divisor[None, :]), l, u)
+        assert got.tobytes() == want.tobytes()
+        assert got.max() == u and got.min() == -u
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    bits=st.integers(2, 24),
+    signed=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    spread=st.floats(0.0, 30.0),
+)
+def test_check_codes_never_need_the_clamp(bits, signed, seed, spread):
+    """Columns of any magnitude, any tau in [1e-4, 1e4] per channel: the
+    check's codes equal rint then clip, bit for bit (signed zeros too)."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((40, 6)) * np.exp(rng.uniform(-spread, spread, 6))
+    x[rng.random(x.shape) < 0.1] = -0.0
+    tau = np.exp(rng.uniform(-np.log(1e4), np.log(1e4), 6))
+    ext = np.stack((x.max(axis=0), x.min(axis=0))) / tau[None, :]
+    act_p = minmax_scale(ext, bits, signed=signed)
+    divisor = (tau * act_p.scale)[None, :]
+    got = _codes_into(x, divisor, signed, np.empty_like(x))
+    want = np.clip(np.rint(x / divisor), *act_p.bounds)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("act_signed", [True, False])
+@pytest.mark.parametrize("where", ["act_max", "act_min", "weight"])
+def test_keep_best_check_refuses_a_tau_that_overflows(act_signed, where):
+    """1e305 / 1e-4 and 1e305 * 1e4 overflow. The check raises DomainError,
+    as minmax_scale did on the scaled tensor; an overflowed column minimum
+    fails an unsigned grid too, although it does not set the scale."""
+    rec = make_record(7, c_in=8)
+    x, w = rec.activations.copy(), rec.weight.copy()
+    if where == "weight":
+        w[2, 1] = 1e305
+        tau = np.full(8, 1e4)
+    else:
+        x[3, 2] = 1e305 if where == "act_max" else -1e305
+        tau = np.full(8, 1e-4)
+    ref = matmul(x, w)
+    work = _check_buffers(x, ref, 8, 4)
+    with np.errstate(over="ignore"), pytest.raises(DomainError):
+        _mean_full_loss(ref, x, w, tau, 8, 4, act_signed, work)
+    with np.errstate(over="ignore"), pytest.raises(DomainError):
+        _check_loss(ref, x, w, tau, 8, 4, act_signed, work)
+
+
+def test_descent_whose_losses_overflow_fails_at_the_weighter():
+    """An activation of 1e305 squares past the float range in the batch
+    losses. The weighter's finiteness check stops the descent with the
+    DomainError it raised before the batch step left tensor.matmul."""
+    rec = make_record(8, c_in=4)
+    x = rec.activations.copy()
+    x[5, 0] = 1e305
+    rec = LayerCalibRecord("layer", x, rec.timesteps, rec.weight)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        DomainError, match="losses must be finite"
+    ):
+        optimize_layer(rec, TimestepWeighter([1, 2, 3, 4]), Rng(0), iterations=20)
 
 
 class TestFusion:

@@ -318,6 +318,40 @@ class TestVariants:
             "7c492879c3f1894759608102bd2cc3b1f1d3d9bcc53049c31f8af4b23b6b8d07"
         )
 
+    @pytest.mark.parametrize(
+        "overrides,model_sha,report_sha",
+        [
+            (
+                dict(pts_layers="none"),
+                "4db0c6dc49efbe81033b47f2dbf6785205111a8b431a1e02b2228debbcebb16c",
+                "6eaa0204a60d20cde579492a9c9d0fa78b5d009420f2d35d2798ac51a6eec8bf",
+            ),
+            (
+                dict(optimizer="adam"),
+                "2ba1c71920ff2502d70bd99f873df777722e7d43a51a005f284af93b0652b8bd",
+                "2f0737e3b6b8c3c031a7e4d67cdac3b647d8b2921adbfab97c801610f76c7eff",
+            ),
+            (
+                dict(act_unsigned=True),
+                "d772f6d7e7c94862979db90f2e14c0660536c618940759704d1274748f6f80e2",
+                "97898b2c59e30040e0d4da1e977ea260162eaf64ae54893f7987c536b6831c3f",
+            ),
+        ],
+        ids=["pts_none", "adam", "act_unsigned"],
+    )
+    def test_les_outcome_is_pinned(self, tmp_path, monkeypatch, overrides, model_sha, report_sha):
+        """The bundled config at seed 0 with LES on: without rescue, with
+        Adam, and with unsigned activations. Model file and report are
+        pinned byte for byte, so a change to the LES descent or to its
+        keep-best check that moves one learned factor fails here."""
+        monkeypatch.chdir(ROOT)  # the report echoes the checkpoint path
+        cfg = dataclasses.replace(parse_config("configs/w4a8.cfg"), seed=0, **overrides)
+        out, rep = tmp_path / "les.dmq", tmp_path / "les.txt"
+        quantize_to_file(cfg, out, rep)
+        digest = lambda p: hashlib.sha256(p.read_bytes()).hexdigest()  # noqa: E731
+        assert digest(out) == model_sha
+        assert digest(rep) == report_sha
+
 
 def write_cfg(tmp_path, **kw):
     """tiny_config(**kw) as a config file."""
@@ -543,6 +577,55 @@ def test_output_bytes_do_not_depend_on_blas_threads(tmp_path):
             [(out / name).read_bytes() for name in
              ("model.dmq", "report.txt", "report_layers.tsv", "report_summary.tsv",
               "eval.txt", "eval_layers.tsv", "eval_summary.tsv")]
+        )
+    assert outputs[0] == outputs[1]
+
+
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _env_without_blas_vars(**set_vars) -> dict:
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    env.update(set_vars)
+    return env
+
+
+@pytest.mark.parametrize("user_value", [None, "2"])
+def test_import_defaults_blas_threads_to_one(user_value):
+    """import denoq sets each BLAS thread variable to 1 where it is unset,
+    and keeps a value the user set."""
+    env = _env_without_blas_vars(
+        **({var: user_value for var in _BLAS_VARS} if user_value else {})
+    )
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import os, denoq; print(' '.join(os.environ[v] for v in %r))" % (_BLAS_VARS,)],
+        env=env, check=True, timeout=60, capture_output=True, text=True,
+    )
+    assert done.stdout.split() == [user_value or "1"] * 3
+
+
+def test_cli_quantize_with_blas_vars_unset_matches_one_thread(tmp_path):
+    """python -m denoq quantize with no BLAS variable set writes the bytes
+    of a run pinned to one OpenBLAS thread."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"checkpoint = {CHECKPOINT}\nn = 8\nT = 6\niterations = 24\n")
+    outputs = []
+    for tag, extra in (("unset", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})):
+        out = tmp_path / tag
+        out.mkdir()
+        subprocess.run(
+            [sys.executable, "-m", "denoq", "quantize", "--config", str(cfg),
+             "--out", str(out / "model.dmq"), "--report", str(out / "report.txt")],
+            env=_env_without_blas_vars(**extra), check=True, timeout=120,
+            capture_output=True,
+        )
+        outputs.append(
+            [(out / name).read_bytes() for name in
+             ("model.dmq", "report.txt", "report_layers.tsv", "report_summary.tsv")]
         )
     assert outputs[0] == outputs[1]
 

@@ -273,3 +273,35 @@ def test_cached_table_equals_a_fresh_one_after_every_fold():
             got.weighted_mean(rng.uniform(0.0, 5.0, steps.size), steps)
         assert got._table() is not before
         assert np.array_equal(got._table(), fresh_table())
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 2.5])
+def test_one_lookup_per_batch_equals_two_independent_lookups(alpha):
+    """A batch looked up once and handed to weights and weighted_mean
+    gives the weights, mean, running averages and table of the same calls
+    on the raw timesteps, bit for bit."""
+    rng = np.random.default_rng(17)
+    ts = [980, 35, 512, 7, 250, 101]
+    shared = TimestepWeighter(ts, alpha=alpha, xi=0.9)
+    plain = TimestepWeighter(ts, alpha=alpha, xi=0.9)
+    for _ in range(80):
+        steps = rng.choice(ts, int(rng.integers(1, 40)))
+        losses = rng.uniform(0.0, 5.0, steps.size) ** 3
+        found = shared.lookup(steps)
+        assert shared.weights(found).tobytes() == plain.weights(steps).tobytes()
+        assert shared.weighted_mean(losses, found) == plain.weighted_mean(losses, steps)
+        assert shared._avg.tobytes() == plain._avg.tobytes()
+        assert shared._table().tobytes() == plain._table().tobytes()
+
+
+def test_a_lookup_belongs_to_its_weighter():
+    a, b = TimestepWeighter([1, 2]), TimestepWeighter([2, 1])
+    found = a.lookup([1, 1, 2])
+    with pytest.raises(DomainError):
+        b.weights(found)
+    with pytest.raises(DomainError):
+        b.weighted_mean(np.ones(3), found)
+    with pytest.raises(DimensionError):
+        a.weighted_mean(np.ones(2), found)
+    with pytest.raises(DomainError):
+        a.lookup([3])
