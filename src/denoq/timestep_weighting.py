@@ -160,19 +160,15 @@ class TimestepWeighter:
         losses overflowed.
         """
         losses = np.asarray(losses, dtype=np.float64).reshape(-1)
-        if isinstance(timesteps, StepLookup):
-            steps = timesteps.positions
-        else:
-            steps = np.asarray(timesteps).reshape(-1)
-        if losses.shape[0] != steps.shape[0]:
+        pos = self._found(timesteps)
+        if losses.shape[0] != pos.shape[0]:
             raise DimensionError(
-                f"{losses.shape[0]} losses but {steps.shape[0]} timesteps"
+                f"{losses.shape[0]} losses but {pos.shape[0]} timesteps"
             )
         if losses.shape[0] == 0:
             raise DimensionError("weighted_mean needs a non-empty batch")
         if not np.all(np.isfinite(losses)) or np.any(losses < 0.0):
             raise DomainError("per-sample losses must be finite and >= 0")
-        pos = self._found(timesteps)
         result = float(np.mean(self._table()[pos] * losses))
         self._fold(pos, losses)
         return result
