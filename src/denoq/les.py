@@ -25,7 +25,8 @@ fitted at this tau bounds every code within the range already (see
 _codes_into). The descent's batch step runs on the validated record and
 the clipped tau, so its products skip tensor.matmul's scans; the
 weighter's check that every batch loss is finite stops a descent whose
-losses overflow.
+losses overflow. The public les_loss and les_grad refuse such a result
+with DomainError themselves.
 
 Gradients use the straight-through convention: rounding passes gradients
 unchanged, clamped elements pass nothing, and the quantizer scales are held
@@ -50,7 +51,6 @@ from .tensor import (
     Tensor,
     as_real,
     ceil_log2,
-    channel_mul,
     code_matmul,
     matmul,
 )
@@ -129,6 +129,13 @@ def _fake_quant(v: Tensor, params: QuantParams, rounded: bool):
     return s * _clamp(ratio, l, u, ratio), mask
 
 
+def _finite(result: np.ndarray, what: str) -> np.ndarray:
+    """result, unless a product that overflowed made it non-finite."""
+    if not np.isfinite(result).all():
+        raise DomainError(f"{what}: the result is not finite (a product overflows)")
+    return result
+
+
 def _les_pass(
     x: np.ndarray, w: np.ndarray, ref: np.ndarray, tau: np.ndarray,
     act_params: QuantParams, weight_params: QuantParams, rounded: bool,
@@ -145,7 +152,7 @@ def _les_pass(
     qw, mask_w = _fake_quant(w_hat, weight_params, rounded)
     # Every operand below is made from validated inputs and clamped codes,
     # so the products skip matmul's scans. A product that overflows shows
-    # as a non-finite loss, which les_loss returns as it is and the
+    # as a non-finite result, which les_loss and les_grad refuse and the
     # weighter refuses in the descent.
     err = ref - np.matmul(qx, qw)
     losses = np.einsum("ij,ij->i", err, err, optimize=False)
@@ -183,7 +190,8 @@ def les_loss(
     the quantization grid, which is how the optimizer evaluates within a
     step. rounded=False replaces round with the identity (quantization
     becomes pure range clipping), the differentiable surrogate that the
-    straight-through gradient is exact for.
+    straight-through gradient is exact for. Losses that an overflowing
+    product made non-finite are a DomainError.
     """
     x = as_real(x, "activations")
     w = as_real(w, "weight")
@@ -194,7 +202,8 @@ def les_loss(
         x_hat, w_hat = _scaled_pair(x, w, tau)
         act_params = minmax_scale(x_hat, bits_a, signed=act_signed)
         weight_params = minmax_scale(w_hat, bits_w, signed=True, axis=1)
-    return _les_pass(x, w, matmul(x, w), tau, act_params, weight_params, rounded)[0]
+    losses = _les_pass(x, w, matmul(x, w), tau, act_params, weight_params, rounded)[0]
+    return _finite(losses, "les_loss")
 
 
 def les_grad(
@@ -212,7 +221,8 @@ def les_grad(
     Straight-through semantics: round contributes identity, clamped elements
     contribute nothing, and the quantizer scales are treated as constants.
     sample_weights defaults to all ones; it must already be frozen for the
-    batch (the optimizer reads the weighter before updating it).
+    batch (the optimizer reads the weighter before updating it). A
+    gradient that an overflowing product made non-finite is a DomainError.
     """
     x = as_real(x, "activations")
     w = as_real(w, "weight")
@@ -224,9 +234,8 @@ def les_grad(
         lam = as_real(sample_weights, "sample weights").reshape(-1)
         if lam.shape[0] != b:
             raise DimensionError("one sample weight per activation row required")
-    return _les_pass(
-        x, w, matmul(x, w), tau, act_params, weight_params, rounded, lam
-    )[1]
+    grad = _les_pass(x, w, matmul(x, w), tau, act_params, weight_params, rounded, lam)[1]
+    return _finite(grad, "les_grad")
 
 
 @dataclass
@@ -285,14 +294,24 @@ def _check_loss(
     ref: Tensor, x: Tensor, w: Tensor, tau: np.ndarray,
     bits_a: int, bits_w: int, act_signed: bool, work: tuple,
 ) -> tuple[float, float, np.ndarray]:
-    """_mean_full_loss's loss with the MinMax grid as its bare scales:
-    the activation scale and the weight scale of each output column.
+    """Deployment-faithful mean loss: fresh MinMax at this tau, real rounding.
 
-    The scales are minmax_scale's, from the same formulas, without its
-    scans: the activation scale from the column extremes divided by tau,
-    and the weight scales from w * tau. Each is checked to be a positive
-    real, as QuantParams would check it; a tau at which x / tau or w * tau
-    overflows is a DomainError.
+    The quantized product is the deployed one of an unrescued layer: x
+    divided once by the fused divisor tau * s (what les.fuse exports and
+    quant.activation_codes divides by), then a code product with both
+    scales applied outside the accumulation. work comes from
+    _check_buffers, so the per-iteration check allocates nothing the size
+    of the set. Returns the loss and the MinMax grid fitted at tau as its
+    bare scales: the activation scale and the weight scale of each output
+    column, the grid minmax_scale fits to x / tau and w * tau.
+
+    The scales come from minmax_scale's formulas without its scans: the
+    activation scale from the column extremes divided by tau, and the
+    weight scales from w * tau. What it validates: the scales are positive
+    reals, as QuantParams would check them, or it raises DomainError (a
+    tau at which x / tau or w * tau overflows). What it does not do: clamp
+    codes, since MinMax fitted at this tau keeps every code within its
+    range (_codes_into).
     """
     budget, extremes, x_buf, code_buf, acc_buf = work
     _, u_a = code_bounds(bits_a, act_signed)
@@ -317,32 +336,6 @@ def _check_loss(
     np.subtract(ref, err, out=err)
     loss = float(np.mean(np.einsum("ij,ij->i", err, err, optimize=False)))
     return loss, s_x, s_w
-
-
-def _mean_full_loss(
-    ref: Tensor, x: Tensor, w: Tensor, tau: np.ndarray,
-    bits_a: int, bits_w: int, act_signed: bool, work: tuple,
-) -> tuple[float, tuple[QuantParams, QuantParams]]:
-    """Deployment-faithful mean loss: fresh MinMax at this tau, real rounding.
-
-    The quantized product is the deployed one of an unrescued layer: x
-    divided once by the fused divisor tau * s (what les.fuse exports and
-    quant.activation_codes divides by), then a code product with both
-    scales applied outside the accumulation. work comes from
-    _check_buffers, so the per-iteration check allocates nothing the size
-    of the set. Returns the loss and the MinMax grid fitted at tau, the
-    grid minmax_scale fits to x / tau and w * tau.
-
-    What it validates: the fitted scales are positive reals, or it raises
-    DomainError. What it does not do: clamp codes, since MinMax fitted at
-    this tau keeps every code within its range (_codes_into). The
-    descent calls _check_loss where it does not read the grid.
-    """
-    loss, s_x, s_w = _check_loss(ref, x, w, tau, bits_a, bits_w, act_signed, work)
-    return loss, (
-        QuantParams(s_x, bits_a, act_signed),
-        QuantParams(s_w, bits_w, True, axis=1),
-    )
 
 
 def optimize_layer(
@@ -382,9 +375,7 @@ def optimize_layer(
     work = _check_buffers(x, ref, bits_a, bits_w)
     log_tau = np.zeros(c_in)
     tau = best_tau = np.ones(c_in)
-    initial, fitted = _mean_full_loss(
-        ref, x, w, tau, bits_a, bits_w, act_signed, work
-    )
+    initial, s_x, s_w = _check_loss(ref, x, w, tau, bits_a, bits_w, act_signed, work)
     best = initial
     m = v = np.zeros(c_in)  # Adam's moment estimates
     order = rng.permutation(n_rows)
@@ -397,7 +388,8 @@ def optimize_layer(
         cursor += batch_size
         if iteration % scale_refresh == 0:
             # The last keep-best check already fitted MinMax at this tau.
-            act_p, wgt_p = fitted
+            act_p = QuantParams(s_x, bits_a, act_signed)
+            wgt_p = QuantParams(s_w, bits_w, True, axis=1)
         steps = weighter.lookup(record.timesteps[batch])
         # The record and the clipped log_tau already guarantee what
         # les_loss / les_grad would validate.
@@ -423,13 +415,7 @@ def optimize_layer(
             log_tau = log_tau - lr * m_hat / (np.sqrt(v_hat) + eps)
         _clamp(log_tau, -_LOG_TAU_BOUND, _LOG_TAU_BOUND, log_tau)
         tau = np.exp(log_tau)
-        if (iteration + 1) % scale_refresh == 0:
-            # the next iteration refreshes its grid from this check
-            candidate, fitted = _mean_full_loss(
-                ref, x, w, tau, bits_a, bits_w, act_signed, work
-            )
-        else:
-            candidate = _check_loss(ref, x, w, tau, bits_a, bits_w, act_signed, work)[0]
+        candidate, s_x, s_w = _check_loss(ref, x, w, tau, bits_a, bits_w, act_signed, work)
         if candidate < best:
             best = candidate
             best_tau = tau
@@ -453,7 +439,7 @@ def fuse(tau, act_params: QuantParams, w: Tensor) -> tuple[np.ndarray, Tensor]:
     if act_params.axis is not None:
         raise DomainError("fused activation quantization requires a per-tensor scale")
     fused = tau * act_params.scale
-    return fused, channel_mul(w, tau)
+    return fused, w * tau[:, None]
 
 
 def smoothquant_tau(x: Tensor, w: Tensor, alpha: float = 0.5) -> np.ndarray:

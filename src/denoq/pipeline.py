@@ -21,10 +21,15 @@ will actually receive at inference time; each layer's capture and factors
 then depend on the layers before it, and that chain runs in order. Off the
 chain, forked workers (workers.start) run the full-precision half of the
 endpoint run from the start, and score each layer's report rows while the
-next layer is captured. In both modes the PTS vote of a large layer runs
-in channel shares (pts.calibrate_activation_scaling). The worker count
-never changes an output byte, and a worker's error is raised where a
-sequential run would meet it.
+next layer is captured. run_quantize asks for a worker's result where a
+sequential run would meet its error, each time in a finally: a layer's
+report rows once the next layer is quantized (the last layer's once the
+endpoint is measured), and the full-precision endpoint once the quantized
+half is sampled. So an earlier worker's error outranks any later one, and
+one outer finally reaps every worker that an error left running. In both
+modes the PTS vote of a large layer runs in channel shares
+(pts.calibrate_activation_scaling). The worker count never changes an
+output byte.
 
 Quantized layers run, in quantize and in eval alike, on the deployed
 integer path: activation codes against the layer's prepared shift-folded

@@ -49,15 +49,6 @@ def as_real(x, name: str = "tensor") -> np.ndarray:
     return arr
 
 
-def _as_vector(v, length: int, name: str) -> np.ndarray:
-    vec = as_real(v, name)
-    if vec.ndim != 1 or vec.shape[0] != length:
-        raise DimensionError(
-            f"{name} must be a 1-d vector of length {length}, got shape {vec.shape}"
-        )
-    return vec
-
-
 @dataclass(frozen=True)
 class IntTensor:
     """Integer codes plus the nominal bit-width they were produced under.
@@ -192,15 +183,6 @@ def code_matmul(
         "ik,kj->ij", a.astype(dtype, copy=False), b.astype(dtype, copy=False),
         optimize=False, out=out,
     )
-
-
-def channel_mul(w: Tensor, v) -> Tensor:
-    """Scale weight rows by a per-channel vector: row c is multiplied by v[c]."""
-    w = as_real(w, "weights")
-    if w.ndim != 2:
-        raise DimensionError("channel_mul expects a 2-d weight tensor")
-    vec = _as_vector(v, w.shape[0], "channel factors")
-    return w * vec[:, None]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from denoq.les import (
     _check_loss,
     _clamp,
     _codes_into,
-    _mean_full_loss,
     _scaled_pair,
     fuse,
     les_grad,
@@ -246,10 +245,10 @@ def test_keep_best_check_matches_the_direct_loss(bits_a, bits_w, act_signed):
     assert work[3].dtype == (np.float32 if bits_a + bits_w + 4 <= 24 else np.float64)
     for seed in range(5):
         tau = np.exp(Rng(seed).uniform(-2.0, 2.0, 16))
-        got, (act_p, _) = _mean_full_loss(ref, x, w, tau, bits_a, bits_w, act_signed, work)
+        got, s_x, _ = _check_loss(ref, x, w, tau, bits_a, bits_w, act_signed, work)
         want, want_act = direct_full_loss(ref, x, w, tau, bits_a, bits_w, act_signed)
         assert got == want
-        assert act_p.scale == want_act.scale
+        assert s_x == want_act.scale
 
 
 @pytest.mark.parametrize("act_signed", [True, False])
@@ -265,15 +264,11 @@ def test_keep_best_check_is_the_same_at_budgets_24_and_25(act_signed):
     float64_tier = (25, extremes, x_buf, x_buf, acc_buf)
     for seed in range(5):
         tau = np.exp(Rng(seed).uniform(-2.0, 2.0, 16))
-        at24, (act24, wgt24) = _mean_full_loss(
-            ref, x, w, tau, 8, 4, act_signed, float32_tier
-        )
-        at25, (act25, wgt25) = _mean_full_loss(
-            ref, x, w, tau, 8, 4, act_signed, float64_tier
-        )
+        at24, act24, wgt24 = _check_loss(ref, x, w, tau, 8, 4, act_signed, float32_tier)
+        at25, act25, wgt25 = _check_loss(ref, x, w, tau, 8, 4, act_signed, float64_tier)
         assert at24 == at25
-        assert act24.scale == act25.scale
-        assert np.array_equal(wgt24.scale, wgt25.scale)
+        assert act24 == act25
+        assert np.array_equal(wgt24, wgt25)
 
 
 def test_keep_best_check_divides_once_like_the_exported_layer():
@@ -292,10 +287,8 @@ def test_keep_best_check_divides_once_like_the_exported_layer():
     # The second row is the column maximum that makes MinMax pick s itself.
     xs = np.array([[x], [127 * s * tau]])
     ref = matmul(xs, w)
-    got, (got_act, _) = _mean_full_loss(
-        ref, xs, w, taus, 8, 4, True, _check_buffers(xs, ref, 8, 4)
-    )
-    assert got_act.scale == s
+    got, got_act, _ = _check_loss(ref, xs, w, taus, 8, 4, True, _check_buffers(xs, ref, 8, 4))
+    assert got_act == s
     assert got == direct_full_loss(ref, xs, w, taus, 8, 4, True)[0]
     qw = quantize(w_scaled, wgt_p).codes
     two_step = ref - apply_output_scales(
@@ -341,10 +334,11 @@ def test_unclamped_signed_codes_equal_clamped_codes(bits_a, tau_kind):
     w = rng.standard_normal((c, 8))
     tau = CHECK_TAUS[tau_kind](c)
     ref = matmul(x, w)
-    loss, (act_p, wgt_p) = _mean_full_loss(
+    loss, s_x, s_w = _check_loss(
         ref, x, w, tau, bits_a, 4, True, _check_buffers(x, ref, bits_a, 4)
     )
     assert loss == direct_full_loss(ref, x, w, tau, bits_a, 4, True)[0]
+    act_p, wgt_p = QuantParams(s_x, bits_a, True), QuantParams(s_w, 4, True, axis=1)
     for v, divisor, (l, u) in (
         (x, tau * act_p.scale, act_p.bounds),
         (w * tau[:, None], wgt_p.scale, wgt_p.bounds),
@@ -394,8 +388,6 @@ def test_keep_best_check_refuses_a_tau_that_overflows(act_signed, where):
     ref = matmul(x, w)
     work = _check_buffers(x, ref, 8, 4)
     with np.errstate(over="ignore"), pytest.raises(DomainError):
-        _mean_full_loss(ref, x, w, tau, 8, 4, act_signed, work)
-    with np.errstate(over="ignore"), pytest.raises(DomainError):
         _check_loss(ref, x, w, tau, 8, 4, act_signed, work)
 
 
@@ -411,6 +403,22 @@ def test_descent_whose_losses_overflow_fails_at_the_weighter():
         DomainError, match="losses must be finite"
     ):
         optimize_layer(rec, TimestepWeighter([1, 2, 3, 4]), Rng(0), iterations=20)
+
+
+def test_les_loss_and_les_grad_refuse_a_product_that_overflows():
+    """Every input is finite and so is the reference product, but the
+    error of the quantized product squares past the float range: the loss
+    would be inf and the gradient NaN."""
+    x = np.full((4, 16), 1e306)
+    w = np.ones((16, 3))
+    tau = np.ones(16)
+    act_p = QuantParams(1e305, 8)
+    wgt_p = QuantParams(np.full(3, 1 / 7), 4, True, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DomainError, match="les_loss: the result is not finite"):
+            les_loss(x, w, tau, act_params=act_p, weight_params=wgt_p)
+        with pytest.raises(DomainError, match="les_grad: the result is not finite"):
+            les_grad(x, w, tau, act_p, wgt_p)
 
 
 class TestFusion:
@@ -447,6 +455,11 @@ class TestFusion:
         y1 = matmul(x, w)
         y2 = matmul(x / tau[None, :], w_scaled)
         assert np.allclose(y1, y2, rtol=1e-12)
+
+    def test_fuse_rejects_a_tau_of_the_wrong_length(self):
+        for tau in (np.ones(2), np.ones(4)):
+            with pytest.raises(DimensionError, match="tau must have 3 entries"):
+                fuse(tau, QuantParams(0.1, 8), np.ones((3, 2)))
 
     def test_fuse_rejects_per_channel_act_scale(self):
         with pytest.raises(DomainError):

@@ -161,6 +161,41 @@ def test_errors_surface_in_checkpoint_order(monkeypatch):
             pipeline.run_quantize(small_w4a8())
 
 
+
+def raise_numerical_error():
+    raise NumericalError("later layer failed")
+
+
+LATER_FAILURES = {
+    "les-of-mid": lambda mp: fail_in(mp, LAYERS[3], raise_numerical_error),
+    "pts-of-skip": lambda mp: mp.setattr(
+        pipeline, "calibrate_activation_scaling",
+        lambda *args, **kwargs: raise_numerical_error(),
+    ),
+}
+
+
+@pytest.mark.parametrize("later", sorted(LATER_FAILURES))
+def test_a_rows_error_comes_before_a_later_layers_error(later, monkeypatch):
+    """Without propagated inputs each layer's report rows are scored here,
+    as soon as the layer is quantized (workers.here), so a sequential run
+    meets an error in LAYERS[0]'s rows before the rescue of LAYERS[2] or
+    the learning of LAYERS[3], which two shares deal to the child."""
+    assert LAYERS[0] == "res1" and LAYERS[2] == "skip" and LAYERS[3] == "mid"
+    real = pipeline._layer_rows
+
+    def layer_rows(name, *args):
+        if name == LAYERS[0]:
+            raise DomainError("rows of res1")
+        return real(name, *args)
+
+    monkeypatch.setattr(pipeline, "_layer_rows", layer_rows)
+    LATER_FAILURES[later](monkeypatch)
+    for count in (1, 2):
+        cpus(monkeypatch, count)
+        with pytest.raises(DomainError, match="rows of res1"):
+            pipeline.run_quantize(small_w4a8())
+
 def test_the_cli_exits_as_a_sequential_run_would(tmp_path, capsys, monkeypatch):
     cfgp = small_cfg_file(tmp_path)
     fail_in(monkeypatch, LAYERS[3], raise_domain_error)
