@@ -28,8 +28,13 @@ endpoint is measured), and the full-precision endpoint once the quantized
 half is sampled. So an earlier worker's error outranks any later one, and
 one outer finally reaps every worker that an error left running. In both
 modes the PTS vote of a large layer runs in channel shares
-(pts.calibrate_activation_scaling). The worker count never changes an
-output byte.
+(pts.calibrate_activation_scaling), and a large sampler run in row shares:
+every calibration capture (toydiff.collect_calibration) and the quantized
+half of the endpoint run (_endpoint, through toydiff.sample_endpoint) split
+their trajectories over the usable CPUs, in shares cut at multiples of 64
+rows so that BLAS gives each row the bits of the whole run (see
+toydiff._ROW_QUANTUM). Eval and the full-precision endpoint worker sample
+whole. The worker count never changes an output byte.
 
 Quantized layers run, in quantize and in eval alike, on the deployed
 integer path: activation codes against the layer's prepared shift-folded
@@ -60,7 +65,13 @@ from .quant import QuantParams, QuantizedLayer, minmax_scale, quantize
 from .quant import quantized_matmul_reference  # noqa: F401
 from .tensor import Rng, matmul
 from .timestep_weighting import TimestepWeighter
-from .toydiff import collect_calibration, ddim_timesteps, load_checkpoint, sample
+from .toydiff import (
+    collect_calibration,
+    ddim_timesteps,
+    load_checkpoint,
+    sample,
+    sample_endpoint,
+)
 
 _PTS_CHOICES = ("skip_only", "all", "none")
 _BASELINE_CHOICES = ("none", "smoothquant")
@@ -497,13 +508,10 @@ def run_quantize(config: Config) -> tuple[QuantizedModel, EvalReport]:
     propagate = config.propagate_quantized_inputs
 
     def capture(tag: str, overrides, layers=None):
-        recs = collect_calibration(
+        return collect_calibration(
             model, schedule, config.T, config.n, root.child(tag),
             eta=config.eta, overrides=overrides or None, layers=layers,
         )
-        for r in recs.values():
-            _check_finite(r.activations, f"calibration activations for {r.name}")
-        return recs
 
     # With propagated inputs every layer reads a capture of its own, taken
     # after the last one is freed, that records only that layer. Off that
@@ -568,10 +576,18 @@ def run_quantize(config: Config) -> tuple[QuantizedModel, EvalReport]:
 
 def _endpoint(model, schedule, config: Config, root: Rng, overrides=None, capture=None):
     """Endpoint of the evaluation trajectory, full precision or, with
-    overrides, quantized. Every call draws the same noise, so two pair."""
+    overrides, quantized. Every call draws the same noise, so two pair. A
+    quantized run without capture sinks goes in row shares
+    (toydiff.sample_endpoint), with the same bits."""
     init = root.child("eval-init").standard_normal((config.n, model.dim))
+    rng = root.child("eval-noise")
+    if overrides and capture is None:
+        return sample_endpoint(
+            model, schedule, config.T, config.n, rng,
+            eta=config.eta, overrides=overrides, x_init=init,
+        )
     return sample(
-        model, schedule, config.T, config.n, root.child("eval-noise"),
+        model, schedule, config.T, config.n, rng,
         eta=config.eta, overrides=overrides, capture=capture, x_init=init,
     ).endpoint
 

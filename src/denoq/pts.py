@@ -318,9 +318,9 @@ def _ladder_votes(x, rung_scales, max_exponent: int, l: int, u: int):
 # The ladder vote of one tensor is split into channel shares, one per usable
 # CPU, only while every share keeps at least about this many elements. On a
 # 2 vCPU Xeon (1 BLAS thread) the vote scores ~60 ns per element at D = 3,
-# and forking a share and joining it costs ~3 ms at 50 MB RSS: a share this
-# size is ~30 ms of work, ten of those round trips. A w4a8 layer (1 280 x 64)
-# stays whole; a rescue_wide layer (20 480 x 64) splits.
+# and forking a share and joining it costs about 2 ms at 50 MB RSS: a share
+# this size is ~30 ms of work, some fifteen of those round trips. A w4a8
+# layer (1 280 x 64) stays whole; a rescue_wide layer (20 480 x 64) splits.
 _SHARE_ELEMENTS = 500_000
 
 

@@ -12,7 +12,9 @@ of the tensor. This module provides that subject:
   channels up by large recorded factors (the consumer's weight rows are
   divided by the same factors, so the function is unchanged but the
   activation statistics are pathological),
-* a deterministic DDIM-style sampler plus calibration capture,
+* a deterministic DDIM-style sampler plus calibration capture; a large
+  capture or endpoint run is split by trajectories into row shares over
+  the usable CPUs (see _row_shares), with the bits of one whole run,
 * a documented binary checkpoint format so a trained model can be committed
   and reloaded byte for byte (scripts/make_checkpoint.py trains the bundled
   one).
@@ -38,13 +40,15 @@ load and math runs in float64 throughout.
 
 from __future__ import annotations
 
+import copy
 import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DenoqError, DimensionError, DomainError, FormatError
+from . import workers
+from .errors import DenoqError, DimensionError, DomainError, FormatError, NumericalError
 from .les import LayerCalibRecord
 from .tensor import Rng, as_real
 
@@ -374,6 +378,18 @@ def ddim_step(
     return x_prev
 
 
+def _grid(schedule: NoiseSchedule, steps) -> np.ndarray:
+    """sample's step grid: a step count or an explicit ascending grid."""
+    if isinstance(steps, (int, np.integer)):
+        return ddim_timesteps(schedule.t_max, int(steps))
+    grid = np.asarray(steps, dtype=np.int64)
+    if grid.ndim != 1 or grid[0] != 0 or grid[-1] != schedule.t_max:
+        raise DomainError("an explicit grid must ascend from 0 to t_max")
+    if np.any(np.diff(grid) <= 0):
+        raise DomainError("an explicit grid must be strictly ascending")
+    return grid
+
+
 def sample(
     model: ToyDenoiser,
     schedule: NoiseSchedule,
@@ -385,6 +401,7 @@ def sample(
     overrides=None,
     capture=None,
     x_init=None,
+    rows=None,
 ) -> Trajectory:
     """Run the sampler from pure noise down to data.
 
@@ -394,15 +411,14 @@ def sample(
     when given, replaces the initial noise and must be [batch x dim]. Every
     forward call of the run writes into one set of buffers, made here for
     the batch and freed on return.
+
+    rows, a slice of range(batch), runs only those trajectories: the
+    initial noise and every injection are still drawn for the whole batch,
+    so each row is the trajectory the whole batch gives it, and the states
+    hold only those rows. A non-finite model output is a NumericalError
+    naming the step.
     """
-    if isinstance(steps, (int, np.integer)):
-        grid = ddim_timesteps(schedule.t_max, int(steps))
-    else:
-        grid = np.asarray(steps, dtype=np.int64)
-        if grid.ndim != 1 or grid[0] != 0 or grid[-1] != schedule.t_max:
-            raise DomainError("an explicit grid must ascend from 0 to t_max")
-        if np.any(np.diff(grid) <= 0):
-            raise DomainError("an explicit grid must be strictly ascending")
+    grid = _grid(schedule, steps)
     if x_init is None:
         x = rng.standard_normal((batch, model.dim))
     else:
@@ -412,6 +428,11 @@ def sample(
                 f"x_init must be {batch} x {model.dim} for batch {batch}, "
                 f"got shape {x.shape}"
             )
+    if rows is None:
+        rows = slice(0, batch)
+    elif rows.indices(batch) != (rows.start, rows.stop, 1) or rows.start >= rows.stop:
+        raise DomainError(f"rows must be a non-empty slice of range({batch})")
+    x = x[rows]
     buffers = model.forward_buffers(x.shape[0])
     states = [x]
     evaluated = []
@@ -420,28 +441,96 @@ def sample(
         eps_hat = model.forward(
             x, t, overrides=overrides, capture=capture, buffers=buffers
         )
-        noise = rng.standard_normal(x.shape) if eta > 0.0 else None
+        if not np.all(np.isfinite(eps_hat)):
+            raise NumericalError(
+                f"sampler step {len(grid) - i} of {len(grid) - 1} (t = {t}): "
+                "the model output contains non-finite values"
+            )
+        noise = rng.standard_normal((batch, model.dim))[rows] if eta > 0.0 else None
         x = ddim_step(x, eps_hat, t, t_prev, schedule, eta=eta, noise=noise)
         states.append(x)
         evaluated.append(t)
     return Trajectory(np.array(states), np.array(evaluated, dtype=np.int64), float(eta))
 
 
-class _RowSink:
-    """Capture target for one layer: copies each step's input rows into
-    preallocated arrays, so no per-step copies pile up to be concatenated."""
+# A sampler run splits into row shares only while every share keeps at
+# least this many trajectory steps (rows x steps): 512 trajectories of 20
+# steps, about 19 ms of sampling, against a fork round trip of about 2 ms.
+# So a configs/w4a8.cfg run (n = 64) stays whole and n = 1024 splits in two.
+_SHARE_ROW_STEPS = 512 * 20
+# Every share boundary is a multiple of this many rows. BLAS works a
+# product's rows in blocks, and a row's bits can depend on where in a block
+# it falls: trajectories cut at 1, 2, 3, 5, 6, 7 or 333 rows differed from
+# the whole run in their last bits, cuts at multiples of 4 did not
+# (OpenBLAS 0.3.31, Haswell kernels). 64 leaves room for wider blocks.
+_ROW_QUANTUM = 64
 
-    def __init__(self, rows: int, width: int):
-        self.activations = np.empty((rows, width))
-        self.timesteps = np.empty(rows, dtype=np.int64)
-        self._filled = 0
+
+def _row_shares(n: int, steps: int) -> list:
+    """Row slices of an n-trajectory, steps-step run: one per usable CPU
+    while each keeps _SHARE_ROW_STEPS, cut at multiples of _ROW_QUANTUM."""
+    quanta = -(-n // _ROW_QUANTUM)
+    k = max(1, min(workers.usable_cpus(), quanta, n * steps // _SHARE_ROW_STEPS))
+    cuts = [min(n, quanta * i // k * _ROW_QUANTUM) for i in range(k + 1)]
+    return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+
+
+def _in_row_shares(work, n: int, steps: int, rng: Rng, what: str) -> list:
+    """work(rows, rng) for every row share of an n-trajectory run, in share
+    order, on workers.run_shares. Each share starts from rng's state: the
+    first one, which this process runs last, takes rng itself, so rng ends
+    where one whole run leaves it; every other one takes a copy.
+
+    The first error in share order is raised. That is the error one whole
+    run raises, unless the rows of different shares fail differently: then
+    it may name a later step than one whole run does."""
+    outcomes = workers.run_shares(
+        lambda rows: work(rows, rng if rows.start == 0 else copy.deepcopy(rng)),
+        _row_shares(n, steps),
+        lambda rows: f"{what} for rows {rows.start}-{rows.stop - 1}",
+    )
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return outcomes
+
+
+def sample_endpoint(
+    model: ToyDenoiser,
+    schedule: NoiseSchedule,
+    steps,
+    batch: int,
+    rng: Rng,
+    *,
+    eta: float = 0.0,
+    overrides=None,
+    x_init=None,
+) -> np.ndarray:
+    """sample(...).endpoint, bit for bit, run in row shares across the
+    usable CPUs (see _row_shares)."""
+    parts = _in_row_shares(
+        lambda rows, stream: sample(
+            model, schedule, steps, batch, stream,
+            eta=eta, overrides=overrides, x_init=x_init, rows=rows,
+        ).endpoint,
+        batch, len(_grid(schedule, steps)) - 1, rng, "sampler worker",
+    )
+    return np.concatenate(parts)
+
+
+class _RowSink:
+    """Capture target for one layer's rows of a sampler run: the rows a
+    step captures go to step * n + start of a preallocated array, so no
+    per-step copies pile up to be concatenated, and the shares of a run
+    fill one array."""
+
+    def __init__(self, activations: np.ndarray, n: int, start: int):
+        self._activations, self._n, self._at = activations, n, start
 
     def append(self, pair) -> None:
-        a, t = pair
-        end = self._filled + a.shape[0]
-        self.activations[self._filled : end] = a
-        self.timesteps[self._filled : end] = t
-        self._filled = end
+        a, _ = pair
+        self._activations[self._at : self._at + a.shape[0]] = a
+        self._at += self._n
 
 
 def collect_calibration(
@@ -458,10 +547,17 @@ def collect_calibration(
     """Capture quantizable layers' inputs across n sampling runs.
 
     Returns one record per layer with n * steps rows, each tagged with the
-    timestep it was captured at. layers names the layers to record (default:
-    all of them); the trajectories do not depend on it. overrides is for
-    the propagated-inputs mode, where layers already quantized run quantized
-    during capture; leave it unset for plain full-precision calibration.
+    timestep it was captured at: row step * n + r is trajectory r at the
+    step-th timestep the sampler visits. layers names the layers to record
+    (default: all of them); the trajectories do not depend on it. overrides
+    is for the propagated-inputs mode, where layers already quantized run
+    quantized during capture; leave it unset for plain full-precision
+    calibration.
+
+    The activations live in one workers.shared_arrays mapping, and the run
+    goes in row shares (see _row_shares): each share captures its rows
+    straight into the records, and the records are the same bits as one
+    whole run's.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
@@ -471,19 +567,23 @@ def collect_calibration(
         if unknown:
             raise DomainError(f"unknown quantizable layers {sorted(unknown)}")
         specs = [spec for spec in specs if spec.name in layers]
-    rows = n * (len(ddim_timesteps(schedule.t_max, steps)) - 1)
-    capture = {spec.name: _RowSink(rows, spec.c_in) for spec in specs}
-    sample(
-        model, schedule, steps, n, rng, eta=eta, overrides=overrides, capture=capture
-    )
-    return {
-        spec.name: LayerCalibRecord(
-            spec.name,
-            capture[spec.name].activations,
-            capture[spec.name].timesteps,
-            model.layer_weight(spec.name),
+    grid = ddim_timesteps(schedule.t_max, steps)
+    timesteps = np.repeat(grid[:0:-1], n)  # sampler visit order
+    activations = workers.shared_arrays([(timesteps.size, spec.c_in) for spec in specs])
+
+    def capture(rows, stream):
+        sinks = {
+            spec.name: _RowSink(a, n, rows.start) for spec, a in zip(specs, activations)
+        }
+        sample(
+            model, schedule, steps, n, stream,
+            eta=eta, overrides=overrides, capture=sinks, rows=rows,
         )
-        for spec in specs
+
+    _in_row_shares(capture, n, len(grid) - 1, rng, "capture worker")
+    return {
+        spec.name: LayerCalibRecord(spec.name, a, timesteps, model.layer_weight(spec.name))
+        for spec, a in zip(specs, activations)
     }
 
 

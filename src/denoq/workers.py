@@ -17,12 +17,20 @@ something small. What every caller can rely on:
   raises errors in that order;
 - every child is reaped: asking for a job's outcome reads its pipe to the
   end and waits for it, and run_shares does so in a finally.
+
+Work whose result is large writes it into arrays from shared_arrays()
+instead: they live in an anonymous MAP_SHARED mapping, so what a child
+writes there is what this process reads, with nothing pickled.
 """
 
 from __future__ import annotations
 
+import math
+import mmap
 import os
 import pickle
+
+import numpy as np
 
 from .errors import DenoqError
 
@@ -34,6 +42,24 @@ def usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def shared_arrays(shapes) -> list:
+    """Zero-filled float64 arrays of the given shapes, in order, in one
+    anonymous MAP_SHARED mapping (mmap's default flags on Unix), so a
+    forked child's writes to them are seen here. The mapping is unmapped
+    when the last of them is freed.
+    """
+    offsets, size = [], 0
+    for shape in shapes:
+        size = -(-size // 64) * 64  # each array starts on a cache line
+        offsets.append(size)
+        size += 8 * math.prod(shape)
+    buf = mmap.mmap(-1, max(size, 1))
+    return [
+        np.frombuffer(buf, np.float64, math.prod(shape), offset).reshape(shape)
+        for shape, offset in zip(shapes, offsets)
+    ]
 
 
 def _run(work):

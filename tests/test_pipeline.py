@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from denoq import cli, pipeline
+from denoq import cli, pipeline, toydiff, workers
 from denoq.errors import ConfigError, DomainError, HeadroomError, NumericalError
 from denoq.modelfile import QuantizedModel, export_model, import_model
 from denoq.pipeline import (
@@ -543,6 +543,32 @@ class TestCli:
             )
             assert rc == 4
             assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_a_model_that_overflows_in_sampling_exits_4(
+        self, count, tmp_path, capsys, monkeypatch
+    ):
+        """Finite float32 weights whose float64 products overflow; with two
+        CPUs the capture runs in two row shares."""
+        model, sched = load_checkpoint(CHECKPOINT)
+        params = {k: v.copy() for k, v in model.params.items()}
+        params["mid_w"] *= 1e36
+        params["stem_w"] *= 1e30
+        params["head_w"] *= 1e30
+        ckpt = tmp_path / "huge.ckpt"
+        save_checkpoint(ckpt, SimpleNamespace(params=params), sched)
+        cfgp = self.write_cfg(tmp_path, checkpoint=str(ckpt), n=128)
+        monkeypatch.setattr(toydiff, "_SHARE_ROW_STEPS", 1)
+        monkeypatch.setattr(workers, "usable_cpus", lambda: count)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = cli.main(
+                ["quantize", "--config", str(cfgp), "--out", str(tmp_path / "x.dmq")]
+            )
+        assert rc == 4
+        assert capsys.readouterr().err == (
+            "error: sampler step 4 of 4 (t = 250): the model output contains "
+            "non-finite values\n"
+        )
 
 
 _QUANTIZE_SCRIPT = """

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from denoq.errors import DimensionError, DomainError, FormatError
+from denoq.errors import DimensionError, DomainError, FormatError, NumericalError
 from denoq.pipeline import _layer_runner
 from denoq.quant import QuantizedLayer, minmax_scale, quantize, quantized_matmul_reference
 from denoq.tensor import Rng
@@ -199,6 +199,8 @@ class TestDdim:
             ddim_step(x, x, 5, 3, sched, eta=0.5)  # stochastic but no noise
         with pytest.raises(DimensionError):
             ddim_step(np.zeros((2, 2)), np.zeros((3, 2)), 5, 3, sched)
+        with pytest.raises(DomainError, match="eps_hat contains non-finite values"):
+            ddim_step(x, np.full((2, 2), np.nan), 5, 3, sched)
 
 
 class TestSample:
@@ -257,6 +259,42 @@ class TestSample:
     def test_trajectory_shape_contract(self):
         with pytest.raises(DimensionError):
             Trajectory(np.zeros((3, 2, 2)), np.zeros(1, dtype=np.int64), 0.0)
+
+    @pytest.mark.parametrize("eta", [0.0, 0.5])
+    def test_rows_run_their_trajectories_of_the_whole_batch(self, eta):
+        """Rows cut at multiples of 64, as the row shares are."""
+        model, sched = tiny_model(t_max=20)
+        rng = Rng(9)
+        whole = sample(model, sched, 5, 192, rng, eta=eta)
+        after = rng.standard_normal(4)
+        for rows in (slice(0, 64), slice(64, 192), slice(128, 192)):
+            rng = Rng(9)
+            part = sample(model, sched, 5, 192, rng, eta=eta, rows=rows)
+            assert part.states.tobytes() == whole.states[:, rows].tobytes()
+            assert np.array_equal(part.timesteps, whole.timesteps)
+            assert np.array_equal(rng.standard_normal(4), after)
+
+    def test_rows_must_be_a_contiguous_part_of_the_batch(self):
+        model, sched = tiny_model()
+        for rows in (slice(2, 2), slice(0, 4, 2), slice(None, 2), slice(1, 5)):
+            with pytest.raises(DomainError, match="rows"):
+                sample(model, sched, 5, 4, Rng(0), rows=rows)
+
+    def test_a_non_finite_model_output_names_its_step(self):
+        model, sched = tiny_model(t_max=20)
+        calls = []
+
+        def mid(a):
+            calls.append(1)
+            out = a @ model.params["mid_w"]
+            return out * np.inf if len(calls) == 3 else out
+
+        with np.errstate(invalid="ignore"), pytest.raises(
+            NumericalError,
+            match=r"^sampler step 3 of 5 \(t = 12\): the model output contains "
+            "non-finite values$",
+        ):
+            sample(model, sched, 5, 4, Rng(0), overrides={"mid": mid})
 
 
 class TestModel:
@@ -340,6 +378,17 @@ class TestCalibration:
             assert np.array_equal(rec.timesteps, full[name].timesteps)
         with pytest.raises(DomainError, match="stem"):
             collect_calibration(model, sched, 4, 6, Rng(0), layers=["stem"])
+
+    def test_rows_are_laid_out_step_by_step(self):
+        """Row step * n + r holds trajectory r at the step-th timestep."""
+        model, sched = tiny_model(t_max=20)
+        records = collect_calibration(model, sched, 4, 6, Rng(0), layers=["res1"])
+        cap = {"res1": []}
+        sample(model, sched, 4, 6, Rng(0), capture=cap)
+        rec = records["res1"]
+        assert rec.activations.tobytes() == np.concatenate([a for a, _ in cap["res1"]]).tobytes()
+        assert rec.timesteps.tolist() == [t for _, t in cap["res1"] for _ in range(6)]
+        assert rec.timesteps.tolist() == np.repeat([20, 15, 10, 5], 6).tolist()
 
 
 class TestCheckpointFile:

@@ -1,13 +1,13 @@
 """Forked workers beyond LES: the fork helper's contract, the PTS vote in
-channel shares, and propagate mode's report-row and full-precision endpoint
-workers.
+channel shares, propagate mode's report-row and full-precision endpoint
+workers, and sampler runs in row shares.
 
-CPU counts are forced through workers.usable_cpus, and the PTS size rule
-(pts._SHARE_ELEMENTS) is lowered where a small tensor has to split. The
-checks: output bytes never depend on either, every worker that dies or
-fails surfaces as a DenoqError in the order a sequential run would meet it,
-a fork that cannot start runs its work in the parent, and no child is left
-behind.
+CPU counts are forced through workers.usable_cpus, and the size rules
+(pts._SHARE_ELEMENTS, toydiff._SHARE_ROW_STEPS) are lowered where a small
+run has to split. The checks: output bytes never depend on any of them,
+every worker that dies or fails surfaces as a DenoqError in the order a
+sequential run would meet it, a fork that cannot start runs its work in
+the parent, and no child is left behind.
 """
 
 import dataclasses
@@ -19,12 +19,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from denoq import cli, pipeline, pts, workers
+from denoq import cli, pipeline, pts, toydiff, workers
 from denoq.errors import DenoqError, DomainError, NumericalError
 from denoq.pipeline import parse_config, quantize_to_file, run_eval
 from denoq.pts import calibrate_activation_scaling
 from denoq.tensor import Rng
-from denoq.toydiff import load_checkpoint
+from denoq.toydiff import collect_calibration, load_checkpoint, sample, sample_endpoint
 
 ROOT = Path(__file__).resolve().parent.parent
 W4A8 = ROOT / "configs" / "w4a8.cfg"
@@ -43,7 +43,7 @@ PROPAGATE_LES = {"pts_layers": "all", "propagate_quantized_inputs": True}
 
 def small_w4a8(**kw):
     """configs/w4a8.cfg with a small calibration set and few iterations."""
-    return dataclasses.replace(parse_config(W4A8), n=8, T=6, iterations=24, **kw)
+    return dataclasses.replace(parse_config(W4A8), **{"n": 8, "T": 6, "iterations": 24, **kw})
 
 
 @pytest.fixture(autouse=True)
@@ -73,6 +73,10 @@ def cpus(monkeypatch, count):
 
 def split_small_tensors(monkeypatch):
     monkeypatch.setattr(pts, "_SHARE_ELEMENTS", 1)
+
+
+def split_small_runs(monkeypatch):
+    monkeypatch.setattr(toydiff, "_SHARE_ROW_STEPS", 1)
 
 
 def in_a_child(action):
@@ -153,6 +157,23 @@ def test_a_child_that_dies_is_a_denoq_error_naming_its_work(end, how, monkeypatc
         job.result()
     assert type(info.value) is DenoqError
     assert str(info.value) == f"the test worker ended without a result ({how})"
+
+
+def test_shared_arrays_carry_a_childs_writes(monkeypatch):
+    cpus(monkeypatch, 2)
+    rows, table = workers.shared_arrays([(3, 5), (4, 2)])
+    assert rows.shape == (3, 5) and table.shape == (4, 2)
+    assert not rows.any() and not table.any()
+    assert rows.ctypes.data % 64 == 0 and table.ctypes.data % 64 == 0
+
+    def fill():
+        rows[1] = 7.0
+        table[:] = np.arange(8.0).reshape(4, 2)
+        return os.getpid()
+
+    assert workers.start(fill, "filling").result() != os.getpid()
+    assert rows.tolist() == [[0.0] * 5, [7.0] * 5, [0.0] * 5]
+    assert table.ravel().tolist() == list(range(8))
 
 
 def test_shares_come_back_in_share_order(monkeypatch, forks):
@@ -445,3 +466,218 @@ def test_errors_surface_in_the_order_a_sequential_run_meets_them(case, monkeypat
                 pipeline.run_quantize(small_w4a8(**RESCUE_WIDE))
             raised[count] = (type(info.value), str(info.value))
     assert raised[2] == raised[1] == expected
+
+
+# ---------------------------------------------------------------------------
+# Sampler runs in row shares
+# ---------------------------------------------------------------------------
+
+
+def test_the_row_rule_keeps_w4a8_whole_and_splits_rescue_wide(monkeypatch):
+    cpus(monkeypatch, 2)
+    assert toydiff._row_shares(64, 20) == [slice(0, 64)]
+    assert toydiff._row_shares(1000, 20) == [slice(0, 1000)]
+    assert toydiff._row_shares(1024, 20) == [slice(0, 512), slice(512, 1024)]
+    assert toydiff._row_shares(1030, 20) == [slice(0, 512), slice(512, 1030)]
+    cpus(monkeypatch, 1)
+    assert toydiff._row_shares(1 << 20, 20) == [slice(0, 1 << 20)]
+
+
+def test_row_shares_are_cut_at_multiples_of_64(monkeypatch):
+    split_small_runs(monkeypatch)
+    cpus(monkeypatch, 3)
+    assert toydiff._row_shares(1000, 1) == [slice(0, 320), slice(320, 640), slice(640, 1000)]
+    assert toydiff._row_shares(100, 1) == [slice(0, 64), slice(64, 100)]
+    assert toydiff._row_shares(64, 1) == [slice(0, 64)]
+    cpus(monkeypatch, 4)
+    assert toydiff._row_shares(256, 1) == [
+        slice(0, 64), slice(64, 128), slice(128, 192), slice(192, 256)
+    ]
+
+
+@pytest.fixture(scope="module")
+def bundled():
+    return load_checkpoint(CHECKPOINT)
+
+
+@pytest.fixture(scope="module")
+def quantized_runners():
+    """Integer-path runners of every layer of a small quantize."""
+    qmodel, _ = pipeline.run_quantize(small_w4a8(les=False))
+    return {l.name: pipeline._layer_runner(l) for l in qmodel.layers}
+
+
+def capture_and_endpoint(bundled, n, eta, overrides):
+    """Bytes of every record of a capture, and of an endpoint, at 5 steps."""
+    model, schedule = bundled
+    records = collect_calibration(
+        model, schedule, 5, n, Rng(3).child("calib"), eta=eta, overrides=overrides
+    )
+    init = Rng(4).standard_normal((n, model.dim))
+    endpoint = sample_endpoint(
+        model, schedule, 5, n, Rng(5), eta=eta, overrides=overrides, x_init=init
+    )
+    return [r.activations.tobytes() + r.timesteps.tobytes() for r in records.values()] + [
+        endpoint.tobytes()
+    ]
+
+
+@pytest.mark.parametrize("n", [1024, 1000, 1030])
+@pytest.mark.parametrize("eta", [0.0, 0.5])
+@pytest.mark.parametrize("precision", ["full", "quantized"])
+def test_runs_in_row_shares_are_bit_identical(
+    n, eta, precision, bundled, quantized_runners, monkeypatch, forks
+):
+    overrides = quantized_runners if precision == "quantized" else None
+    model, schedule = bundled
+    cpus(monkeypatch, 1)
+    whole = capture_and_endpoint(bundled, n, eta, overrides)
+    init = Rng(4).standard_normal((n, model.dim))
+    one_run = sample(model, schedule, 5, n, Rng(5), eta=eta, overrides=overrides, x_init=init)
+    assert whole[-1] == one_run.endpoint.tobytes()
+    split_small_runs(monkeypatch)
+    for count in (2, 3):
+        cpus(monkeypatch, count)
+        forks.clear()
+        assert capture_and_endpoint(bundled, n, eta, overrides) == whole
+        assert len(forks) == 2 * (count - 1)
+
+
+def test_a_share_starts_from_the_runs_own_noise(bundled, monkeypatch):
+    """Share 1 runs here when its fork fails, before share 0: both still
+    start from the rng's state, and the rng ends where one run leaves it."""
+    model, schedule = bundled
+    cpus(monkeypatch, 1)
+    rng = Rng(8)
+    whole = sample(model, schedule, 4, 128, rng, eta=1.0).endpoint
+    after = rng.standard_normal(3)
+
+    def refuse():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    split_small_runs(monkeypatch)
+    cpus(monkeypatch, 2)
+    rng = Rng(8)
+    assert sample_endpoint(model, schedule, 4, 128, rng, eta=1.0).tobytes() == whole.tobytes()
+    assert rng.standard_normal(3).tolist() == after.tolist()
+
+
+def propagate_forks(count: int) -> int:
+    """Forks of a propagate-mode quantize and eval at n = 256 and count
+    CPUs: the endpoint worker, a row worker per layer, and a row share per
+    extra CPU (up to four shares) in each layer's capture and in the
+    quantized endpoint half. The PTS vote stays whole."""
+    if count == 1:
+        return 0
+    return 1 + len(LAYERS) + (len(LAYERS) + 1) * (min(count, 4) - 1)
+
+
+@pytest.mark.parametrize("kw", [RESCUE_WIDE, PROPAGATE_LES], ids=["rescue_wide", "les"])
+def test_quantize_outputs_do_not_depend_on_row_shares(kw, tmp_path, monkeypatch, forks):
+    """n = 256 is four 64-row quanta; the size rule is lowered so that each
+    CPU up to four takes one."""
+    split_small_runs(monkeypatch)
+    config = small_w4a8(n=256, **kw)
+    outputs = {}
+    for count in (1, 2, 4):
+        cpus(monkeypatch, count)
+        forks.clear()
+        outputs[count] = run_bytes(config, tmp_path / str(count))
+        assert len(forks) == propagate_forks(count)
+    assert outputs[2] == outputs[1]
+    assert outputs[4] == outputs[1]
+
+
+def test_quantize_without_propagation_splits_its_capture_and_endpoint(
+    tmp_path, monkeypatch, forks
+):
+    split_small_runs(monkeypatch)
+    config = small_w4a8(n=256)
+    cpus(monkeypatch, 1)
+    whole = run_bytes(config, tmp_path / "1")
+    cpus(monkeypatch, 2)
+    forks.clear()
+    assert run_bytes(config, tmp_path / "2") == whole
+    # One LES share, one capture share, one endpoint share.
+    assert len(forks) == 3
+
+
+def sample_of_row(row: int, error):
+    """toydiff.sample, raising error in the run that holds trajectory row."""
+    real = toydiff.sample
+
+    def fn(*args, rows=None, **kwargs):
+        if rows is not None and rows.start <= row < rows.stop:
+            raise error
+        return real(*args, rows=rows, **kwargs)
+
+    return fn
+
+
+@pytest.mark.parametrize("phase", ["capture", "endpoint"])
+def test_a_share_that_raises_is_the_error_of_the_whole_run(phase, monkeypatch):
+    """The failing row sits in the last share; every share's child is
+    reaped (see no_child_is_left)."""
+    split_small_runs(monkeypatch)
+    model, schedule = load_checkpoint(CHECKPOINT)
+    monkeypatch.setattr(toydiff, "sample", sample_of_row(200, NumericalError("row 200")))
+    raised = {}
+    for count in (1, 2, 3):
+        cpus(monkeypatch, count)
+        with pytest.raises(DenoqError) as info:
+            if phase == "capture":
+                collect_calibration(model, schedule, 4, 256, Rng(0))
+            else:
+                sample_endpoint(model, schedule, 4, 256, Rng(0))
+        raised[count] = (type(info.value), str(info.value))
+    assert raised[1] == raised[2] == raised[3] == (NumericalError, "row 200")
+
+
+def test_the_first_share_in_row_order_raises_first(monkeypatch):
+    split_small_runs(monkeypatch)
+    cpus(monkeypatch, 2)
+    model, schedule = load_checkpoint(CHECKPOINT)
+
+    def fn(*args, rows=None, **kwargs):
+        raise DomainError(f"rows from {rows.start}")
+
+    monkeypatch.setattr(toydiff, "sample", fn)
+    with pytest.raises(DomainError, match="^rows from 0$"):
+        collect_calibration(model, schedule, 4, 256, Rng(0))
+
+
+ROW_WORKERS = {
+    "capture": (lambda kwargs: kwargs.get("capture") is not None, "capture worker"),
+    "endpoint": (lambda kwargs: kwargs.get("capture") is None, "sampler worker"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ROW_WORKERS))
+def test_a_dying_row_share_names_its_rows(kind, tmp_path, capsys, monkeypatch):
+    when, what = ROW_WORKERS[kind]
+    real = toydiff.sample
+    dies = in_a_child(die)
+
+    def dying(*args, **kwargs):
+        if when(kwargs):
+            dies()
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(toydiff, "sample", dying)
+    split_small_runs(monkeypatch)
+    cpus(monkeypatch, 2)
+    message = f"{what} for rows 128-255 ended without a result (exit status 3)"
+    with pytest.raises(DenoqError) as info:
+        pipeline.run_quantize(small_w4a8(n=256, **RESCUE_WIDE))
+    assert type(info.value) is DenoqError
+    assert str(info.value) == message
+
+    cfgp = tmp_path / "run.cfg"
+    cfgp.write_text(
+        f"checkpoint = {CHECKPOINT}\nn = 256\nT = 6\nles = false\n"
+        "pts_layers = all\npropagate_quantized_inputs = true\n"
+    )
+    rc = cli.main(["quantize", "--config", str(cfgp), "--out", str(tmp_path / "m.dmq")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
