@@ -12,29 +12,26 @@ in a config file is relative to that file's directory.
 
 By default every layer is calibrated against full-precision inputs, so no
 layer's learned factors read another layer's result: LES learns the layers
-side by side (_learn_layers), in forked processes on as many CPUs as the
-process may use, and the rest of quantization then runs layer by layer in
-checkpoint order. With propagate_quantized_inputs on, calibration
-activations are re-captured before each layer with all previously
-quantized layers running quantized, so later layers see the inputs they
-will actually receive at inference time; each layer's capture and factors
-then depend on the layers before it, and that chain runs in order. Off the
-chain, forked workers (workers.start) run the full-precision half of the
-endpoint run from the start, and score each layer's report rows while the
-next layer is captured. run_quantize asks for a worker's result where a
-sequential run would meet its error, each time in a finally: a layer's
-report rows once the next layer is quantized (the last layer's once the
-endpoint is measured), and the full-precision endpoint once the quantized
-half is sampled. So an earlier worker's error outranks any later one, and
-one outer finally reaps every worker that an error left running. In both
-modes the PTS vote of a large layer runs in channel shares
-(pts.calibrate_activation_scaling), and a large sampler run in row shares:
-every calibration capture (toydiff.collect_calibration) and the quantized
-half of the endpoint run (_endpoint, through toydiff.sample_endpoint) split
-their trajectories over the usable CPUs, in shares cut at multiples of 64
-rows so that BLAS gives each row the bits of the whole run (see
-toydiff._ROW_QUANTUM). Eval and the full-precision endpoint worker sample
-whole. The worker count never changes an output byte.
+side by side (_learn_layers), and the rest of quantization then runs layer
+by layer in checkpoint order. With propagate_quantized_inputs on,
+calibration activations are re-captured before each layer with all
+previously quantized layers running quantized, so later layers see the
+inputs they will actually receive at inference time; each layer's capture
+and factors then depend on the layers before it, and that chain runs in
+order.
+
+Both modes use the other usable CPUs in one way: a large piece of work is
+split into shares that workers.run_shares runs side by side, and the run
+goes on once every share is back. So run_quantize is sequential code, and
+it raises errors in the order a sequential run meets them. The shares are:
+the layers of independent LES; the trajectories of every calibration
+capture (toydiff.collect_calibration) and of every endpoint half without
+capture sinks (toydiff.sample_endpoint), cut at multiples of 64 rows so
+that BLAS gives each row the bits of the whole run (see
+toydiff._ROW_QUANTUM); the channels of a large layer's PTS vote
+(pts.calibrate_activation_scaling); and the timesteps of a large layer's
+report rows. Eval's quantized half, whose sinks score each input as it
+arrives, samples whole. The share count never changes an output byte.
 
 Quantized layers run, in quantize and in eval alike, on the deployed
 integer path: activation codes against the layer's prepared shift-folded
@@ -400,19 +397,16 @@ def _learn_layers(config: Config, names, records, root: Rng, tset_desc: list) ->
     The layers are dealt round-robin into one share per usable CPU (at most
     one per layer), and workers.run_shares learns them. Returns
     _learn_share's mapping for all the layers; it is the same whatever the
-    share count. A share whose worker died maps its first layer to the
-    worker's DenoqError.
+    share count.
     """
     k = min(len(names), workers.usable_cpus())
-    shares = [names[i::k] for i in range(k)]
-    outcomes = workers.run_shares(
-        lambda share: _learn_share(config, share, records, root, tset_desc),
-        shares,
-        lambda share: f"LES worker for layers {', '.join(share)}",
-    )
     learned = {}
-    for share, outcome in zip(shares, outcomes):
-        learned.update({share[0]: outcome} if isinstance(outcome, Exception) else outcome)
+    for part in workers.run_shares(
+        lambda share: _learn_share(config, share, records, root, tset_desc),
+        [names[i::k] for i in range(k)],
+        lambda share: f"LES worker for layers {', '.join(share)}",
+    ):
+        learned.update(part)
     return learned
 
 
@@ -426,16 +420,17 @@ def _layer_rows(name: str, record, run, tset_desc: list) -> list:
 
 
 def _quantize_layer(
-    config: Config, spec, record, les_result: LesResult | None, tset_desc: list, beside
-) -> tuple[QuantizedLayer, LayerSummary, workers.Job]:
+    config: Config, spec, record, les_result: LesResult | None, tset_desc: list
+) -> tuple[QuantizedLayer, LayerSummary, list]:
     """Quantize one layer from its calibration record.
 
     Takes the learned channel scaling factors (les_result, when the run
     learns them) or looks them up, picks the activation scale and any
     power-of-two rescue exponents on the scaled activations, fuses factors
     into divisors and weights and quantizes the weights. Returns the layer,
-    its summary and the job of its (layer, timestep, mse) rows, which
-    beside (workers.start or workers.here) runs.
+    its summary and its (layer, timestep, mse) rows on the record; a large
+    record is scored in timestep shares (workers.share_slices), with the
+    same bits.
     """
     act_signed = not config.act_unsigned
     c_in = record.activations.shape[1]
@@ -481,11 +476,13 @@ def _quantize_layer(
         final_loss,
     )
     run = _layer_runner(qlayer)
-    rows = beside(  # last, so that nothing raises between its start and the return
-        lambda: _layer_rows(spec.name, record, run, tset_desc),
-        f"report-row worker for layer {spec.name}",
+    parts = workers.run_shares(
+        lambda steps: _layer_rows(spec.name, record, run, tset_desc[steps]),
+        workers.share_slices(len(tset_desc), record.activations.size),
+        lambda steps: f"report-row worker for layer {spec.name} at timesteps "
+        f"{tset_desc[steps.start]}-{tset_desc[steps.stop - 1]}",
     )
-    return qlayer, summary, rows
+    return qlayer, summary, [row for part in parts for row in part]
 
 
 def run_quantize(config: Config) -> tuple[QuantizedModel, EvalReport]:
@@ -513,60 +510,37 @@ def run_quantize(config: Config) -> tuple[QuantizedModel, EvalReport]:
             eta=config.eta, overrides=overrides or None, layers=layers,
         )
 
-    # With propagated inputs every layer reads a capture of its own, taken
-    # after the last one is freed, that records only that layer. Off that
-    # chain of captures, the full-precision half of the endpoint run and
-    # each layer's report rows then run beside it in forked workers.
-    beside = workers.start if propagate else workers.here
-    fp_endpoint = beside(
-        lambda: _endpoint(model, schedule, config, root), "full-precision endpoint worker"
-    )
-    layer_rows = workers.here(list, "no layer")  # the rows of the layer before
-    jobs = [fp_endpoint]  # every worker started, reaped in the finally
-    try:
-        records = capture("calib", None, [specs[0].name] if propagate else None)
-        learns = config.les and config.baseline == "none"
-        if learns and not propagate:
-            learned = _learn_layers(config, [s.name for s in specs], records, root, tset_desc)
-        overrides = {}
-        qlayers = []
-        summaries = []
-        rows = []
-        for idx, spec in enumerate(specs):
-            try:
-                if propagate and overrides:
-                    records = capture(f"calib-{idx}", overrides, [spec.name])
-                if not learns:
-                    les_result = None
-                elif propagate:
-                    les_result = _learn(config, spec.name, records[spec.name], root, tset_desc)
-                else:
-                    les_result = learned.pop(spec.name)
-                    if isinstance(les_result, Exception):
-                        raise les_result
-                # Popped in the call, so no name holds the record into the
-                # next capture.
-                qlayer, summary, next_rows = _quantize_layer(
-                    config, spec, records.pop(spec.name), les_result, tset_desc, beside
-                )
-                jobs.append(next_rows)
-            finally:
-                # A sequential run scores the layer before first, so its
-                # error, if any, is the one raised.
-                rows += layer_rows.result()
-            layer_rows = next_rows
-            qlayers.append(qlayer)
-            overrides[spec.name] = _layer_runner(qlayer)
-            summaries.append(summary)
-        try:
-            endpoint = _paired_endpoint_mse(
-                model, schedule, config, overrides, root, fp_endpoint=fp_endpoint
-            )
-        finally:
-            rows += layer_rows.result()
-    finally:
-        for job in jobs:
-            job.outcome()  # reaps a worker that an error left running
+    records = capture("calib", None, [specs[0].name] if propagate else None)
+    learns = config.les and config.baseline == "none"
+    if learns and not propagate:
+        learned = _learn_layers(config, [s.name for s in specs], records, root, tset_desc)
+    overrides = {}
+    qlayers = []
+    summaries = []
+    rows = []
+    for idx, spec in enumerate(specs):
+        # With propagated inputs every layer reads a capture of its own,
+        # taken after the last one is freed, that records only that layer.
+        if propagate and overrides:
+            records = capture(f"calib-{idx}", overrides, [spec.name])
+        if not learns:
+            les_result = None
+        elif propagate:
+            les_result = _learn(config, spec.name, records[spec.name], root, tset_desc)
+        else:
+            les_result = learned.pop(spec.name)
+            if isinstance(les_result, Exception):
+                raise les_result
+        # Popped in the call, so no name holds the record into the next
+        # capture.
+        qlayer, summary, layer_rows = _quantize_layer(
+            config, spec, records.pop(spec.name), les_result, tset_desc
+        )
+        qlayers.append(qlayer)
+        overrides[spec.name] = _layer_runner(qlayer)
+        summaries.append(summary)
+        rows += layer_rows
+    endpoint = _paired_endpoint_mse(model, schedule, config, overrides, root)
     qmodel = QuantizedModel(
         config.bits_w, config.bits_a, not config.act_unsigned, tuple(qlayers)
     )
@@ -577,11 +551,11 @@ def run_quantize(config: Config) -> tuple[QuantizedModel, EvalReport]:
 def _endpoint(model, schedule, config: Config, root: Rng, overrides=None, capture=None):
     """Endpoint of the evaluation trajectory, full precision or, with
     overrides, quantized. Every call draws the same noise, so two pair. A
-    quantized run without capture sinks goes in row shares
-    (toydiff.sample_endpoint), with the same bits."""
+    run without capture sinks goes in row shares (toydiff.sample_endpoint),
+    with the same bits."""
     init = root.child("eval-init").standard_normal((config.n, model.dim))
     rng = root.child("eval-noise")
-    if overrides and capture is None:
+    if capture is None:
         return sample_endpoint(
             model, schedule, config.T, config.n, rng,
             eta=config.eta, overrides=overrides, x_init=init,
@@ -593,23 +567,13 @@ def _endpoint(model, schedule, config: Config, root: Rng, overrides=None, captur
 
 
 def _paired_endpoint_mse(
-    model, schedule, config: Config, overrides, root: Rng, capture=None, fp_endpoint=None
+    model, schedule, config: Config, overrides, root: Rng, capture=None
 ) -> float:
     """Endpoint MSE between quantized and full-precision trajectories that
     share initial noise (and, when eta > 0, the injected noise sequence).
-    capture, when given, receives the quantized trajectory's layer inputs.
-    fp_endpoint, when given, is a job already started on the full-precision
-    half; otherwise that half runs here, first."""
-    if fp_endpoint is None:
-        fp_endpoint = workers.here(
-            lambda: _endpoint(model, schedule, config, root), "full-precision endpoint"
-        )
-    try:
-        quantized = _endpoint(model, schedule, config, root, overrides, capture)
-    finally:
-        # A sequential run samples the full-precision half first, so its
-        # error, if any, is the one raised.
-        full = fp_endpoint.result()
+    capture, when given, receives the quantized trajectory's layer inputs."""
+    full = _endpoint(model, schedule, config, root)
+    quantized = _endpoint(model, schedule, config, root, overrides, capture)
     _check_finite(quantized, "quantized trajectory endpoint")
     return float(np.mean((quantized - full) ** 2))
 

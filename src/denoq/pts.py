@@ -32,10 +32,10 @@ size; the working memory beyond the activations is at most one N x C plane
 for any D.
 
 Every count and every sum belongs to one channel, so a large tensor's vote
-is split into channel shares, one per usable CPU (see _SHARE_ELEMENTS):
-this process scores the first share in place, a forked worker copies and
-scores each other one, and the shares are joined along the channel axis
-bit for bit.
+is split into channel shares by workers.share_slices and run by
+workers.run_shares: this process scores the first share in place, a forked
+child copies and scores each other one, and the shares are joined along
+the channel axis bit for bit.
 """
 
 from __future__ import annotations
@@ -315,24 +315,6 @@ def _ladder_votes(x, rung_scales, max_exponent: int, l: int, u: int):
     return counts[::-1], sums[index[::-1]]
 
 
-# The ladder vote of one tensor is split into channel shares, one per usable
-# CPU, only while every share keeps at least about this many elements. On a
-# 2 vCPU Xeon (1 BLAS thread) the vote scores ~60 ns per element at D = 3,
-# and forking a share and joining it costs about 2 ms at 50 MB RSS: a share
-# this size is ~30 ms of work, some fifteen of those round trips. A w4a8
-# layer (1 280 x 64) stays whole; a rescue_wide layer (20 480 x 64) splits.
-_SHARE_ELEMENTS = 500_000
-
-
-def _channel_shares(n: int, c: int) -> list:
-    """Column slices of an N x C tensor, one per share of its ladder vote:
-    at most one per usable CPU and one per channel, and more than one only
-    while they average at least _SHARE_ELEMENTS elements."""
-    k = max(1, min(workers.usable_cpus(), c, n * c // _SHARE_ELEMENTS))
-    edges = [c * i // k for i in range(k + 1)]
-    return [slice(a, b) for a, b in zip(edges, edges[1:])]
-
-
 def calibrate_activation_scaling(
     x_hat: Tensor,
     *,
@@ -361,8 +343,8 @@ def calibrate_activation_scaling(
     the ones its own quantization would make, so no further pass is needed.
     Beyond x_hat the call needs at most one N x C float64 plane of block
     buffers, whatever max_exponent is, and at most ~2 MB of candidate
-    planes per block. A tensor large enough (_channel_shares) is voted in
-    channel shares, all but the first in forked workers; the counts and
+    planes per block. A tensor large enough (workers.share_slices) is voted
+    in channel shares, all but the first in forked workers; the counts and
     sums are joined along the channel axis, so the result is the same bits.
 
     x_hat must already carry any learned channel scaling.
@@ -378,7 +360,7 @@ def calibrate_activation_scaling(
     _check_kappa(kappa)
     l, u = code_bounds(bits, signed)
     rung_scales = [s0 / float(2**g) for g in range(max_exponent + 1)]  # exact
-    shares = _channel_shares(n, c)
+    shares = workers.share_slices(c, n * c)
 
     def share_votes(cols: slice):
         # A child copies its columns; this process reads its own in place.
@@ -388,9 +370,6 @@ def calibrate_activation_scaling(
     outcomes = workers.run_shares(
         share_votes, shares, lambda cols: f"PTS worker for channels {cols.start}-{cols.stop - 1}"
     )
-    for outcome in outcomes:
-        if isinstance(outcome, Exception):
-            raise outcome
     counts = np.concatenate([votes for votes, _ in outcomes], axis=2)
     errors = np.concatenate([errs for _, errs in outcomes], axis=2)
     channels = np.arange(c)

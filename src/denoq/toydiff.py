@@ -416,7 +416,8 @@ def sample(
     initial noise and every injection are still drawn for the whole batch,
     so each row is the trajectory the whole batch gives it, and the states
     hold only those rows. A non-finite model output is a NumericalError
-    naming the step.
+    naming the step. The model runs with numpy's overflow and invalid-value
+    warnings off, since that error is what reports an overflow.
     """
     grid = _grid(schedule, steps)
     if x_init is None:
@@ -438,9 +439,10 @@ def sample(
     evaluated = []
     for i in range(len(grid) - 1, 0, -1):
         t, t_prev = int(grid[i]), int(grid[i - 1])
-        eps_hat = model.forward(
-            x, t, overrides=overrides, capture=capture, buffers=buffers
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            eps_hat = model.forward(
+                x, t, overrides=overrides, capture=capture, buffers=buffers
+            )
         if not np.all(np.isfinite(eps_hat)):
             raise NumericalError(
                 f"sampler step {len(grid) - i} of {len(grid) - 1} (t = {t}): "
@@ -484,15 +486,11 @@ def _in_row_shares(work, n: int, steps: int, rng: Rng, what: str) -> list:
     The first error in share order is raised. That is the error one whole
     run raises, unless the rows of different shares fail differently: then
     it may name a later step than one whole run does."""
-    outcomes = workers.run_shares(
+    return workers.run_shares(
         lambda rows: work(rows, rng if rows.start == 0 else copy.deepcopy(rng)),
         _row_shares(n, steps),
         lambda rows: f"{what} for rows {rows.start}-{rows.stop - 1}",
     )
-    for outcome in outcomes:
-        if isinstance(outcome, Exception):
-            raise outcome
-    return outcomes
 
 
 def sample_endpoint(

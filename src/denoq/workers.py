@@ -1,22 +1,20 @@
-"""Forked workers for the work that need not wait its turn.
+"""Work split into shares and run over the usable CPUs in forked children.
 
-One fork path serves every caller. start() runs one callable in a forked
-child, and Job.result() gets back what it returned, or raises what it
-raised; run_shares() deals a list of shares over the CPUs on top of that
-pair. A child inherits the parent's memory copy-on-write and sends back
-only its pickled outcome through a pipe, so the work should return
-something small. What every caller can rely on:
+Parallel work takes one form: a list of shares, each worked by the same
+callable, that run_shares() deals over the CPUs. This process works the
+first share itself and forks one child for each other share. A child
+inherits the parent's memory copy-on-write and sends back only its pickled
+outcome through a pipe, so a share should return something small.
+share_slices() is the one size rule that cuts work into even shares. What
+every caller can rely on:
 
-- one usable CPU means no fork: the work runs in this process;
-- a pipe or a fork that raises OSError runs the work in this process, at
+- one usable CPU means no fork: every share runs in this process;
+- a pipe or a fork that raises OSError runs that share in this process, at
   once;
-- a child that dies without a result is a DenoqError that names its work
+- a child that dies without a result is a DenoqError that names its share
   and its wait status (the CLI's exit 2);
-- an error reaches the caller only where it asks for the job's result, so
-  a caller that asks in the order a sequential run would meet the work
-  raises errors in that order;
-- every child is reaped: asking for a job's outcome reads its pipe to the
-  end and waits for it, and run_shares does so in a finally.
+- every child is reaped before run_shares returns or raises, and the error
+  it raises is the first one in share order.
 
 Work whose result is large writes it into arrays from shared_arrays()
 instead: they live in an anonymous MAP_SHARED mapping, so what a child
@@ -34,6 +32,14 @@ import numpy as np
 
 from .errors import DenoqError
 
+# Work is split into even shares, one per usable CPU, only while every share
+# keeps at least about this many elements. On a 2 vCPU Xeon (1 BLAS thread)
+# the PTS vote scores ~60 ns per element at D = 3, and forking a share and
+# joining it costs about 2 ms at 50 MB RSS: a share this size is ~30 ms of
+# voting, some fifteen of those round trips. A w4a8 layer (1 280 x 64) stays
+# whole; a rescue_wide layer (20 480 x 64) splits.
+_SHARE_ELEMENTS = 500_000
+
 
 def usable_cpus() -> int:
     """CPUs this process may run on; 1 where it cannot fork."""
@@ -42,6 +48,15 @@ def usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def share_slices(items: int, elements: int) -> list:
+    """Slices of range(items) in order, one per share of work on that many
+    elements: at most one per usable CPU and one per item, and more than
+    one only while they average at least _SHARE_ELEMENTS elements."""
+    k = max(1, min(usable_cpus(), items, elements // _SHARE_ELEMENTS))
+    edges = [items * i // k for i in range(k + 1)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
 def shared_arrays(shapes) -> list:
@@ -62,52 +77,17 @@ def shared_arrays(shapes) -> list:
     ]
 
 
-def _run(work):
-    """work()'s result, or the exception it raised."""
+def _run(work, share):
+    """work(share)'s result, or the exception it raised."""
     try:
-        return work()
+        return work(share)
     except Exception as exc:
         return exc
 
 
-class Job:
-    """One callable's outcome, computed in a forked child or in this process."""
-
-    def __init__(self, what: str, outcome=None, child=None):
-        self._what = what
-        self._outcome = outcome
-        self._child = child  # (pid, read fd) until joined
-
-    def outcome(self):
-        """What the work returned, or the exception it raised; joins the
-        child on the first call. Never raises a worker's error."""
-        if self._child is not None:
-            pid, read_fd = self._child
-            try:
-                with os.fdopen(read_fd, "rb") as fh:
-                    payload = fh.read()
-            finally:
-                self._child = None
-                _, status = os.waitpid(pid, 0)
-            try:
-                self._outcome = pickle.loads(payload)
-            except Exception:
-                code = os.waitstatus_to_exitcode(status)
-                how = f"exit status {code}" if code >= 0 else f"killed by signal {-code}"
-                self._outcome = DenoqError(f"{self._what} ended without a result ({how})")
-        return self._outcome
-
-    def result(self):
-        """What the work returned; raises what it raised."""
-        outcome = self.outcome()
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
-
-
-def _fork(work):
-    """(pid, read fd) of a child that pickles _run(work) into the pipe, or
-    None when no child could be started."""
+def _fork(work, share):
+    """(pid, read fd) of a child that pickles _run(work, share) into the
+    pipe, or None when no child could be started."""
     try:
         read_fd, write_fd = os.pipe()
     except OSError:
@@ -122,7 +102,7 @@ def _fork(work):
         status = 1
         try:
             os.close(read_fd)
-            payload = pickle.dumps(_run(work))
+            payload = pickle.dumps(_run(work, share))
             with os.fdopen(write_fd, "wb") as fh:
                 fh.write(payload)
             status = 0
@@ -132,33 +112,47 @@ def _fork(work):
     return pid, read_fd
 
 
-def here(work, what: str) -> Job:
-    """start's job, run in this process before here returns."""
-    return Job(what, outcome=_run(work))
-
-
-def start(work, what: str) -> Job:
-    """Start work() in a forked child; what names the work in the error of
-    a child that dies. With one usable CPU, or when no child can be
-    started, work runs here before start returns. The job keeps no
-    reference to work, so what work alone holds is freed here."""
-    child = _fork(work) if usable_cpus() > 1 else None
-    if child is None:
-        return here(work, what)
-    return Job(what, child=child)
+def _join(child, what: str):
+    """What a child's work returned or raised, once the child is reaped; a
+    child that ended without a result gives a DenoqError naming what."""
+    pid, read_fd = child
+    try:
+        with os.fdopen(read_fd, "rb") as fh:
+            payload = fh.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    try:
+        return pickle.loads(payload)
+    except Exception:
+        code = os.waitstatus_to_exitcode(status)
+        how = f"exit status {code}" if code >= 0 else f"killed by signal {-code}"
+        return DenoqError(f"{what} ended without a result ({how})")
 
 
 def run_shares(work, shares, what) -> list:
-    """The outcome of work(share) for every share, in share order.
+    """work(share) for every share, in share order.
 
     This process works the first share itself, after starting each other
-    one in a child (see start); what(share) names a share's work.
+    one in a forked child, or running it here when no child can be
+    started; what(share) names a share's work in the error of a child that
+    dies. Once every child is reaped, the first error in share order is
+    raised.
     """
-    jobs = []
+    forks = usable_cpus() > 1
+    outcomes = [None] * len(shares)
+    children = {}
     try:
-        for share in shares[1:]:
-            jobs.append(start(lambda share=share: work(share), what(share)))
-        first = _run(lambda: work(shares[0]))
+        for i in range(1, len(shares)):
+            child = _fork(work, shares[i]) if forks else None
+            if child is None:
+                outcomes[i] = _run(work, shares[i])
+            else:
+                children[i] = child
+        outcomes[0] = _run(work, shares[0])
     finally:
-        rest = [job.outcome() for job in jobs]
-    return [first, *rest]
+        for i, child in children.items():
+            outcomes[i] = _join(child, what(shares[i]))
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return outcomes

@@ -1,13 +1,13 @@
-"""Forked workers beyond LES: the fork helper's contract, the PTS vote in
-channel shares, propagate mode's report-row and full-precision endpoint
-workers, and sampler runs in row shares.
+"""Shares beyond LES: the contract of workers.run_shares, the PTS vote in
+channel shares, report rows in timestep shares, and sampler runs in row
+shares.
 
 CPU counts are forced through workers.usable_cpus, and the size rules
-(pts._SHARE_ELEMENTS, toydiff._SHARE_ROW_STEPS) are lowered where a small
-run has to split. The checks: output bytes never depend on any of them,
-every worker that dies or fails surfaces as a DenoqError in the order a
-sequential run would meet it, a fork that cannot start runs its work in
-the parent, and no child is left behind.
+(workers._SHARE_ELEMENTS, toydiff._SHARE_ROW_STEPS) are lowered where a
+small run has to split. The checks: output bytes never depend on any of
+them, every share that dies or fails surfaces as a DenoqError in the order
+a sequential run would meet it, and a fork that cannot start runs its
+share in the parent. conftest.py checks that no child is left behind.
 """
 
 import dataclasses
@@ -46,13 +46,6 @@ def small_w4a8(**kw):
     return dataclasses.replace(parse_config(W4A8), **{"n": 8, "T": 6, "iterations": 24, **kw})
 
 
-@pytest.fixture(autouse=True)
-def no_child_is_left():
-    yield
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.fixture
 def forks(monkeypatch):
     """Counts the forks made in this process; the real fork still runs."""
@@ -72,7 +65,7 @@ def cpus(monkeypatch, count):
 
 
 def split_small_tensors(monkeypatch):
-    monkeypatch.setattr(pts, "_SHARE_ELEMENTS", 1)
+    monkeypatch.setattr(workers, "_SHARE_ELEMENTS", 1)
 
 
 def split_small_runs(monkeypatch):
@@ -101,32 +94,36 @@ def die():
 
 def test_a_job_returns_what_its_work_returned(monkeypatch, forks):
     cpus(monkeypatch, 2)
-    job = workers.start(lambda: (np.arange(5) * 2, os.getpid()), "doubling")
-    values, pid = job.result()
-    assert len(forks) == 1 and pid != os.getpid()
-    assert values.tolist() == [0, 2, 4, 6, 8]
-    assert job.result()[1] == pid  # joined once, kept
+    outcomes = workers.run_shares(
+        lambda share: (np.arange(5) * share, os.getpid()), [1, 2], lambda share: f"{share}"
+    )
+    assert len(forks) == 1
+    (ones, here), (twos, there) = outcomes
+    assert here == os.getpid() and there != os.getpid()
+    assert ones.tolist() == [0, 1, 2, 3, 4] and twos.tolist() == [0, 2, 4, 6, 8]
 
 
 def test_a_job_raises_what_its_work_raised(monkeypatch, forks):
     cpus(monkeypatch, 2)
 
-    def fail():
-        raise DomainError("out of range")
+    def work(share):
+        if share == 1:
+            raise DomainError("out of range")
+        return share
 
-    job = workers.start(fail, "failing work")
-    assert isinstance(job.outcome(), DomainError)
     with pytest.raises(DomainError, match="out of range"):
-        job.result()
+        workers.run_shares(work, [0, 1], lambda share: f"share {share}")
     assert len(forks) == 1
 
 
 def test_one_usable_cpu_runs_the_work_here(monkeypatch, forks):
     cpus(monkeypatch, 1)
     ran = []
-    job = workers.start(lambda: ran.append(os.getpid()) or 7, "work")
-    assert ran == [os.getpid()] and forks == []
-    assert job.result() == 7
+    outcomes = workers.run_shares(
+        lambda share: ran.append(share) or os.getpid(), [0, 1, 2], lambda share: f"{share}"
+    )
+    assert outcomes == [os.getpid()] * 3 and forks == []
+    assert ran == [1, 2, 0]  # the first share last, as with forks
 
 
 @pytest.mark.parametrize("call", ["pipe", "fork"])
@@ -138,9 +135,11 @@ def test_a_worker_that_cannot_start_runs_here_at_once(call, monkeypatch):
 
     monkeypatch.setattr(os, call, refuse)
     ran = []
-    job = workers.start(lambda: ran.append(os.getpid()) or "done", "work")
-    assert ran == [os.getpid()]  # before the result is asked for
-    assert job.result() == "done"
+    outcomes = workers.run_shares(
+        lambda share: ran.append(share) or os.getpid(), [0, 1, 2], lambda share: f"{share}"
+    )
+    assert ran == [1, 2, 0]  # each refused share before the first one
+    assert outcomes == [os.getpid()] * 3
 
 
 @pytest.mark.parametrize(
@@ -152,11 +151,16 @@ def test_a_worker_that_cannot_start_runs_here_at_once(call, monkeypatch):
 )
 def test_a_child_that_dies_is_a_denoq_error_naming_its_work(end, how, monkeypatch):
     cpus(monkeypatch, 2)
-    job = workers.start(end, "the test worker")
+
+    def work(share):
+        if share == 1:
+            end()
+        return share
+
     with pytest.raises(DenoqError) as info:
-        job.result()
+        workers.run_shares(work, [0, 1], lambda share: f"the test worker {share}")
     assert type(info.value) is DenoqError
-    assert str(info.value) == f"the test worker ended without a result ({how})"
+    assert str(info.value) == f"the test worker 1 ended without a result ({how})"
 
 
 def test_shared_arrays_carry_a_childs_writes(monkeypatch):
@@ -166,29 +170,48 @@ def test_shared_arrays_carry_a_childs_writes(monkeypatch):
     assert not rows.any() and not table.any()
     assert rows.ctypes.data % 64 == 0 and table.ctypes.data % 64 == 0
 
-    def fill():
-        rows[1] = 7.0
-        table[:] = np.arange(8.0).reshape(4, 2)
+    def fill(share):
+        if share == 1:
+            rows[1] = 7.0
+            table[:] = np.arange(8.0).reshape(4, 2)
         return os.getpid()
 
-    assert workers.start(fill, "filling").result() != os.getpid()
+    here, there = workers.run_shares(fill, [0, 1], lambda share: f"{share}")
+    assert there != here
     assert rows.tolist() == [[0.0] * 5, [7.0] * 5, [0.0] * 5]
     assert table.ravel().tolist() == list(range(8))
 
 
 def test_shares_come_back_in_share_order(monkeypatch, forks):
     cpus(monkeypatch, 4)
+    outcomes = workers.run_shares(
+        lambda share: (share * 10, os.getpid()), [0, 1, 2, 3], lambda share: f"share {share}"
+    )
+    assert len(forks) == 3
+    assert [value for value, _ in outcomes] == [0, 10, 20, 30]
+    assert outcomes[0][1] == os.getpid()
+    assert len({pid for _, pid in outcomes}) == 4
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_the_first_error_in_share_order_is_raised_once_every_child_is_reaped(
+    first, monkeypatch, forks
+):
+    """Shares from `first` on fail: share 2's child dies and the others
+    raise. The error raised is the first share's, and conftest.py checks
+    that every child was reaped."""
+    cpus(monkeypatch, 4)
 
     def work(share):
         if share == 2:
-            raise NumericalError("share 2")
-        return share * 10, os.getpid()
+            die()
+        if share >= first:
+            raise NumericalError(f"share {share}")
+        return share
 
-    outcomes = workers.run_shares(work, [0, 1, 2, 3], lambda share: f"share {share}")
+    with pytest.raises(NumericalError, match=f"^share {first}$"):
+        workers.run_shares(work, [0, 1, 2, 3], lambda share: f"share {share}")
     assert len(forks) == 3
-    assert [o[0] for o in (outcomes[0], outcomes[1], outcomes[3])] == [0, 10, 30]
-    assert outcomes[0][1] == os.getpid() and outcomes[1][1] != os.getpid()
-    assert isinstance(outcomes[2], NumericalError)
 
 
 # ---------------------------------------------------------------------------
@@ -197,24 +220,29 @@ def test_shares_come_back_in_share_order(monkeypatch, forks):
 
 
 def test_the_size_rule_keeps_a_w4a8_layer_whole_and_splits_a_rescue_wide_one(monkeypatch):
+    """A layer's PTS vote in channel shares, and its report rows in timestep
+    shares: the records are 64 x 20 x 64 on w4a8, 1024 x 20 x 64 on
+    rescue_wide."""
     cpus(monkeypatch, 2)
-    assert pts._channel_shares(64 * 20, 64) == [slice(0, 64)]
-    assert pts._channel_shares(1024 * 20, 64) == [slice(0, 32), slice(32, 64)]
+    assert workers.share_slices(64, 64 * 20 * 64) == [slice(0, 64)]
+    assert workers.share_slices(64, 1024 * 20 * 64) == [slice(0, 32), slice(32, 64)]
+    assert workers.share_slices(20, 64 * 20 * 64) == [slice(0, 20)]
+    assert workers.share_slices(20, 1024 * 20 * 64) == [slice(0, 10), slice(10, 20)]
 
 
 def test_channel_shares_cover_the_channels_in_order(monkeypatch):
-    rule = pts._SHARE_ELEMENTS
+    rule = workers._SHARE_ELEMENTS
     cpus(monkeypatch, 4)
     # Below the rule for two shares: whole. At it: two. Far above: one per CPU.
-    assert len(pts._channel_shares(2 * rule // 7 - 1, 7)) == 1
-    assert pts._channel_shares(2 * rule // 7 + 1, 7) == [slice(0, 3), slice(3, 7)]
-    assert pts._channel_shares(rule, 7) == [
+    assert len(workers.share_slices(7, 2 * rule - 1)) == 1
+    assert workers.share_slices(7, 2 * rule) == [slice(0, 3), slice(3, 7)]
+    assert workers.share_slices(7, 7 * rule) == [
         slice(0, 1), slice(1, 3), slice(3, 5), slice(5, 7)
     ]
-    # Never more shares than channels.
-    assert pts._channel_shares(rule, 3) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+    # Never more shares than items.
+    assert workers.share_slices(3, 3 * rule) == [slice(0, 1), slice(1, 2), slice(2, 3)]
     cpus(monkeypatch, 1)
-    assert pts._channel_shares(rule, 64) == [slice(0, 64)]
+    assert workers.share_slices(64, 64 * rule) == [slice(0, 64)]
 
 
 def activations(n, c, seed=5):
@@ -256,7 +284,7 @@ def test_a_tensor_splits_only_at_the_size_rule(monkeypatch, forks):
     """The module's own rule, on both sides of two shares' worth."""
     cpus(monkeypatch, 2)
     c = 64
-    rows = 2 * pts._SHARE_ELEMENTS // c
+    rows = 2 * workers._SHARE_ELEMENTS // c
     x = activations(rows, c, seed=9)
     split = calibrated_bytes(x)
     assert len(forks) == 1
@@ -294,7 +322,7 @@ def test_a_share_error_is_raised_after_the_parents_own(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Propagate mode's workers
+# Whole quantize runs, and report rows in timestep shares
 # ---------------------------------------------------------------------------
 
 
@@ -317,9 +345,10 @@ def test_propagate_outputs_do_not_depend_on_the_worker_count(
         cpus(monkeypatch, count)
         forks.clear()
         outputs[count] = run_bytes(config, tmp_path / str(count))
-        # The endpoint worker, a row worker per layer, and PTS shares.
+        # PTS shares and report-row shares; at n = 8 no sampler run splits.
         pts_forks = sum(min(count, s.c_in) - 1 for s in SPECS)
-        assert len(forks) == (0 if count == 1 else 1 + len(LAYERS) + pts_forks)
+        row_forks = len(LAYERS) * (min(count, config.T) - 1)
+        assert len(forks) == pts_forks + row_forks
     assert outputs[2] == outputs[1]
     assert outputs[4] == outputs[1]
 
@@ -344,17 +373,33 @@ def test_a_fork_that_fails_in_propagate_mode_runs_its_work_here(tmp_path, monkey
     assert len(calls) > 2
 
 
+def always(*args, **kwargs):
+    return True
+
+
+def full_precision_sampler_run(*args, overrides=None, capture=None, **kwargs):
+    return overrides is None and capture is None
+
+
+# Each kind: the function that dies in a child, where it dies, and the
+# share it names. At n = 128 and T = 6 the second share holds channels
+# 32-63, timesteps 500, 333 and 167, and trajectories 64-127.
 WORKER_KINDS = {
-    "pts": (pts, "_ladder_votes", "PTS worker for channels 32-63"),
-    "rows": (pipeline, "_layer_rows", f"report-row worker for layer {LAYERS[0]}"),
-    "endpoint": (pipeline, "_endpoint", "full-precision endpoint worker"),
+    "pts": (pts, "_ladder_votes", always, "PTS worker for channels 32-63"),
+    "rows": (
+        pipeline, "_layer_rows", always,
+        f"report-row worker for layer {LAYERS[0]} at timesteps 500-167",
+    ),
+    "endpoint": (
+        toydiff, "sample", full_precision_sampler_run, "sampler worker for rows 64-127"
+    ),
 }
 
 
 def small_propagate_cfg_file(tmp_path) -> Path:
     path = tmp_path / "run.cfg"
     path.write_text(
-        f"checkpoint = {CHECKPOINT}\nn = 8\nT = 6\nles = false\n"
+        f"checkpoint = {CHECKPOINT}\nn = 128\nT = 6\nles = false\n"
         "pts_layers = all\npropagate_quantized_inputs = true\n"
     )
     return path
@@ -362,19 +407,21 @@ def small_propagate_cfg_file(tmp_path) -> Path:
 
 @pytest.mark.parametrize("kind", sorted(WORKER_KINDS))
 def test_a_dying_worker_of_each_kind_names_its_work(kind, tmp_path, capsys, monkeypatch):
-    owner, name, what = WORKER_KINDS[kind]
+    owner, name, when, what = WORKER_KINDS[kind]
     real = getattr(owner, name)
     dies = in_a_child(die)
 
     def dying(*args, **kwargs):
-        dies()
+        if when(*args, **kwargs):
+            dies()
         return real(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, dying)
     split_small_tensors(monkeypatch)
+    split_small_runs(monkeypatch)
     cpus(monkeypatch, 2)
     with pytest.raises(DenoqError) as info:
-        pipeline.run_quantize(small_w4a8(**RESCUE_WIDE))
+        pipeline.run_quantize(small_w4a8(n=128, **RESCUE_WIDE))
     assert str(info.value) == f"{what} ended without a result (exit status 3)"
 
     cfgp = small_propagate_cfg_file(tmp_path)
@@ -382,6 +429,44 @@ def test_a_dying_worker_of_each_kind_names_its_work(kind, tmp_path, capsys, monk
     err = capsys.readouterr().err
     assert rc == 2
     assert err == f"error: {what} ended without a result (exit status 3)\n"
+
+
+@pytest.mark.parametrize("propagate", [False, True])
+def test_report_rows_are_the_same_in_timestep_shares(propagate, monkeypatch, forks):
+    """No LES and no PTS, so the report rows are all that splits."""
+    config = small_w4a8(les=False, pts_layers="none", propagate_quantized_inputs=propagate)
+    split_small_tensors(monkeypatch)
+    reports = {}
+    for count in (1, 2, 3):
+        cpus(monkeypatch, count)
+        forks.clear()
+        reports[count] = pipeline.run_quantize(config)[1].to_text()
+        assert len(forks) == len(LAYERS) * (count - 1)
+    assert reports[2] == reports[1]
+    assert reports[3] == reports[1]
+
+
+def test_a_dying_row_share_names_its_layer(monkeypatch):
+    """At three CPUs both children of the skip layer's rows die; the error
+    names the layer and the first of their shares."""
+    real = pipeline._layer_rows
+    dies = in_a_child(die)
+
+    def layer_rows(name, *args):
+        if name == "skip":
+            dies()
+        return real(name, *args)
+
+    monkeypatch.setattr(pipeline, "_layer_rows", layer_rows)
+    split_small_tensors(monkeypatch)
+    cpus(monkeypatch, 3)
+    with pytest.raises(DenoqError) as info:
+        pipeline.run_quantize(small_w4a8(les=False))
+    assert type(info.value) is DenoqError
+    assert str(info.value) == (
+        "report-row worker for layer skip at timesteps 667-500 "
+        "ended without a result (exit status 3)"
+    )
 
 
 def failing(owner, name, monkeypatch, when, error):
@@ -565,12 +650,10 @@ def test_a_share_starts_from_the_runs_own_noise(bundled, monkeypatch):
 
 def propagate_forks(count: int) -> int:
     """Forks of a propagate-mode quantize and eval at n = 256 and count
-    CPUs: the endpoint worker, a row worker per layer, and a row share per
-    extra CPU (up to four shares) in each layer's capture and in the
-    quantized endpoint half. The PTS vote stays whole."""
-    if count == 1:
-        return 0
-    return 1 + len(LAYERS) + (len(LAYERS) + 1) * (min(count, 4) - 1)
+    CPUs: a row share per extra CPU (up to four shares) in each layer's
+    capture, in both endpoint halves of quantize and in eval's
+    full-precision half. The PTS vote and the report rows stay whole."""
+    return (len(LAYERS) + 3) * (min(count, 4) - 1)
 
 
 @pytest.mark.parametrize("kw", [RESCUE_WIDE, PROPAGATE_LES], ids=["rescue_wide", "les"])
@@ -599,8 +682,9 @@ def test_quantize_without_propagation_splits_its_capture_and_endpoint(
     cpus(monkeypatch, 2)
     forks.clear()
     assert run_bytes(config, tmp_path / "2") == whole
-    # One LES share, one capture share, one endpoint share.
-    assert len(forks) == 3
+    # One LES share, one capture share, one share of each endpoint half in
+    # quantize and one of eval's full-precision half.
+    assert len(forks) == 5
 
 
 def sample_of_row(row: int, error):
