@@ -2,11 +2,11 @@
 
 Power-of-two channel factors never touch the inner loop: they are folded
 into the weight codes once, up front, as left shifts. The hot path is then
-a plain integer matrix product in a 64-bit accumulator (in the float32
-tier, the exact float32 sgemm product) followed by one dequantization of
-the output. Both stages refuse configurations whose worst case could
-overflow, instead of wrapping silently; headroom_problem() states the same
-rule for callers that refuse a model before building it.
+a plain integer matrix product, held in the dtype of its tier
+(tensor.code_dtype), followed by one dequantization of the output. Both
+stages refuse configurations whose worst case could overflow, instead of
+wrapping silently; headroom_problem() states the same rule for callers
+that refuse a model before building it.
 """
 
 from __future__ import annotations
@@ -16,14 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, DomainError, HeadroomError
-from .tensor import (
-    EXACT_FLOAT32_BITS,
-    EXACT_FLOAT_BITS,
-    IntTensor,
-    Tensor,
-    ceil_log2,
-    code_matmul,
-)
+from .tensor import IntTensor, Tensor, ceil_log2, code_dtype, code_matmul
 
 # Shifted weight codes must stay within a 32-bit lane so the 64-bit
 # accumulator keeps headroom for the reduction.
@@ -77,16 +70,15 @@ class ShiftedWeights:
     magnitude of any entry, which is what execute() reasons about.
 
     An int64 array is taken over as it is, not copied, as IntTensor does.
-    operand() hands execute() the codes for code_matmul. In the float32
-    tier that is a float32 copy, made on first use and kept, so no call
-    converts the weights again and a layer never run there pays no memory
-    for it; in the other tiers it is the codes themselves.
+    operand() hands execute() the codes for code_matmul in the dtype of its
+    tier: converted on first use and kept, so no call converts the weights
+    again and a layer pays memory only for the tiers it runs in.
     """
 
     codes: np.ndarray
     source_bits: int
     max_shift: int
-    _float32: np.ndarray | None = field(init=False, repr=False, compare=False)
+    _operands: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         codes = np.asarray(self.codes)
@@ -95,15 +87,14 @@ class ShiftedWeights:
         if codes.ndim != 2:
             raise DimensionError("shifted weight codes must be 2-d [C_in x C_out]")
         object.__setattr__(self, "codes", codes.astype(np.int64, copy=False))
-        object.__setattr__(self, "_float32", None)
+        object.__setattr__(self, "_operands", {})
 
     def operand(self, budget_bits: int) -> np.ndarray:
         """The codes as code_matmul takes them at budget_bits."""
-        if budget_bits > EXACT_FLOAT32_BITS:
-            return self.codes
-        if self._float32 is None:
-            object.__setattr__(self, "_float32", self.codes.astype(np.float32))
-        return self._float32
+        dtype = code_dtype(budget_bits)
+        if dtype not in self._operands:
+            self._operands[dtype] = self.codes.astype(dtype, copy=False)
+        return self._operands[dtype]
 
 
 def shift_weights(w: IntTensor, delta) -> ShiftedWeights:
@@ -137,14 +128,11 @@ def shift_weights(w: IntTensor, delta) -> ShiftedWeights:
 def execute(x: IntTensor, w: ShiftedWeights) -> IntTensor:
     """Integer matmul of activation codes against pre-shifted weights.
 
-    The accumulator is 64-bit; the call is rejected unless the layer passes
-    headroom_problem(), which bounds the worst-case partial sum strictly
-    below 2^63. Within 24 bits the product runs exactly on float32 BLAS,
-    within 53 bits on float64 BLAS, above that in int64 (see
-    tensor.code_matmul). Within 24 bits the float32 product is the
-    accumulator, exact since every partial sum is below 2^24; within 53
-    bits the float64 result is cast to an int64 accumulator, exactly,
-    since every entry is an integer.
+    The call is rejected unless the layer passes headroom_problem(), which
+    bounds the worst-case partial sum strictly below 2^63. The accumulator
+    is the product of tensor.code_matmul in the dtype of the layer's tier
+    (code_dtype): float32 or float64 BLAS, exact since every partial sum is
+    an integer below 2^24 or 2^53, or int64 past 53 bits.
     """
     if not isinstance(x, IntTensor):
         raise DomainError("execute expects IntTensor activations")
@@ -160,13 +148,7 @@ def execute(x: IntTensor, w: ShiftedWeights) -> IntTensor:
     if problem is not None:
         raise HeadroomError(problem)
     budget = accumulator_budget(x.nominal_bits, w.source_bits, w.max_shift, c_in)
-    codes = x.codes
-    if budget > EXACT_FLOAT_BITS:
-        # The einsum tier sums in the codes' dtype: float32 codes would
-        # make it float64, which rounds past 2^53.
-        codes = codes.astype(np.int64, copy=False)
-    result = np.float32 if budget <= EXACT_FLOAT32_BITS else np.int64
-    acc = code_matmul(codes, w.operand(budget), budget, result=result)
+    acc = code_matmul(x.codes, w.operand(budget), budget)
     return IntTensor._bounded(acc, ACCUMULATOR_BITS, True)
 
 

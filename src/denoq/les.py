@@ -43,17 +43,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .igemm import apply_output_scales
-from .quant import SCALE_FLOOR, QuantParams, code_bounds, minmax_scale
-from .tensor import (
-    EXACT_FLOAT32_BITS,
-    Rng,
-    Tensor,
-    as_real,
-    ceil_log2,
-    code_matmul,
-    matmul,
-)
+from .igemm import accumulator_budget, apply_output_scales
+from .quant import SCALE_FLOOR, QuantParams, _clamp, code_bounds, minmax_scale
+from .tensor import Rng, Tensor, as_real, code_dtype, code_matmul, matmul
 from .timestep_weighting import TimestepWeighter
 
 # Descent safeguards: gradients are norm-clipped and log factors bounded to
@@ -103,15 +95,6 @@ def _check_tau(tau, c_in: int) -> np.ndarray:
 
 def _scaled_pair(x: Tensor, w: Tensor, tau: np.ndarray) -> tuple[Tensor, Tensor]:
     return x / tau[None, :], w * tau[:, None]
-
-
-def _clamp(v: np.ndarray, l: float, u: float, out: np.ndarray) -> np.ndarray:
-    """np.clip(v, l, u, out=out) bit for bit, without np.clip's Python
-    wrapper: v is clamped in place, then written into out. The lower bound
-    goes first so that a -0.0 against l = 0 stays -0.0, as np.clip keeps it.
-    """
-    np.maximum(l, v, out=v)
-    return np.minimum(v, u, out=out)
 
 
 def _fake_quant(v: Tensor, params: QuantParams, rounded: bool):
@@ -281,11 +264,13 @@ def _check_buffers(x: Tensor, ref: Tensor, bits_a: int, bits_w: int) -> tuple:
     extremes / tau, bit for bit. Then buffers shaped like x for the scaled
     x and its codes, and one shaped like ref for the product. The codes
     buffer is float32 when the product runs in the float32 tier of
-    code_matmul.
+    code_matmul (tensor.code_dtype); in the other tiers the codes go into
+    the float64 buffer of the scaled x.
     """
-    budget = bits_a + bits_w + ceil_log2(x.shape[1])
+    budget = accumulator_budget(bits_a, bits_w, 0, x.shape[1])
     x_buf = np.empty_like(x)
-    code_buf = np.empty(x.shape, np.float32) if budget <= EXACT_FLOAT32_BITS else x_buf
+    dtype = code_dtype(budget)
+    code_buf = np.empty(x.shape, dtype) if dtype is np.float32 else x_buf
     extremes = np.stack((x.max(axis=0), x.min(axis=0)))
     return budget, extremes, x_buf, code_buf, np.empty_like(ref)
 
@@ -403,16 +388,19 @@ def optimize_layer(
         gnorm = float(np.sqrt(np.sum(grad * grad)))
         if gnorm > _MAX_GRAD_NORM:
             grad = grad * (_MAX_GRAD_NORM / gnorm)
-        if optimizer == "gd":
-            log_tau = log_tau - lr * grad
-        else:  # adam
-            b1, b2, eps = 0.9, 0.999, 1e-8
-            m = b1 * m + (1 - b1) * grad
-            v = b2 * v + (1 - b2) * grad * grad
-            k = iteration + 1
-            m_hat = m / (1 - b1**k)
-            v_hat = v / (1 - b2**k)
-            log_tau = log_tau - lr * m_hat / (np.sqrt(v_hat) + eps)
+        # A large finite lr can overflow the step to +-inf, which the clamp
+        # bounds like any other step.
+        with np.errstate(over="ignore"):
+            if optimizer == "gd":
+                log_tau = log_tau - lr * grad
+            else:  # adam
+                b1, b2, eps = 0.9, 0.999, 1e-8
+                m = b1 * m + (1 - b1) * grad
+                v = b2 * v + (1 - b2) * grad * grad
+                k = iteration + 1
+                m_hat = m / (1 - b1**k)
+                v_hat = v / (1 - b2**k)
+                log_tau = log_tau - lr * m_hat / (np.sqrt(v_hat) + eps)
         _clamp(log_tau, -_LOG_TAU_BOUND, _LOG_TAU_BOUND, log_tau)
         tau = np.exp(log_tau)
         candidate, s_x, s_w = _check_loss(ref, x, w, tau, bits_a, bits_w, act_signed, work)

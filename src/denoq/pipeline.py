@@ -127,6 +127,9 @@ class Config:
             if not cond:
                 raise ConfigError(msg)
 
+        for name, v in vars(self).items():
+            need(not isinstance(v, float) or np.isfinite(v), f"{name} must be finite, got {v!r}")
+        need(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
         need(2 <= self.bits_w <= 32, f"bits_w out of range: {self.bits_w}")
         need(2 <= self.bits_a <= 32, f"bits_a out of range: {self.bits_a}")
         need(self.T >= 1, "T must be >= 1")

@@ -46,7 +46,7 @@ import numpy as np
 
 from . import workers
 from .errors import DimensionError, DomainError
-from .quant import code_bounds, minmax_scale
+from .quant import _clamp, code_bounds, minmax_scale
 # Unused here; kept because the benchmark's span tracer (perfbench/spans.py)
 # patches this name.
 from .quant import quantize  # noqa: F401
@@ -97,7 +97,7 @@ def _candidate_error(x: np.ndarray, scale, l: int, u: int, out=None) -> np.ndarr
 def _error_of_quotient(x: np.ndarray, q: np.ndarray, scale, l: int, u: int) -> np.ndarray:
     """_candidate_error from the quotient q = x / scale, in place in q."""
     np.rint(q, out=q)
-    np.clip(q, l, u, out=q)
+    _clamp(q, l, u, q)
     np.multiply(q, scale, out=q)
     np.subtract(x, q, out=q)
     return np.square(q, out=q)

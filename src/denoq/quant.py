@@ -29,7 +29,7 @@ from .igemm import (
     apply_output_scales,
     shift_weights,
 )
-from .tensor import EXACT_FLOAT32_BITS, IntTensor, Tensor, as_real, code_matmul
+from .tensor import IntTensor, Tensor, as_real, code_dtype, code_matmul
 
 SCALE_FLOOR = 1e-12
 
@@ -105,14 +105,23 @@ def quantize(x: Tensor, params: QuantParams) -> IntTensor:
     return _quantize(x, params, np.int64)
 
 
+def _clamp(v: np.ndarray, l: float, u: float, out: np.ndarray) -> np.ndarray:
+    """v clamped to [l, u] into out, which may be v itself or an array of
+    another dtype that holds the clamped values (codes clamp straight into
+    their integer or float32 array). The array method runs np.clip's one
+    pass without np.clip's dispatch wrapper.
+    """
+    return v.clip(l, u, out=out, casting="unsafe")
+
+
 def _quantize(x: Tensor, params: QuantParams, dtype) -> IntTensor:
-    """quantize, with the codes clipped straight into a new array of dtype,
+    """quantize, with the codes clamped straight into a new array of dtype,
     which must hold every code exactly."""
     x = as_real(x, "quantize input")
     l, u = params.bounds
     codes = np.divide(x, params.scale_for(x.shape))
     np.rint(codes, out=codes)
-    codes = np.clip(codes, l, u, out=np.empty(codes.shape, dtype), casting="unsafe")
+    codes = _clamp(codes, l, u, np.empty(codes.shape, dtype))
     return IntTensor._bounded(codes, params.bits, params.signed)
 
 
@@ -286,12 +295,12 @@ def activation_codes(x: Tensor, layer: QuantizedLayer) -> IntTensor:
     side of a half-code boundary, so that two-step path is not the same
     codes in general.
 
-    On a layer whose accumulator budget is at most 24 bits the codes are
-    float32, the operand igemm.execute hands to sgemm; above that they are
-    int64, as quantize makes them. The rounding and clamp are quantize's.
+    The codes are clamped straight into the dtype of the layer's tier
+    (tensor.code_dtype of its accumulator budget), the operand
+    igemm.execute hands to code_matmul. The rounding and clamp are
+    quantize's.
     """
-    dtype = np.float32 if layer.accumulator_budget <= EXACT_FLOAT32_BITS else np.int64
-    return _quantize(x, layer.act_code_params, dtype)
+    return _quantize(x, layer.act_code_params, code_dtype(layer.accumulator_budget))
 
 
 def quantized_matmul_reference(x: Tensor, layer: QuantizedLayer) -> Tensor:
@@ -304,7 +313,8 @@ def quantized_matmul_reference(x: Tensor, layer: QuantizedLayer) -> Tensor:
     whole accumulation is exact integer arithmetic, which is what makes the
     bit-shift integer path reproducible against this function bit for bit,
     and what lets the product run on float32 or float64 BLAS (see
-    tensor.code_matmul).
+    tensor.code_matmul). The product comes back in the dtype of the layer's
+    tier, and one pass scales it into float64.
     """
     x = as_real(x, "layer input")
     if x.ndim != 2 or x.shape[1] != layer.c_in:

@@ -10,22 +10,20 @@ BLAS threads. Across builds their last bits may differ.
 
 Products of integer codes go through :func:`code_matmul` instead, in one
 of three tiers chosen by the worst-case budget bits_a + bits_w + max_shift +
-ceil(log2 C_in):
+ceil(log2 C_in). :func:`code_dtype` is the one place that maps a budget to
+its tier, and a tier holds its codes, its weight operand and its
+accumulator in that dtype:
 
-* at most 24 bits: every partial sum is an integer that float32 holds
+* at most 24 bits, float32: every partial sum is an integer float32 holds
   exactly, so the product runs on float32 BLAS (sgemm);
-* at most 53 bits: the same holds for float64, so it runs on float64 BLAS;
-* past 53 bits: a fixed-order einsum (ascending reduction index, no
+* at most 53 bits, float64: the same holds for float64, so it runs on
+  float64 BLAS;
+* past 53 bits, int64: a fixed-order einsum (ascending reduction index, no
   BLAS), in the operands' common dtype. This is the only product in the
   package that does not run on BLAS.
 
 In the two BLAS tiers the result is the same in any summation order and at
 any thread count, because no partial sum is ever rounded.
-
-A layer whose budget is at most 24 bits keeps its integers in float32 from
-end to end: its activation codes are made as float32, and the sgemm
-product is its accumulator, with no int64 array in between (see
-:class:`IntTensor`).
 """
 
 from __future__ import annotations
@@ -58,14 +56,11 @@ class IntTensor:
     ones. Either way every code has magnitude below 2^b, which is all the
     accumulator headroom math needs.
 
-    The dtype of the codes depends on the tier of the product they feed
-    (see code_matmul):
-    * float32 tier (the layer's budget is at most 24 bits): the activation
-      codes quant.activation_codes makes and the accumulator igemm.execute
-      returns are float32 arrays of exact integers, since float32 holds
-      every integer up to 2^24;
-    * every other case: int64. The constructor only accepts integer dtypes;
-      float32 codes come from _bounded, whose callers have bounded them.
+    The constructor only accepts integer dtypes and keeps int64 codes.
+    Float codes come only through _bounded: the codes quant.activation_codes
+    makes and the accumulator igemm.execute returns are in the dtype of
+    their tier (code_dtype), float32 or float64 arrays of exact integers
+    within 53 bits.
 
     An int64 array is taken over as it is, not copied: the tensor owns it
     from then on, and the caller must not write to it. Other integer dtypes
@@ -98,10 +93,10 @@ class IntTensor:
     def _bounded(cls, codes: np.ndarray, nominal_bits: int, signed: bool) -> "IntTensor":
         """Take over codes already known to lie in their range, unscanned.
 
-        For quant.quantize and quant.activation_codes, whose clip has just
+        For quant.quantize and quant.activation_codes, whose clamp has just
         bounded the codes, and igemm.execute, whose headroom check bounds
         the accumulator: a min/max rescan would only repeat it. The codes
-        are int64, or float32 in the float32 tier. Everything else goes
+        are in int64 or in the dtype of their tier. Everything else goes
         through the checking constructor.
         """
         t = object.__new__(cls)
@@ -146,43 +141,35 @@ def ceil_log2(n: int) -> int:
     return (n - 1).bit_length() if n > 1 else 0
 
 
-def code_matmul(
-    a: np.ndarray, b: np.ndarray, budget_bits: int, out=None, result=np.float64
-) -> np.ndarray:
+def code_dtype(budget_bits: int) -> type:
+    """The dtype that holds the codes, weight operand and accumulator of a
+    code product whose partial sums stay below 2^budget_bits."""
+    if budget_bits <= EXACT_FLOAT32_BITS:
+        return np.float32
+    return np.float64 if budget_bits <= EXACT_FLOAT_BITS else np.int64
+
+
+def code_matmul(a: np.ndarray, b: np.ndarray, budget_bits: int, out=None) -> np.ndarray:
     """Product of two integer-valued code matrices, [M x K] . [K x N].
 
-    a and b hold exact integers in any numeric dtype; integer codes go in
-    as they are, and an operand already in its tier's float dtype is not
-    copied. budget_bits bounds every partial sum below 2^budget_bits (code
-    widths of both operands, any folded shift, plus ceil(log2 K)). Within
-    24 bits each partial sum is an integer float32 holds exactly, so the
-    float32 BLAS product is exact and identical in any order; within 53
-    bits the same holds for float64. Either way the result has dtype result
-    (float64 unless asked for int64, or, in the float32 tier, float32: each
-    holds every entry exactly; a float32 result is the sgemm product
-    itself), or is written into out when given. Above 53 bits the
-    fixed-order einsum runs in the operands' common dtype, and out must
-    have that dtype.
+    a and b hold exact integers in any numeric dtype; an operand already in
+    the dtype of its tier (code_dtype) is not copied. budget_bits bounds
+    every partial sum below 2^budget_bits (code widths of both operands,
+    any folded shift, plus ceil(log2 K)). In the float tiers every partial
+    sum is an integer that dtype holds exactly, so the BLAS product is
+    exact, identical in any order, and comes back in that dtype. Past 53
+    bits the fixed-order einsum runs in the operands' common dtype. out,
+    when given, receives the product (in the float tiers it may be any
+    float dtype that holds it).
     """
-    if budget_bits <= EXACT_FLOAT32_BITS:
-        acc = np.matmul(
-            a.astype(np.float32, copy=False), b.astype(np.float32, copy=False)
+    dtype = code_dtype(budget_bits)
+    if dtype is np.int64:
+        dtype = np.result_type(a, b)
+        return np.einsum(
+            "ik,kj->ij", a.astype(dtype, copy=False), b.astype(dtype, copy=False),
+            optimize=False, out=out,
         )
-        if out is None:
-            return acc.astype(result, copy=False)
-        np.copyto(out, acc)
-        return out
-    if budget_bits <= EXACT_FLOAT_BITS:
-        acc = np.matmul(
-            a.astype(np.float64, copy=False), b.astype(np.float64, copy=False),
-            out=out,
-        )
-        return acc if out is not None else acc.astype(result, copy=False)
-    dtype = np.result_type(a, b)
-    return np.einsum(
-        "ik,kj->ij", a.astype(dtype, copy=False), b.astype(dtype, copy=False),
-        optimize=False, out=out,
-    )
+    return np.matmul(a.astype(dtype, copy=False), b.astype(dtype, copy=False), out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +191,8 @@ class Rng:
     """
 
     def __init__(self, seed: int, _extra: tuple = ()):
-        if not isinstance(seed, int):
-            raise DomainError("seed must be an integer")
+        if not isinstance(seed, int) or seed < 0:
+            raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
         self.seed = seed
         self._extra = tuple(_extra)
         self._gen = np.random.Generator(

@@ -253,7 +253,8 @@ def test_prepared_layer_matches_the_reference_in_every_tier(budget, signed):
     -> dequantize_output equals quantized_matmul_reference bit for bit, on
     both sides of the float32 and float64 tier limits and at the 63-bit
     limit, and its accumulator equals arbitrary-precision integers. Codes
-    and accumulator are float32 in the float32 tier and int64 above it."""
+    and accumulator are float32 within 24 bits, float64 within 53 bits and
+    int64 above."""
     layer, x = _layer_at_budget(budget, signed, seed=budget + 100 * signed)
     codes = activation_codes(x, layer)
     l, u = layer.act_params.bounds
@@ -263,7 +264,7 @@ def test_prepared_layer_matches_the_reference_in_every_tier(budget, signed):
         layer.weight_codes.codes.astype(object)
         * (2 ** layer.pts_exponents.astype(object))[:, None]
     )
-    tier_dtype = np.float32 if budget <= 24 else np.int64
+    tier_dtype = {24: np.float32, 25: np.float64, 53: np.float64}.get(budget, np.int64)
     assert codes.codes.dtype == tier_dtype and acc.codes.dtype == tier_dtype
     assert [int(v) for v in acc.codes.ravel()] == [int(v) for v in exact.ravel()]
     got = dequantize_output(acc, layer.act_params.scale, layer.weight_scale_vector())
@@ -271,18 +272,21 @@ def test_prepared_layer_matches_the_reference_in_every_tier(budget, signed):
 
 
 def test_shifted_weights_convert_once_for_float32():
-    """In the float32 tier execute hands code_matmul a float32 copy of the
-    weights, made on first use and the same array on every later call; the
-    other tiers take the int64 codes themselves."""
+    """execute hands code_matmul the weights in the dtype of the layer's
+    tier: a copy made on first use and the same array on every later call,
+    one per dtype; past 53 bits the int64 codes themselves."""
     sw = shift_weights(IntTensor(np.array([[3, -8], [7, 0]]), 4), np.array([2, 0]))
-    assert sw._float32 is None
+    assert sw._operands == {}
     x = IntTensor(np.array([[1, -2]]), 8)
     assert execute(x, sw).codes.tolist() == [[-2, -32]]  # 8 + 4 + 2 + 1 bits
-    first = sw._float32
+    first = sw.operand(24)
     assert first.dtype == np.float32 and np.array_equal(first, sw.codes)
     execute(x, sw)
-    assert sw._float32 is first and sw.operand(24) is first
-    assert sw.operand(25) is sw.codes and sw.operand(54) is sw.codes
+    assert sw.operand(24) is first and sw.operand(2) is first
+    wide = sw.operand(25)
+    assert wide.dtype == np.float64 and np.array_equal(wide, sw.codes)
+    assert sw.operand(53) is wide
+    assert sw.operand(54) is sw.codes
 
 
 def test_layer_prepares_its_shifted_weights_once():

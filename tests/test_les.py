@@ -8,7 +8,6 @@ from denoq.les import (
     LayerCalibRecord,
     _check_buffers,
     _check_loss,
-    _clamp,
     _codes_into,
     _scaled_pair,
     fuse,
@@ -20,6 +19,7 @@ from denoq.les import (
 from denoq.quant import (
     QuantParams,
     QuantizedLayer,
+    _clamp,
     activation_codes,
     apply_output_scales,
     minmax_scale,
@@ -298,7 +298,7 @@ def test_keep_best_check_divides_once_like_the_exported_layer():
 
 
 @pytest.mark.parametrize("bounds", [(0.0, 255.0), (-128.0, 127.0), (-8.0, 7.0)])
-@pytest.mark.parametrize("out_dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("out_dtype", [np.float64, np.float32, np.int64])
 def test_clamp_is_np_clip_bit_for_bit(bounds, out_dtype):
     """Signed zeros included: rint sends small negatives to -0.0, and
     np.clip keeps -0.0 against a lower bound of 0.0."""

@@ -168,10 +168,10 @@ LATER_FAILURES = {
 
 @pytest.mark.parametrize("later", sorted(LATER_FAILURES))
 def test_a_rows_error_comes_before_a_later_layers_error(later, monkeypatch):
-    """Without propagated inputs each layer's report rows are scored here,
-    as soon as the layer is quantized (workers.here), so a sequential run
-    meets an error in LAYERS[0]'s rows before the rescue of LAYERS[2] or
-    the learning of LAYERS[3], which two shares deal to the child."""
+    """Without propagated inputs each layer's report rows are scored as
+    soon as the layer is quantized (pipeline._layer_rows), so a sequential
+    run meets an error in LAYERS[0]'s rows before the rescue of LAYERS[2]
+    or the learning of LAYERS[3], which two shares deal to the child."""
     assert LAYERS[0] == "res1" and LAYERS[2] == "skip" and LAYERS[3] == "mid"
     real = pipeline._layer_rows
 

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from denoq import cli, pipeline, toydiff, workers
+from denoq import cli, igemm, pipeline, quant, toydiff, workers
 from denoq.errors import ConfigError, DomainError, HeadroomError, NumericalError
 from denoq.modelfile import QuantizedModel, export_model, import_model
 from denoq.pipeline import (
@@ -20,6 +20,7 @@ from denoq.pipeline import (
     run_eval,
     run_quantize,
 )
+from denoq.tensor import Rng
 from denoq.toydiff import load_checkpoint, save_checkpoint
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -59,6 +60,10 @@ class TestConfig:
             ("optimizer", "sgd"),
             ("eta", 2.0),
             ("scale_refresh", 0),
+            ("seed", -1),
+            ("alpha", float("inf")),
+            ("lr", float("inf")),
+            ("lr", float("nan")),
         ],
     )
     def test_rejects_out_of_range_values(self, field, value):
@@ -425,6 +430,44 @@ class TestHeadroomRefusal:
         rc = cli.main(["eval", "--config", str(cfgp), "--model", str(p)])
         assert rc == 3
         assert "weight lane" in capsys.readouterr().err
+
+
+def test_a_26_bit_model_runs_in_the_float64_tier_end_to_end(tmp_path, monkeypatch):
+    """bits_w = 8 and bits_a = 12 on 64 channels put every layer in the
+    float64 tier of the code product (26 bits, 29 on the rescued layer):
+    eval reproduces the quantize endpoint bit for bit, codes and
+    accumulators are float64, and the served trajectory equals the one of
+    the reference oracle bit for bit."""
+    cfg = dataclasses.replace(
+        parse_config(ROOT / "configs" / "w4a8.cfg"), bits_w=8, bits_a=12, n=64, T=10,
+        iterations=20,
+    )
+    out = tmp_path / "b26.dmq"
+    report = quantize_to_file(cfg, out)
+    layers = import_model(out).layers
+    assert all(26 <= layer.accumulator_budget <= 53 for layer in layers)
+    seen, execute = [], igemm.execute
+
+    def spy(x, w):
+        acc = execute(x, w)
+        seen.append((x.codes.dtype, acc.codes.dtype))
+        return acc
+
+    monkeypatch.setattr(igemm, "execute", spy)
+    assert repr(run_eval(out, cfg).endpoint_mse) == repr(report.endpoint_mse)
+    assert seen and all(x == np.float64 and acc == np.float64 for x, acc in seen)
+    model, schedule = load_checkpoint(CHECKPOINT)
+    served = {layer.name: pipeline._layer_runner(layer) for layer in layers}
+    reference = {
+        layer.name: (lambda a, layer=layer: quant.quantized_matmul_reference(a, layer))
+        for layer in layers
+    }
+    x0 = Rng(7).standard_normal((64, model.dim))
+    got, want = (
+        toydiff.sample(model, schedule, cfg.T, 64, Rng(7), overrides=o, x_init=x0).states
+        for o in (served, reference)
+    )
+    assert got.tobytes() == want.tobytes()
 
 
 class TestCli:

@@ -75,11 +75,11 @@ class TestCodeMatmul:
         exact = a.astype(object) @ b.astype(object)
         assert all(int(v) == e for v, e in zip(got.ravel(), exact.ravel()))
 
-    def test_int_codes_within_budget_come_back_as_float64(self):
+    def test_int_codes_within_budget_come_back_in_their_tier_dtype(self):
         a = self._extreme_codes(3, (4, 8), 8)
         b = self._extreme_codes(4, (8, 5), 4)
         got = code_matmul(a, b, 8 + 4 + 3)
-        assert got.dtype == np.float64
+        assert got.dtype == np.float32
         assert np.array_equal(got, (a @ b).astype(np.float64))
 
     def test_above_the_budget_takes_the_fixed_order_in_the_operand_dtype(self):
@@ -118,7 +118,7 @@ class TestCodeMatmulTiers:
         assert budget == 24
         exact = np.einsum("ik,kj->ij", a, b, optimize=False)
         got = code_matmul(a, b, budget)
-        assert got.dtype == np.float64
+        assert got.dtype == np.float32
         assert np.array_equal(got, exact)
         assert got.max() < float(1 << budget)
 
@@ -149,7 +149,7 @@ class TestCodeMatmulTiers:
         a = rng.integers(-128, 128, (40, 64))
         b = rng.integers(-8, 8, (64, 16))
         got = code_matmul(a.astype(np.float32), b.astype(np.float64), 8 + 4 + 6)
-        assert got.dtype == np.float64
+        assert got.dtype == np.float32
         assert np.array_equal(got, a @ b)
 
 
@@ -346,3 +346,8 @@ class TestRng:
     def test_integers_bounds(self):
         draws = Rng(2).integers(1, 11, 1000)
         assert draws.min() >= 1 and draws.max() <= 10
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_refuses_a_seed_that_is_not_a_non_negative_integer(self, seed):
+        with pytest.raises(DomainError, match="non-negative integer"):
+            Rng(seed)
