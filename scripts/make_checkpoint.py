@@ -27,6 +27,7 @@ from denoq.toydiff import (  # noqa: E402
     ToyDenoiser,
     _sigmoid,
     _silu,
+    collect_calibration,
     ring_data,
     sample,
     save_checkpoint,
@@ -164,9 +165,10 @@ def fit_toy_denoiser(
         # Rank channels on the distribution quantization will actually see:
         # the skip input captured along sampling trajectories.
         probe_model = ToyDenoiser({k: v.copy() for k, v in params.items()})
-        cap = {"skip": []}
-        sample(probe_model, schedule, 20, 16, rng.child("probe"), capture=cap)
-        mags = np.abs(np.concatenate([a for a, _ in cap["skip"]], axis=0))
+        probe = collect_calibration(
+            probe_model, schedule, 20, 16, rng.child("probe"), layers=["skip"]
+        )
+        mags = np.abs(probe["skip"].activations)
         colmax = np.max(mags, axis=0)
         uniformity = np.where(
             colmax > 1e-3, np.median(mags, axis=0) / np.maximum(colmax, 1e-12), 0.0

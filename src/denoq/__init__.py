@@ -11,8 +11,11 @@ Importing the package sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
 MKL_NUM_THREADS to "1" where they are unset, before any denoq module
 loads numpy. denoq's work runs in one forked worker per usable CPU, and
 a worker that started its own BLAS thread pool would compete with the
-others for the same CPUs. A value the user set is kept. The default has
-no effect when numpy was imported before denoq.
+others for the same CPUs. A value the user set is kept. The variables
+have no effect when numpy was imported before denoq, so
+workers.run_shares also sets numpy's bundled OpenBLAS to one thread
+while it has forked workers, whatever the import order, and then gives
+this process its own count back.
 """
 
 import os as _os

@@ -25,13 +25,13 @@ split into shares that workers.run_shares runs side by side, and the run
 goes on once every share is back. So run_quantize is sequential code, and
 it raises errors in the order a sequential run meets them. The shares are:
 the layers of independent LES; the trajectories of every calibration
-capture (toydiff.collect_calibration) and of every endpoint half without
-capture sinks (toydiff.sample_endpoint), cut at multiples of 64 rows so
-that BLAS gives each row the bits of the whole run (see
-toydiff._ROW_QUANTUM); the channels of a large layer's PTS vote
-(pts.calibrate_activation_scaling); and the timesteps of a large layer's
-report rows. Eval's quantized half, whose sinks score each input as it
-arrives, samples whole. The share count never changes an output byte.
+capture (toydiff.collect_calibration) and of every endpoint half but one
+(toydiff.sample_endpoint), cut at multiples of 64 rows so that BLAS gives
+each row the bits of the whole run (see toydiff._ROW_QUANTUM); the
+channels of a large layer's PTS vote (pts.calibrate_activation_scaling);
+and the timesteps of a large layer's report rows. Eval's quantized half,
+whose layer overrides keep each step's score as they run (_scorer),
+samples whole. The share count never changes an output byte.
 
 Quantized layers run, in quantize and in eval alike, on the deployed
 integer path: activation codes against the layer's prepared shift-folded
@@ -203,9 +203,15 @@ def parse_config_text(text: str, source: str = "<config>") -> Config:
 
 def parse_config(path) -> Config:
     """Parse a config file; a relative checkpoint path is taken relative to
-    the directory of the config file, not to the working directory."""
-    with open(path, "r", encoding="utf-8") as fh:
-        config = parse_config_text(fh.read(), source=str(path))
+    the directory of the config file, not to the working directory. A file
+    that is not UTF-8 is a ConfigError naming the first bad byte."""
+    try:
+        # One read decodes the whole file, so exc.start is a file offset.
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 at byte offset {exc.start}") from exc
+    config = parse_config_text(text, source=str(path))
     if config.checkpoint and not os.path.isabs(config.checkpoint):
         checkpoint = os.path.join(os.path.dirname(str(path)), config.checkpoint)
         config = dataclasses.replace(config, checkpoint=os.path.normpath(checkpoint))
@@ -357,9 +363,14 @@ def _check_finite(arr, what: str):
         raise NumericalError(f"{what} contains non-finite values")
 
 
-def _layer_mse(x, w, run) -> float:
-    """Mean squared error of one layer runner against its weight on x."""
-    return float(np.mean((matmul(x, w) - run(x)) ** 2))
+def _layer_mse(x, w, q) -> float:
+    """Mean squared error of a layer's product q on x against x @ w."""
+    return float(np.mean((matmul(x, w) - q) ** 2))
+
+
+def _visit_order(schedule, config: Config) -> list:
+    """The timesteps the sampler evaluates, in the order it visits them."""
+    return [int(t) for t in ddim_timesteps(schedule.t_max, config.T)[:0:-1]]
 
 
 def _learn(config: Config, name: str, record, root: Rng, tset_desc: list) -> LesResult:
@@ -417,8 +428,9 @@ def _layer_rows(name: str, record, run, tset_desc: list) -> list:
     """(layer, timestep, mse) rows of one layer runner on its calibration
     record, in sampler order."""
     return [
-        (name, t, _layer_mse(record.activations[record.timesteps == t], record.weight, run))
+        (name, t, _layer_mse(x, record.weight, run(x)))
         for t in tset_desc
+        for x in (record.activations[record.timesteps == t],)
     ]
 
 
@@ -503,8 +515,7 @@ def run_quantize(config: Config) -> tuple[QuantizedModel, EvalReport]:
     specs = model.quantizable_layers()
     _check_headroom(config, specs)
     root = Rng(config.seed)
-    grid = ddim_timesteps(schedule.t_max, config.T)
-    tset_desc = [int(t) for t in grid[1:][::-1]]  # sampler visit order
+    tset_desc = _visit_order(schedule, config)
     propagate = config.propagate_quantized_inputs
 
     def capture(tag: str, overrides, layers=None):
@@ -551,32 +562,25 @@ def run_quantize(config: Config) -> tuple[QuantizedModel, EvalReport]:
     return qmodel, report
 
 
-def _endpoint(model, schedule, config: Config, root: Rng, overrides=None, capture=None):
+def _endpoint(model, schedule, config: Config, root: Rng, overrides=None, whole=False):
     """Endpoint of the evaluation trajectory, full precision or, with
-    overrides, quantized. Every call draws the same noise, so two pair. A
-    run without capture sinks goes in row shares (toydiff.sample_endpoint),
-    with the same bits."""
+    overrides, quantized. Every call draws the same noise, so two pair. The
+    run goes in row shares (toydiff.sample_endpoint), with the same bits,
+    unless whole is set: an override that keeps state must see every row."""
     init = root.child("eval-init").standard_normal((config.n, model.dim))
-    rng = root.child("eval-noise")
-    if capture is None:
-        return sample_endpoint(
-            model, schedule, config.T, config.n, rng,
-            eta=config.eta, overrides=overrides, x_init=init,
-        )
-    return sample(
-        model, schedule, config.T, config.n, rng,
-        eta=config.eta, overrides=overrides, capture=capture, x_init=init,
-    ).endpoint
+    args = (model, schedule, config.T, config.n, root.child("eval-noise"))
+    kwargs = {"eta": config.eta, "overrides": overrides, "x_init": init}
+    return sample(*args, **kwargs).endpoint if whole else sample_endpoint(*args, **kwargs)
 
 
 def _paired_endpoint_mse(
-    model, schedule, config: Config, overrides, root: Rng, capture=None
+    model, schedule, config: Config, overrides, root: Rng, whole=False
 ) -> float:
     """Endpoint MSE between quantized and full-precision trajectories that
     share initial noise (and, when eta > 0, the injected noise sequence).
-    capture, when given, receives the quantized trajectory's layer inputs."""
+    whole runs the quantized one in this process (see _endpoint)."""
     full = _endpoint(model, schedule, config, root)
-    quantized = _endpoint(model, schedule, config, root, overrides, capture)
+    quantized = _endpoint(model, schedule, config, root, overrides, whole)
     _check_finite(quantized, "quantized trajectory endpoint")
     return float(np.mean((quantized - full) ** 2))
 
@@ -586,17 +590,16 @@ def _paired_endpoint_mse(
 # ---------------------------------------------------------------------------
 
 
-class _ErrorSink:
-    """Capture target for one layer in eval: scores each captured input as
-    it arrives and keeps only its (layer, timestep, mse) row."""
+def _scorer(run, weight: np.ndarray, mses: list):
+    """An override that runs a layer on its runner run, once per call, and
+    appends the product's mean squared error against weight's to mses."""
 
-    def __init__(self, name: str, weight: np.ndarray, run):
-        self.name, self._weight, self._run = name, weight, run
-        self.rows = []
+    def score(a):
+        q = run(a)
+        mses.append(_layer_mse(a, weight, q))
+        return q
 
-    def append(self, pair) -> None:
-        a, t = pair
-        self.rows.append((self.name, int(t), _layer_mse(a, self._weight, self._run)))
+    return score
 
 
 def run_eval(model_path, config: Config) -> EvalReport:
@@ -605,9 +608,10 @@ def run_eval(model_path, config: Config) -> EvalReport:
     Runs paired trajectories from shared noise, the quantized one on the
     integer path, and reports the endpoint MSE and the per-layer
     per-timestep mean squared output error measured on the quantized
-    trajectory's own layer inputs. Each input is scored when the sampler
-    reaches it and then dropped, so eval holds no layer's inputs across
-    timesteps; rows come out layer by layer, each layer's in sampler order.
+    trajectory's own layer inputs. Each layer's override scores its product
+    as the sampler makes it (_scorer), so every quantized product runs once
+    and eval holds no layer's inputs across timesteps; rows come out layer
+    by layer, each layer's in sampler order.
     """
     if not config.checkpoint:
         raise ConfigError("config names no checkpoint")
@@ -621,13 +625,14 @@ def run_eval(model_path, config: Config) -> EvalReport:
     if absent:
         raise DomainError(f"model file misses quantizable layers: {absent}")
     root = Rng(config.seed)
-    overrides = {l.name: _layer_runner(l) for l in qmodel.layers}
-    cap = {
-        l.name: _ErrorSink(l.name, model.layer_weight(l.name), overrides[l.name])
+    mses = {l.name: [] for l in qmodel.layers}
+    scored = {
+        l.name: _scorer(_layer_runner(l), model.layer_weight(l.name), mses[l.name])
         for l in qmodel.layers
     }
-    endpoint = _paired_endpoint_mse(model, schedule, config, overrides, root, cap)
-    rows = [row for l in qmodel.layers for row in cap[l.name].rows]
+    endpoint = _paired_endpoint_mse(model, schedule, config, scored, root, whole=True)
+    tset_desc = _visit_order(schedule, config)
+    rows = [(name, t, mse) for name, kept in mses.items() for t, mse in zip(tset_desc, kept)]
     summaries = tuple(
         LayerSummary(
             l.name,

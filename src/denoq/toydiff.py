@@ -12,9 +12,10 @@ of the tensor. This module provides that subject:
   channels up by large recorded factors (the consumer's weight rows are
   divided by the same factors, so the function is unchanged but the
   activation statistics are pathological),
-* a deterministic DDIM-style sampler plus calibration capture; a large
-  capture or endpoint run is split by trajectories into row shares over
-  the usable CPUs (see _row_shares), with the bits of one whole run,
+* a deterministic DDIM-style sampler with one per-layer hook (overrides)
+  and calibration capture built on it; a large capture or endpoint run is
+  split by trajectories into row shares over the usable CPUs (see
+  _row_shares), with the bits of one whole run,
 * a documented binary checkpoint format so a trained model can be committed
   and reloaded byte for byte (scripts/make_checkpoint.py trains the bundled
   one).
@@ -257,20 +258,18 @@ class ToyDenoiser:
         """Buffers for forward calls on batches of `batch` rows."""
         return _ForwardBuffers(batch, self.dim + self.embed_dim, self.hidden)
 
-    def forward(
-        self, x, t: int, overrides=None, capture=None, buffers=None
-    ) -> np.ndarray:
+    def forward(self, x, t: int, overrides=None, buffers=None) -> np.ndarray:
         """Predict the noise in x at timestep t, as a new array.
 
         overrides maps a quantizable layer name to a callable replacing its
-        matmul (input activation in, product out). capture maps layer names
-        to lists that receive (input activation, t) pairs. buffers, from
+        matmul (input activation in, product out); a caller that watches a
+        layer, to record or score it, does so in one. buffers, from
         forward_buffers(len(x)), receives the intermediate activations, so a
         caller that runs many steps allocates them once; without it the
         call makes its own. An override's input is one of these buffers,
         rewritten later in the call or by the next call that shares them,
-        so an override that keeps its input copies it (capture does). The
-        call writes into no other array: not x, not an override's product.
+        so an override that keeps its input copies it. The call writes
+        into no other array: not x, not an override's product.
         """
         x = as_real(x, "x")
         if x.ndim != 2 or x.shape[1] != self.dim:
@@ -284,8 +283,6 @@ class ToyDenoiser:
             raise DimensionError(f"buffers hold {b.batch} rows, x has {x.shape[0]}")
 
         def run(name, a):
-            if capture is not None and name in capture:
-                capture[name].append((a.copy(), t))
             fn = overrides.get(name)
             return fn(a) if fn is not None else a @ self.params[f"{name}_w"]
 
@@ -399,7 +396,6 @@ def sample(
     *,
     eta: float = 0.0,
     overrides=None,
-    capture=None,
     x_init=None,
     rows=None,
 ) -> Trajectory:
@@ -408,9 +404,10 @@ def sample(
     steps is either a step count (a uniform grid is built) or an explicit
     ascending grid starting at 0. The same rng drives the initial noise and
     any eta > 0 injections, so a seed pins the whole trajectory. x_init,
-    when given, replaces the initial noise and must be [batch x dim]. Every
-    forward call of the run writes into one set of buffers, made here for
-    the batch and freed on return.
+    when given, replaces the initial noise and must be [batch x dim].
+    overrides go to every forward call, step by step; since every forward
+    call of the run writes into one set of buffers, made here for the batch
+    and freed on return, an override that keeps its input copies it.
 
     rows, a slice of range(batch), runs only those trajectories: the
     initial noise and every injection are still drawn for the whole batch,
@@ -440,9 +437,7 @@ def sample(
     for i in range(len(grid) - 1, 0, -1):
         t, t_prev = int(grid[i]), int(grid[i - 1])
         with np.errstate(over="ignore", invalid="ignore"):
-            eps_hat = model.forward(
-                x, t, overrides=overrides, capture=capture, buffers=buffers
-            )
+            eps_hat = model.forward(x, t, overrides=overrides, buffers=buffers)
         if not np.all(np.isfinite(eps_hat)):
             raise NumericalError(
                 f"sampler step {len(grid) - i} of {len(grid) - 1} (t = {t}): "
@@ -516,19 +511,16 @@ def sample_endpoint(
     return np.concatenate(parts)
 
 
-class _RowSink:
-    """Capture target for one layer's rows of a sampler run: the rows a
-    step captures go to step * n + start of a preallocated array, so no
-    per-step copies pile up to be concatenated, and the shares of a run
-    fill one array."""
+def _recorder(slots, weight, product=None):
+    """An override that copies each call's input into the next of slots and
+    returns product(input), or without product forward's input @ weight."""
+    slots = iter(slots)
 
-    def __init__(self, activations: np.ndarray, n: int, start: int):
-        self._activations, self._n, self._at = activations, n, start
+    def record(a):
+        next(slots)[...] = a
+        return a @ weight if product is None else product(a)
 
-    def append(self, pair) -> None:
-        a, _ = pair
-        self._activations[self._at : self._at + a.shape[0]] = a
-        self._at += self._n
+    return record
 
 
 def collect_calibration(
@@ -553,9 +545,10 @@ def collect_calibration(
     calibration.
 
     The activations live in one workers.shared_arrays mapping, and the run
-    goes in row shares (see _row_shares): each share captures its rows
-    straight into the records, and the records are the same bits as one
-    whole run's.
+    goes in row shares (see _row_shares). A recorded layer runs under an
+    override (_recorder) that copies each step's input straight into its
+    rows of the record, then runs the caller's override or the matmul. The
+    records are the same bits as one whole run's.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
@@ -568,15 +561,17 @@ def collect_calibration(
     grid = ddim_timesteps(schedule.t_max, steps)
     timesteps = np.repeat(grid[:0:-1], n)  # sampler visit order
     activations = workers.shared_arrays([(timesteps.size, spec.c_in) for spec in specs])
+    overrides = overrides or {}
 
     def capture(rows, stream):
-        sinks = {
-            spec.name: _RowSink(a, n, rows.start) for spec, a in zip(specs, activations)
-        }
-        sample(
-            model, schedule, steps, n, stream,
-            eta=eta, overrides=overrides, capture=sinks, rows=rows,
-        )
+        recording = dict(overrides)
+        for spec, a in zip(specs, activations):
+            recording[spec.name] = _recorder(
+                a.reshape(len(grid) - 1, n, spec.c_in)[:, rows],
+                model.layer_weight(spec.name),
+                overrides.get(spec.name),
+            )
+        sample(model, schedule, steps, n, stream, eta=eta, overrides=recording, rows=rows)
 
     _in_row_shares(capture, n, len(grid) - 1, rng, "capture worker")
     return {
@@ -593,12 +588,8 @@ class _BumpedModel:
         self.forward_buffers = model.forward_buffers
         self._model, self._t, self._bump = model, t, bump
 
-    def forward(
-        self, x, t: int, overrides=None, capture=None, buffers=None
-    ) -> np.ndarray:
-        eps_hat = self._model.forward(
-            x, t, overrides=overrides, capture=capture, buffers=buffers
-        )
+    def forward(self, x, t: int, overrides=None, buffers=None) -> np.ndarray:
+        eps_hat = self._model.forward(x, t, overrides=overrides, buffers=buffers)
         return eps_hat + self._bump if t == self._t else eps_hat
 
 

@@ -4,9 +4,10 @@ Parallel work takes one form: a list of shares, each worked by the same
 callable, that run_shares() deals over the CPUs. This process works the
 first share itself and forks one child for each other share. A child
 inherits the parent's memory copy-on-write and sends back only its pickled
-outcome through a pipe, so a share should return something small.
-share_slices() is the one size rule that cuts work into even shares. What
-every caller can rely on:
+outcome through a pipe, so a share should return something small. Each
+caller cuts its own shares: share_slices() cuts work into even shares by
+element count, and toydiff._row_shares() cuts sampler runs into row shares
+at multiples of its row quantum. What every caller can rely on:
 
 - one usable CPU means no fork: every share runs in this process;
 - a pipe or a fork that raises OSError runs that share in this process, at
@@ -14,7 +15,12 @@ every caller can rely on:
 - a child that dies without a result is a DenoqError that names its share
   and its wait status (the CLI's exit 2);
 - every child is reaped before run_shares returns or raises, and the error
-  it raises is the first one in share order.
+  it raises is the first one in share order;
+- while children run, numpy's bundled OpenBLAS runs one thread in this
+  process and in each child, whatever the import order, so that the shares
+  do not start one BLAS pool each on the same CPUs; this process gets its
+  own count back before run_shares returns or raises. Where numpy bundles
+  no OpenBLAS with a thread setter, the count is left as it is.
 
 Work whose result is large writes it into arrays from shared_arrays()
 instead: they live in an anonymous MAP_SHARED mapping, so what a child
@@ -23,6 +29,9 @@ writes there is what this process reads, with nothing pickled.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import math
 import mmap
 import os
@@ -75,6 +84,38 @@ def shared_arrays(shapes) -> list:
         np.frombuffer(buf, np.float64, math.prod(shape), offset).reshape(shape)
         for shape, offset in zip(shapes, offsets)
     ]
+
+
+@functools.cache
+def _blas_thread_calls():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS
+    (numpy.libs/libscipy_openblas64_*.so), through ctypes, or None where
+    there is no such library or it lacks them. Its symbols are not global,
+    so ctypes.CDLL(None) does not find them."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    found = glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))
+    if len(found) != 1:
+        return None
+    try:
+        lib = ctypes.CDLL(found[0])
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+def _set_blas_threads(n: int):
+    """Set numpy's bundled OpenBLAS to n threads; the count it had, or None
+    (and no change) where there is no setter."""
+    calls = _blas_thread_calls()
+    if calls is None:
+        return None
+    get, put = calls
+    old = get()
+    put(n)
+    return old
 
 
 def _run(work, share):
@@ -138,9 +179,11 @@ def run_shares(work, shares, what) -> list:
     dies. Once every child is reaped, the first error in share order is
     raised.
     """
-    forks = usable_cpus() > 1
+    forks = usable_cpus() > 1 and len(shares) > 1
     outcomes = [None] * len(shares)
     children = {}
+    # Set before the first fork, so that each child inherits one thread.
+    threads = _set_blas_threads(1) if forks else None
     try:
         for i in range(1, len(shares)):
             child = _fork(work, shares[i]) if forks else None
@@ -152,6 +195,8 @@ def run_shares(work, shares, what) -> list:
     finally:
         for i, child in children.items():
             outcomes[i] = _join(child, what(shares[i]))
+        if threads is not None:
+            _set_blas_threads(threads)
     for outcome in outcomes:
         if isinstance(outcome, Exception):
             raise outcome

@@ -254,6 +254,21 @@ class TestQuantizeRun:
         assert steps == sorted(steps, reverse=True)
         assert [t for _, t, _ in report.rows] == steps * len(names)
 
+    def test_eval_runs_each_quantized_product_once(self, runs, monkeypatch):
+        """A layer's score reuses the product its quantized trajectory runs:
+        one activation_codes call per layer per sampler step."""
+        cfg, paths, _ = runs
+        real = quant.activation_codes
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(quant, "activation_codes", counted)
+        report = run_eval(paths["one"][0], cfg)
+        assert len(report.rows) == len(calls) == 4 * cfg.T
+
 
 class TestVariants:
     def test_minmax_only_leaves_tau_at_one(self):
@@ -531,6 +546,13 @@ class TestCli:
         rc = cli.main(["quantize", "--config", str(p), "--out", "x.dmq"])
         assert rc == 2
         assert "unknown key" in capsys.readouterr().err
+
+    def test_a_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "bad.cfg"
+        p.write_bytes(b"T = 4\xff\n")
+        rc = cli.main(["quantize", "--config", str(p), "--out", str(tmp_path / "x.dmq")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {p}: not UTF-8 at byte offset 5\n"
 
     def test_non_utf8_checkpoint_name_exits_3(self, tmp_path, capsys):
         raw = bytearray(CHECKPOINT.read_bytes())

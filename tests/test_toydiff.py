@@ -342,15 +342,6 @@ class TestModel:
         # with the mid product zeroed, silu(0) = 0 leaves only the head bias
         assert np.allclose(zeroed, model.params["head_b"][None, :], atol=1e-15)
 
-    def test_capture_records_inputs_with_timesteps(self):
-        model, _ = tiny_model()
-        cap = {"skip": []}
-        x = Rng(2).standard_normal((4, 2))
-        model.forward(x, 3, capture=cap)
-        model.forward(x, 1, capture=cap)
-        assert [t for _, t in cap["skip"]] == [3, 1]
-        assert all(a.shape == (4, model.hidden) for a, _ in cap["skip"])
-
 
 class TestCalibration:
     def test_row_counts_and_timesteps(self):
@@ -383,11 +374,16 @@ class TestCalibration:
         """Row step * n + r holds trajectory r at the step-th timestep."""
         model, sched = tiny_model(t_max=20)
         records = collect_calibration(model, sched, 4, 6, Rng(0), layers=["res1"])
-        cap = {"res1": []}
-        sample(model, sched, 4, 6, Rng(0), capture=cap)
+        seen = []
+
+        def keep(a):
+            seen.append(a.copy())
+            return a @ model.layer_weight("res1")
+
+        traj = sample(model, sched, 4, 6, Rng(0), overrides={"res1": keep})
         rec = records["res1"]
-        assert rec.activations.tobytes() == np.concatenate([a for a, _ in cap["res1"]]).tobytes()
-        assert rec.timesteps.tolist() == [t for _, t in cap["res1"] for _ in range(6)]
+        assert rec.activations.tobytes() == np.concatenate(seen).tobytes()
+        assert rec.timesteps.tolist() == [t for t in traj.timesteps.tolist() for _ in range(6)]
         assert rec.timesteps.tolist() == np.repeat([20, 15, 10, 5], 6).tolist()
 
 
@@ -661,8 +657,8 @@ class TestServedForward:
         assert runs[0] == runs[2] == runs[4] and runs[1] == runs[3]
 
     def test_forward_writes_no_array_it_did_not_make(self, bundled):
-        """x, every override's product and every captured copy are left as
-        they were, also through later calls that reuse the buffers."""
+        """x and every override's product are left as they were, also
+        through later calls that reuse the buffers."""
         model, _ = bundled
         x = Rng(4).standard_normal((5, 2))
         x_before = x.copy()
@@ -677,15 +673,12 @@ class TestServedForward:
 
         overrides = {s.name: product(s.name) for s in model.quantizable_layers()}
         buffers = model.forward_buffers(5)
-        captured = []
         for t in (7, 3, 11):
-            cap = {s.name: [] for s in model.quantizable_layers()}
-            eps = model.forward(x, t, overrides=overrides, capture=cap, buffers=buffers)
+            eps = model.forward(x, t, overrides=overrides, buffers=buffers)
             assert eps.tobytes() == model.forward(x, t).tobytes()
-            captured += [(a, a.copy()) for pairs in cap.values() for a, _ in pairs]
         assert x.tobytes() == x_before.tobytes()
-        assert len(products) == 12 and len(captured) == 12
-        assert all(a.tobytes() == kept.tobytes() for a, kept in products + captured)
+        assert len(products) == 12
+        assert all(a.tobytes() == kept.tobytes() for a, kept in products)
 
     def test_buffers_must_match_the_batch(self, bundled):
         model, _ = bundled

@@ -14,6 +14,8 @@ import dataclasses
 import errno
 import os
 import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -212,6 +214,45 @@ def test_the_first_error_in_share_order_is_raised_once_every_child_is_reaped(
     with pytest.raises(NumericalError, match=f"^share {first}$"):
         workers.run_shares(work, [0, 1, 2, 3], lambda share: f"share {share}")
     assert len(forks) == 3
+
+
+_BLAS_THREADS_SCRIPT = """
+import numpy  # before denoq, with no BLAS variable set
+from denoq import workers
+from denoq.errors import NumericalError
+
+threads = workers._blas_thread_calls()[0]
+
+def fail(share):
+    raise NumericalError(share)
+
+before = threads()
+seen = workers.run_shares(lambda share: threads(), [0, 1], str)
+after = threads()
+try:
+    workers.run_shares(fail, [0, 1], str)
+except NumericalError:
+    pass
+print(before, *seen, after, threads())
+"""
+
+
+def test_shares_run_one_blas_thread_whatever_the_import_order():
+    """With numpy imported first, OpenBLAS starts one thread per CPU. Both
+    shares read 1 thread, and the parent gets its count back after
+    run_shares returns and after it raises."""
+    if workers._blas_thread_calls() is None or workers.usable_cpus() < 2:
+        pytest.skip("needs numpy's bundled OpenBLAS thread setter and 2 usable CPUs")
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", _BLAS_THREADS_SCRIPT],
+        env=env, check=True, timeout=60, capture_output=True, text=True,
+    )
+    before, first, second, after, after_raising = map(int, done.stdout.split())
+    assert before > 1
+    assert (first, second) == (1, 1)
+    assert after == after_raising == before
 
 
 # ---------------------------------------------------------------------------
@@ -731,9 +772,10 @@ def test_the_first_share_in_row_order_raises_first(monkeypatch):
         collect_calibration(model, schedule, 4, 256, Rng(0))
 
 
+# A capture passes the sampler no x_init; an endpoint half does.
 ROW_WORKERS = {
-    "capture": (lambda kwargs: kwargs.get("capture") is not None, "capture worker"),
-    "endpoint": (lambda kwargs: kwargs.get("capture") is None, "sampler worker"),
+    "capture": (lambda kwargs: kwargs.get("x_init") is None, "capture worker"),
+    "endpoint": (lambda kwargs: kwargs.get("x_init") is not None, "sampler worker"),
 }
 
 
