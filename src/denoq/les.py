@@ -17,10 +17,18 @@ division where the loss above has two. The two agree except where x / tau
 lands next to a half-code boundary, so the keep-best check, which decides
 what is kept, uses the fused divisor.
 
-The keep-best check runs once per iteration on the whole calibration set.
-It validates what can go wrong at a new tau: the fitted MinMax scales must
-be positive reals, so a layer whose scaled activations or weights overflow
-fails there with DomainError. It does not clamp codes: a MinMax scale
+The keep-best check looks at every iteration's tau on the whole
+calibration set, in two parts. A ranking loss picks the best candidate:
+where the code product runs in the float32 tier (tensor.code_dtype), it
+is computed in float32 (_rank_loss), at about half the cost of the exact
+loss; elsewhere it is the exact loss, its code product always on float64
+BLAS (see _ranking for past 53 bits). The exact check (_check_loss) then
+scores only tau = 1 and the winner, so the losses a LesResult reports
+are exact, and a winner that the exact check does not score below tau = 1
+gives way to it. The check validates what can go wrong at a new tau: the
+fitted MinMax scales, float64 in both parts, must be positive reals, so a
+layer whose scaled activations or weights overflow fails there with
+DomainError. It does not clamp codes: a MinMax scale
 fitted at this tau bounds every code within the range already (see
 _codes_into). The descent's batch step runs on the validated record and
 the clipped tau, so its products skip tensor.matmul's scans; the
@@ -45,7 +53,9 @@ import numpy as np
 from .errors import DimensionError, DomainError
 from .igemm import accumulator_budget, apply_output_scales
 from .quant import SCALE_FLOOR, QuantParams, _clamp, code_bounds, minmax_scale
-from .tensor import Rng, Tensor, as_real, code_dtype, code_matmul, matmul
+from .tensor import (
+    EXACT_FLOAT_BITS, Rng, Tensor, as_real, code_dtype, code_matmul, matmul,
+)
 from .timestep_weighting import TimestepWeighter
 
 # Descent safeguards: gradients are norm-clipped and log factors bounded to
@@ -257,7 +267,7 @@ def _codes_into(
 
 
 def _check_buffers(x: Tensor, ref: Tensor, bits_a: int, bits_w: int) -> tuple:
-    """What every keep-best check of one layer reuses.
+    """What a run of keep-best checks of one layer reuses.
 
     The column maxima and minima of x, stacked [2 x C_in]: dividing by a
     positive tau is monotone, so the extremes of x / tau are those of
@@ -275,30 +285,19 @@ def _check_buffers(x: Tensor, ref: Tensor, bits_a: int, bits_w: int) -> tuple:
     return budget, extremes, x_buf, code_buf, np.empty_like(ref)
 
 
-def _check_loss(
-    ref: Tensor, x: Tensor, w: Tensor, tau: np.ndarray,
-    bits_a: int, bits_w: int, act_signed: bool, work: tuple,
-) -> tuple[float, float, np.ndarray]:
-    """Deployment-faithful mean loss: fresh MinMax at this tau, real rounding.
+def _check_grid(
+    extremes: np.ndarray, w: Tensor, tau: np.ndarray,
+    bits_a: int, bits_w: int, act_signed: bool,
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """The MinMax grid fitted at tau, from minmax_scale's formulas without
+    its scans: the activation scale from the column extremes of x divided
+    by tau, and the weight scales from w * tau. Returns the activation
+    scale, w * tau and the weight scale of each output column.
 
-    The quantized product is the deployed one of an unrescued layer: x
-    divided once by the fused divisor tau * s (what les.fuse exports and
-    quant.activation_codes divides by), then a code product with both
-    scales applied outside the accumulation. work comes from
-    _check_buffers, so the per-iteration check allocates nothing the size
-    of the set. Returns the loss and the MinMax grid fitted at tau as its
-    bare scales: the activation scale and the weight scale of each output
-    column, the grid minmax_scale fits to x / tau and w * tau.
-
-    The scales come from minmax_scale's formulas without its scans: the
-    activation scale from the column extremes divided by tau, and the
-    weight scales from w * tau. What it validates: the scales are positive
-    reals, as QuantParams would check them, or it raises DomainError (a
-    tau at which x / tau or w * tau overflows). What it does not do: clamp
-    codes, since MinMax fitted at this tau keeps every code within its
-    range (_codes_into).
+    What it validates: the scales are positive reals, as QuantParams would
+    check them, or it raises DomainError (a tau at which x / tau or w * tau
+    overflows).
     """
-    budget, extremes, x_buf, code_buf, acc_buf = work
     _, u_a = code_bounds(bits_a, act_signed)
     _, u_w = code_bounds(bits_w, True)
     scaled = extremes / tau[None, :]
@@ -314,6 +313,28 @@ def _check_loss(
             "keep-best check: the MinMax scales at this tau are not positive "
             "reals (the scaled activations or weights overflow)"
         )
+    return s_x, w_hat, s_w
+
+
+def _check_loss(
+    ref: Tensor, x: Tensor, w: Tensor, tau: np.ndarray,
+    bits_a: int, bits_w: int, act_signed: bool, work: tuple,
+) -> tuple[float, float, np.ndarray]:
+    """Deployment-faithful mean loss: fresh MinMax at this tau, real rounding.
+
+    The quantized product is the deployed one of an unrescued layer: x
+    divided once by the fused divisor tau * s (what les.fuse exports and
+    quant.activation_codes divides by), then a code product with both
+    scales applied outside the accumulation. work comes from
+    _check_buffers, so the check allocates nothing the size of the set.
+    Returns the loss and the MinMax grid fitted at tau as its bare scales
+    (_check_grid): the activation scale and the weight scale of each
+    output column, the grid minmax_scale fits to x / tau and w * tau. It
+    does not clamp codes, since MinMax fitted at this tau keeps every code
+    within its range (_codes_into).
+    """
+    budget, extremes, x_buf, code_buf, acc_buf = work
+    s_x, w_hat, s_w = _check_grid(extremes, w, tau, bits_a, bits_w, act_signed)
     x_codes = _codes_into(x, (tau * s_x)[None, :], act_signed, x_buf, code_buf)
     w_codes = _codes_into(w_hat, s_w[None, :], True, w_hat)
     acc = code_matmul(x_codes, w_codes, budget, out=acc_buf)
@@ -321,6 +342,80 @@ def _check_loss(
     np.subtract(ref, err, out=err)
     loss = float(np.mean(np.einsum("ij,ij->i", err, err, optimize=False)))
     return loss, s_x, s_w
+
+
+def _float32_copies(x: Tensor, w: Tensor, ref: Tensor) -> tuple | None:
+    """float32 copies of x and ref for the float32 ranking, or None when
+    the ranking could leave the float32 range at some tau of the descent.
+
+    The bound covers every intermediate of _rank_loss for tau within
+    [1/t, t] (t = 1e4, doubled against rounding). A fitted activation
+    scale times u_a is at most t max|x|, and a weight scale times u_w at
+    most t max|w|, plus less than 1 from the scale floors. A dequantized
+    product entry is then at most e = C_in (t max|x| + 1) (t max|w| + 1),
+    a fused divisor at most t e, and a row sum of squared errors at most
+    C_out (max|ref| + e)^2, which must stay a factor of four inside
+    float32's largest value.
+    """
+    t = 2.0 * math.exp(_LOG_TAU_BOUND)
+    big_x, big_w, big_ref = (float(np.max(np.abs(v))) for v in (x, w, ref))
+    err = big_ref + x.shape[1] * (t * big_x + 1.0) * (t * big_w + 1.0)
+    if not ref.shape[1] * err * err <= 0.25 * float(np.finfo(np.float32).max):
+        return None
+    return x.astype(np.float32), ref.astype(np.float32)
+
+
+def _rank_loss(
+    x32: np.ndarray, ref32: np.ndarray, w: Tensor, tau: np.ndarray,
+    bits_a: int, bits_w: int, act_signed: bool, work: tuple,
+) -> tuple[float, float, np.ndarray]:
+    """_check_loss's mean loss in float32, for ranking candidates.
+
+    The grid is _check_grid's, in float64, with its DomainError. The float32
+    x is divided by the fused divisor rounded to float32 and rounded to
+    codes, the code product is the exact float32 one (budget at most 24
+    bits), and the scaling, the error against the float32 ref and the row
+    sums run in float32; only the mean is float64. The loss is within a few
+    float32 roundings of _check_loss's, not equal to it, and codes next to
+    a half-code boundary may round the other way. work holds the budget,
+    the column extremes of x and two float32 buffers, one shaped like x
+    for the codes and one like ref for the product.
+    """
+    budget, extremes, code_buf, acc_buf = work
+    s_x, w_hat, s_w = _check_grid(extremes, w, tau, bits_a, bits_w, act_signed)
+    divisor = (tau * s_x).astype(np.float32)
+    x_codes = _codes_into(x32, divisor[None, :], act_signed, code_buf)
+    w_codes = _codes_into(w_hat, s_w[None, :], True, w_hat)
+    acc = code_matmul(x_codes, w_codes, budget, out=acc_buf)
+    np.multiply(acc, (s_x * s_w).astype(np.float32)[None, :], out=acc)
+    np.subtract(ref32, acc, out=acc)
+    rows = np.einsum("ij,ij->i", acc, acc, optimize=False)
+    return float(np.mean(rows, dtype=np.float64)), s_x, s_w
+
+
+def _ranking(
+    ref: Tensor, x: Tensor, w: Tensor, bits_a: int, bits_w: int, act_signed: bool
+):
+    """The loss that ranks one layer's keep-best candidates: a function of
+    tau returning the loss and the grid fitted at tau, as _check_loss does.
+
+    In the float32 tier it is _rank_loss on float32 copies of x and ref.
+    A layer whose float32 ranking could overflow (_float32_copies), and
+    every layer past 24 bits, ranks with _check_loss on float64 BLAS: that
+    is the exact check up to 53 bits. Past 53 bits the check's own product
+    is code_matmul's BLAS-free einsum, whose float64 partial sums round;
+    the ranking takes the float64 BLAS product in its place, which rounds
+    in BLAS's order. optimize_layer scores the candidate it keeps with the
+    check itself.
+    """
+    budget, extremes, x_buf, code_buf, acc_buf = _check_buffers(x, ref, bits_a, bits_w)
+    copies = _float32_copies(x, w, ref) if code_buf.dtype == np.float32 else None
+    if copies is None:
+        work = (min(budget, EXACT_FLOAT_BITS), extremes, x_buf, code_buf, acc_buf)
+        return lambda tau: _check_loss(ref, x, w, tau, bits_a, bits_w, act_signed, work)
+    x32, ref32 = copies
+    work = (budget, extremes, code_buf, np.empty(ref.shape, np.float32))
+    return lambda tau: _rank_loss(x32, ref32, w, tau, bits_a, bits_w, act_signed, work)
 
 
 def optimize_layer(
@@ -341,9 +436,13 @@ def optimize_layer(
 
     Batches are drawn from a seeded shuffle, reshuffled each epoch. The
     quantizer grid is refreshed by MinMax every scale_refresh iterations and
-    frozen in between. A keep-best snapshot guards the outcome: the returned
-    tau is the one with the lowest full-set mean loss ever observed, so the
-    result is never worse than the tau=1 starting point.
+    frozen in between. A keep-best snapshot guards the outcome: every
+    iteration's tau is ranked by its full-set mean loss (_ranking, in
+    float32 in the float32 tier), and the best one is scored with the
+    exact check. The returned tau is that one if its exact loss is below
+    the exact loss at tau = 1, else tau = 1, so the result is never worse
+    than the starting point. initial_loss and final_loss are exact-check
+    losses.
     """
     if iterations < 1:
         raise DomainError("iterations must be >= 1")
@@ -357,11 +456,13 @@ def optimize_layer(
     c_in = x.shape[1]
     n_rows = x.shape[0]
     ref = matmul(x, w)
-    work = _check_buffers(x, ref, bits_a, bits_w)
     log_tau = np.zeros(c_in)
-    tau = best_tau = np.ones(c_in)
-    initial, s_x, s_w = _check_loss(ref, x, w, tau, bits_a, bits_w, act_signed, work)
-    best = initial
+    tau = best_tau = identity = np.ones(c_in)
+    initial = _check_loss(
+        ref, x, w, tau, bits_a, bits_w, act_signed, _check_buffers(x, ref, bits_a, bits_w)
+    )[0]
+    rank = _ranking(ref, x, w, bits_a, bits_w, act_signed)
+    best, s_x, s_w = rank(tau)
     m = v = np.zeros(c_in)  # Adam's moment estimates
     order = rng.permutation(n_rows)
     cursor = 0
@@ -372,7 +473,7 @@ def optimize_layer(
         batch = order[cursor : cursor + batch_size]
         cursor += batch_size
         if iteration % scale_refresh == 0:
-            # The last keep-best check already fitted MinMax at this tau.
+            # The last keep-best ranking already fitted MinMax at this tau.
             act_p = QuantParams(s_x, bits_a, act_signed)
             wgt_p = QuantParams(s_w, bits_w, True, axis=1)
         steps = weighter.lookup(record.timesteps[batch])
@@ -403,11 +504,19 @@ def optimize_layer(
                 log_tau = log_tau - lr * m_hat / (np.sqrt(v_hat) + eps)
         _clamp(log_tau, -_LOG_TAU_BOUND, _LOG_TAU_BOUND, log_tau)
         tau = np.exp(log_tau)
-        candidate, s_x, s_w = _check_loss(ref, x, w, tau, bits_a, bits_w, act_signed, work)
+        candidate, s_x, s_w = rank(tau)
         if candidate < best:
             best = candidate
             best_tau = tau
-    return LesResult(best_tau, initial, best)
+    if best_tau is not identity:
+        del rank  # frees the ranking's buffers before the exact check makes its own
+        final = _check_loss(
+            ref, x, w, best_tau, bits_a, bits_w, act_signed,
+            _check_buffers(x, ref, bits_a, bits_w),
+        )[0]
+        if final < initial:
+            return LesResult(best_tau, initial, final)
+    return LesResult(identity, initial, initial)
 
 
 def fuse(tau, act_params: QuantParams, w: Tensor) -> tuple[np.ndarray, Tensor]:

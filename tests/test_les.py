@@ -1,8 +1,12 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from denoq import les, pipeline
 from denoq.errors import DimensionError, DomainError
 from denoq.les import (
     LayerCalibRecord,
@@ -27,6 +31,9 @@ from denoq.quant import (
 )
 from denoq.tensor import Rng, matmul
 from denoq.timestep_weighting import TimestepWeighter
+from denoq.toydiff import collect_calibration, load_checkpoint
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def make_record(seed=0, n=64, c_in=8, c_out=6, outlier=None):
@@ -419,6 +426,137 @@ def test_les_loss_and_les_grad_refuse_a_product_that_overflows():
             les_loss(x, w, tau, act_params=act_p, weight_params=wgt_p)
         with pytest.raises(DomainError, match="les_grad: the result is not finite"):
             les_grad(x, w, tau, act_p, wgt_p)
+
+
+def float64_ranking(monkeypatch):
+    """Make every layer rank its keep-best candidates with the float64
+    check, the reference the float32 ranking is held to."""
+    monkeypatch.setattr(les, "_float32_copies", lambda x, w, ref: None)
+
+
+def same_result(a, b) -> bool:
+    return a.tau.tobytes() == b.tau.tobytes() and (a.initial_loss, a.final_loss) == (
+        b.initial_loss, b.final_loss
+    )
+
+
+@pytest.fixture(scope="module")
+def w4a8_layers():
+    """configs/w4a8.cfg at seed 0: the config, its calibration records as
+    run_quantize captures them, and the sampler's timestep order."""
+    cfg = pipeline.parse_config(ROOT / "configs" / "w4a8.cfg")
+    model, schedule = load_checkpoint(cfg.checkpoint)
+    records = collect_calibration(
+        model, schedule, cfg.T, cfg.n, Rng(cfg.seed).child("calib"), eta=cfg.eta
+    )
+    return cfg, records, pipeline._visit_order(schedule, cfg)
+
+
+@pytest.mark.parametrize("bits_a", [8, 6])
+def test_float32_ranking_keeps_the_float64_choice(w4a8_layers, monkeypatch, bits_a):
+    """On the four bundled layers, ranked in float32 (checked: each fits)
+    and ranked by the float64 check, the descent keeps the same tau bit for
+    bit, so the same iteration wins, and reports the same exact losses."""
+    cfg, records, tset_desc = w4a8_layers
+    cfg = dataclasses.replace(cfg, bits_a=bits_a)
+    assert len(records) == 4
+    for rec in records.values():
+        ref = matmul(rec.activations, rec.weight)
+        assert les._float32_copies(rec.activations, rec.weight, ref) is not None
+    learn = lambda name: pipeline._learn(  # noqa: E731
+        cfg, name, records[name], Rng(cfg.seed), tset_desc
+    )
+    ranked32 = {name: learn(name) for name in records}
+    float64_ranking(monkeypatch)
+    for name in records:
+        ranked64 = learn(name)
+        assert ranked64.final_loss < ranked64.initial_loss  # a tau was kept
+        assert same_result(ranked32[name], ranked64), name
+
+
+def test_a_layer_past_float32_ranks_in_float64(monkeypatch):
+    """An activation of 1e39 is finite in float64 but not in float32: the
+    layer falls back to the float64 ranking (with no cast warning, which
+    the suite would raise) and learns what the float64-ranked run does."""
+    rec = make_record(9, c_in=8, outlier=(1, 20.0))
+    x = rec.activations.copy()
+    x[5, 2] = 1e39
+    rec = LayerCalibRecord("layer", x, rec.timesteps, rec.weight)
+    assert les._float32_copies(x, rec.weight, matmul(x, rec.weight)) is None
+    run = lambda: optimize_layer(  # noqa: E731
+        rec, TimestepWeighter([1, 2, 3, 4]), Rng(2), iterations=60, lr=0.05
+    )
+    got = run()
+    float64_ranking(monkeypatch)
+    assert same_result(got, run())
+    assert got.final_loss <= got.initial_loss
+
+
+@pytest.mark.parametrize("act_signed", [True, False])
+@pytest.mark.parametrize("where", ["act_max", "act_min", "weight"])
+def test_a_layer_that_overflows_fails_through_optimize_layer(act_signed, where):
+    """The layers on which the keep-best check refuses an overflowing tau
+    (test_keep_best_check_refuses_a_tau_that_overflows) end in DomainError
+    when the whole descent runs on them."""
+    rec = make_record(7, c_in=8)
+    x, w = rec.activations.copy(), rec.weight.copy()
+    if where == "weight":
+        w[2, 1] = 1e305
+    else:
+        x[3, 2] = 1e305 if where == "act_max" else -1e305
+    rec = LayerCalibRecord("layer", x, rec.timesteps, w)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DomainError):
+        optimize_layer(
+            rec, TimestepWeighter([1, 2, 3, 4]), Rng(0), iterations=20, act_signed=act_signed
+        )
+
+
+def exact_loss(rec, tau, bits_a=8, bits_w=4):
+    x, w = rec.activations, rec.weight
+    ref = matmul(x, w)
+    work = _check_buffers(x, ref, bits_a, bits_w)
+    return _check_loss(ref, x, w, tau, bits_a, bits_w, True, work)
+
+
+@pytest.mark.parametrize("optimizer", ["gd", "adam"])
+@pytest.mark.parametrize(
+    "seed,outlier", [(3, (2, 50.0)), (4, (5, 100.0)), (6, (1, 30.0)), (10, None)]
+)
+def test_reported_losses_are_the_exact_check(optimizer, seed, outlier):
+    """Candidates are ranked in float32, but the losses LesResult reports
+    are the exact check's, at tau = 1 and at the tau returned."""
+    rec = make_record(seed, outlier=outlier)
+    res = optimize_layer(
+        rec, TimestepWeighter([1, 2, 3, 4]), Rng(seed), iterations=60, lr=0.05,
+        optimizer=optimizer,
+    )
+    assert res.initial_loss == exact_loss(rec, np.ones(8))[0]
+    assert res.final_loss == exact_loss(rec, res.tau)[0]
+    assert res.final_loss <= res.initial_loss
+
+
+def test_a_winner_the_exact_check_scores_worse_gives_way_to_tau_one(monkeypatch):
+    """A ranking that prefers what the exact check scores worst picks a
+    tau that is worse than tau = 1; the exact check of the winner keeps
+    tau = 1 and reports its loss."""
+    rec = make_record(3, outlier=(2, 50.0))
+    ranked = []
+
+    def upside_down(ref, x, w, bits_a, bits_w, act_signed):
+        work = _check_buffers(x, ref, bits_a, bits_w)
+
+        def rank(tau):
+            loss, s_x, s_w = _check_loss(ref, x, w, tau, bits_a, bits_w, act_signed, work)
+            ranked.append(loss)
+            return -loss, s_x, s_w
+
+        return rank
+
+    monkeypatch.setattr(les, "_ranking", upside_down)
+    res = optimize_layer(rec, TimestepWeighter([1, 2, 3, 4]), Rng(0), iterations=40)
+    assert max(ranked) > ranked[0]  # a tau other than 1 won the ranking
+    assert np.array_equal(res.tau, np.ones(8))
+    assert res.final_loss == res.initial_loss == exact_loss(rec, np.ones(8))[0]
 
 
 class TestFusion:
