@@ -18,17 +18,19 @@ lands next to a half-code boundary, so the keep-best check, which decides
 what is kept, uses the fused divisor.
 
 The keep-best check looks at every iteration's tau on the whole
-calibration set, in two parts. A ranking loss picks the best candidate:
-where the code product runs in the float32 tier (tensor.code_dtype), it
-is computed in float32 (_rank_loss), at about half the cost of the exact
-loss; elsewhere it is the exact loss, its code product always on float64
-BLAS (see _ranking for past 53 bits). The exact check (_check_loss) then
-scores only tau = 1 and the winner, so the losses a LesResult reports
-are exact, and a winner that the exact check does not score below tau = 1
-gives way to it. The check validates what can go wrong at a new tau: the
-fitted MinMax scales, float64 in both parts, must be positive reals, so a
-layer whose scaled activations or weights overflow fails there with
-DomainError. It does not clamp codes: a MinMax scale
+calibration set with one loss, _check_loss, which runs in the dtype of
+the x and ref it is given. The ranking (_ranking) picks the best
+candidate: where the code product runs in the float32 tier
+(tensor.code_dtype), it gives the loss float32 copies of x and ref, at
+about half the cost of the float64 loss; elsewhere it gives it the
+float64 record, its code product always on float64 BLAS (see _ranking
+for past 53 bits). The exact check, the same loss on the float64 record,
+then scores only tau = 1 and the winner, so the losses a LesResult
+reports are exact, and a winner that the exact check does not score
+below tau = 1 gives way to it. The loss validates what can go wrong at a
+new tau: the fitted MinMax scales, float64 in every dtype, must be
+positive reals, so a layer whose scaled activations or weights overflow
+fails there with DomainError. It does not clamp codes: a MinMax scale
 fitted at this tau bounds every code within the range already (see
 _codes_into). The descent's batch step runs on the validated record and
 the clipped tau, so its products skip tensor.matmul's scans; the
@@ -51,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .igemm import accumulator_budget, apply_output_scales
+from .igemm import accumulator_budget
 from .quant import SCALE_FLOOR, QuantParams, _clamp, code_bounds, minmax_scale
 from .tensor import (
     EXACT_FLOAT_BITS, Rng, Tensor, as_real, code_dtype, code_matmul, matmul,
@@ -92,6 +94,16 @@ class LayerCalibRecord:
                 f"{self.name}: activations have C_in={self.activations.shape[1]} "
                 f"but weight has {self.weight.shape[0]} rows"
             )
+
+
+def _check_layer(x: Tensor, w: Tensor) -> tuple[np.ndarray, np.ndarray]:
+    """x and w as real arrays, refused unless they are a 2-d layer input
+    [B x C_in] and a 2-d weight [C_in x C_out]."""
+    x = as_real(x, "activations")
+    w = as_real(w, "weight")
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise DimensionError(f"incompatible layer shapes {x.shape} and {w.shape}")
+    return x, w
 
 
 def _check_tau(tau, c_in: int) -> np.ndarray:
@@ -186,10 +198,7 @@ def les_loss(
     straight-through gradient is exact for. Losses that an overflowing
     product made non-finite are a DomainError.
     """
-    x = as_real(x, "activations")
-    w = as_real(w, "weight")
-    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
-        raise DimensionError(f"incompatible layer shapes {x.shape} and {w.shape}")
+    x, w = _check_layer(x, w)
     tau = _check_tau(tau, x.shape[1])
     if act_params is None or weight_params is None:
         x_hat, w_hat = _scaled_pair(x, w, tau)
@@ -217,8 +226,7 @@ def les_grad(
     batch (the optimizer reads the weighter before updating it). A
     gradient that an overflowing product made non-finite is a DomainError.
     """
-    x = as_real(x, "activations")
-    w = as_real(w, "weight")
+    x, w = _check_layer(x, w)
     tau = _check_tau(tau, x.shape[1])
     b = x.shape[0]
     if sample_weights is None:
@@ -285,19 +293,27 @@ def _check_buffers(x: Tensor, ref: Tensor, bits_a: int, bits_w: int) -> tuple:
     return budget, extremes, x_buf, code_buf, np.empty_like(ref)
 
 
-def _check_grid(
-    extremes: np.ndarray, w: Tensor, tau: np.ndarray,
-    bits_a: int, bits_w: int, act_signed: bool,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """The MinMax grid fitted at tau, from minmax_scale's formulas without
-    its scans: the activation scale from the column extremes of x divided
-    by tau, and the weight scales from w * tau. Returns the activation
-    scale, w * tau and the weight scale of each output column.
+def _check_loss(
+    ref: Tensor, x: Tensor, w: Tensor, tau: np.ndarray,
+    bits_a: int, bits_w: int, act_signed: bool, work: tuple,
+) -> tuple[float, float, np.ndarray]:
+    """Deployment-faithful mean loss: fresh MinMax at this tau, real rounding.
 
-    What it validates: the scales are positive reals, as QuantParams would
-    check them, or it raises DomainError (a tau at which x / tau or w * tau
-    overflows).
+    The grid is minmax_scale's without its scans, in float64: the
+    activation scale from the column extremes of x divided by tau, the
+    weight scales from w * tau. It raises DomainError unless the scales are
+    positive reals (a tau at which x / tau or w * tau overflows). The
+    quantized product is the deployed one of an unrescued layer: x divided
+    once by the fused divisor tau * s (what les.fuse exports), codes left
+    unclamped (_codes_into), and a code product with both scales applied
+    outside the accumulation, into work's buffers (_check_buffers). Returns
+    the loss, the activation scale and the weight scale of each column.
+
+    The loss runs in the dtype of x and ref: on float32 copies (_ranking)
+    the divisor and the scales' product are rounded to float32, and the
+    codes, scaling, error and row sums are float32. The mean is float64.
     """
+    budget, extremes, x_buf, code_buf, acc_buf = work
     _, u_a = code_bounds(bits_a, act_signed)
     _, u_w = code_bounds(bits_w, True)
     scaled = extremes / tau[None, :]
@@ -313,49 +329,28 @@ def _check_grid(
             "keep-best check: the MinMax scales at this tau are not positive "
             "reals (the scaled activations or weights overflow)"
         )
-    return s_x, w_hat, s_w
-
-
-def _check_loss(
-    ref: Tensor, x: Tensor, w: Tensor, tau: np.ndarray,
-    bits_a: int, bits_w: int, act_signed: bool, work: tuple,
-) -> tuple[float, float, np.ndarray]:
-    """Deployment-faithful mean loss: fresh MinMax at this tau, real rounding.
-
-    The quantized product is the deployed one of an unrescued layer: x
-    divided once by the fused divisor tau * s (what les.fuse exports and
-    quant.activation_codes divides by), then a code product with both
-    scales applied outside the accumulation. work comes from
-    _check_buffers, so the check allocates nothing the size of the set.
-    Returns the loss and the MinMax grid fitted at tau as its bare scales
-    (_check_grid): the activation scale and the weight scale of each
-    output column, the grid minmax_scale fits to x / tau and w * tau. It
-    does not clamp codes, since MinMax fitted at this tau keeps every code
-    within its range (_codes_into).
-    """
-    budget, extremes, x_buf, code_buf, acc_buf = work
-    s_x, w_hat, s_w = _check_grid(extremes, w, tau, bits_a, bits_w, act_signed)
-    x_codes = _codes_into(x, (tau * s_x)[None, :], act_signed, x_buf, code_buf)
+    divisor = (tau * s_x).astype(x.dtype, copy=False)
+    x_codes = _codes_into(x, divisor[None, :], act_signed, x_buf, code_buf)
     w_codes = _codes_into(w_hat, s_w[None, :], True, w_hat)
     acc = code_matmul(x_codes, w_codes, budget, out=acc_buf)
-    err = apply_output_scales(acc, s_x, s_w, out=acc)
-    np.subtract(ref, err, out=err)
-    loss = float(np.mean(np.einsum("ij,ij->i", err, err, optimize=False)))
-    return loss, s_x, s_w
+    acc *= (s_x * s_w).astype(acc.dtype, copy=False)[None, :]
+    err = np.subtract(ref, acc, out=acc)
+    rows = np.einsum("ij,ij->i", err, err, optimize=False)
+    return float(np.mean(rows, dtype=np.float64)), s_x, s_w
 
 
 def _float32_copies(x: Tensor, w: Tensor, ref: Tensor) -> tuple | None:
     """float32 copies of x and ref for the float32 ranking, or None when
     the ranking could leave the float32 range at some tau of the descent.
 
-    The bound covers every intermediate of _rank_loss for tau within
-    [1/t, t] (t = 1e4, doubled against rounding). A fitted activation
-    scale times u_a is at most t max|x|, and a weight scale times u_w at
-    most t max|w|, plus less than 1 from the scale floors. A dequantized
-    product entry is then at most e = C_in (t max|x| + 1) (t max|w| + 1),
-    a fused divisor at most t e, and a row sum of squared errors at most
-    C_out (max|ref| + e)^2, which must stay a factor of four inside
-    float32's largest value.
+    The bound covers every intermediate of _check_loss in float32 for tau
+    within [1/t, t] (t = 1e4, doubled against rounding). A fitted
+    activation scale times u_a is at most t max|x|, and a weight scale
+    times u_w at most t max|w|, plus less than 1 from the scale floors. A
+    dequantized product entry is then at most e = C_in (t max|x| + 1)
+    (t max|w| + 1), a fused divisor at most t e, and a row sum of squared
+    errors at most C_out (max|ref| + e)^2, which must stay a factor of
+    four inside float32's largest value.
     """
     t = 2.0 * math.exp(_LOG_TAU_BOUND)
     big_x, big_w, big_ref = (float(np.max(np.abs(v))) for v in (x, w, ref))
@@ -365,57 +360,32 @@ def _float32_copies(x: Tensor, w: Tensor, ref: Tensor) -> tuple | None:
     return x.astype(np.float32), ref.astype(np.float32)
 
 
-def _rank_loss(
-    x32: np.ndarray, ref32: np.ndarray, w: Tensor, tau: np.ndarray,
-    bits_a: int, bits_w: int, act_signed: bool, work: tuple,
-) -> tuple[float, float, np.ndarray]:
-    """_check_loss's mean loss in float32, for ranking candidates.
-
-    The grid is _check_grid's, in float64, with its DomainError. The float32
-    x is divided by the fused divisor rounded to float32 and rounded to
-    codes, the code product is the exact float32 one (budget at most 24
-    bits), and the scaling, the error against the float32 ref and the row
-    sums run in float32; only the mean is float64. The loss is within a few
-    float32 roundings of _check_loss's, not equal to it, and codes next to
-    a half-code boundary may round the other way. work holds the budget,
-    the column extremes of x and two float32 buffers, one shaped like x
-    for the codes and one like ref for the product.
-    """
-    budget, extremes, code_buf, acc_buf = work
-    s_x, w_hat, s_w = _check_grid(extremes, w, tau, bits_a, bits_w, act_signed)
-    divisor = (tau * s_x).astype(np.float32)
-    x_codes = _codes_into(x32, divisor[None, :], act_signed, code_buf)
-    w_codes = _codes_into(w_hat, s_w[None, :], True, w_hat)
-    acc = code_matmul(x_codes, w_codes, budget, out=acc_buf)
-    np.multiply(acc, (s_x * s_w).astype(np.float32)[None, :], out=acc)
-    np.subtract(ref32, acc, out=acc)
-    rows = np.einsum("ij,ij->i", acc, acc, optimize=False)
-    return float(np.mean(rows, dtype=np.float64)), s_x, s_w
-
-
 def _ranking(
     ref: Tensor, x: Tensor, w: Tensor, bits_a: int, bits_w: int, act_signed: bool
 ):
     """The loss that ranks one layer's keep-best candidates: a function of
-    tau returning the loss and the grid fitted at tau, as _check_loss does.
+    tau returning _check_loss's loss and grid.
 
-    In the float32 tier it is _rank_loss on float32 copies of x and ref.
-    A layer whose float32 ranking could overflow (_float32_copies), and
-    every layer past 24 bits, ranks with _check_loss on float64 BLAS: that
-    is the exact check up to 53 bits. Past 53 bits the check's own product
-    is code_matmul's BLAS-free einsum, whose float64 partial sums round;
-    the ranking takes the float64 BLAS product in its place, which rounds
-    in BLAS's order. optimize_layer scores the candidate it keeps with the
-    check itself.
+    In the float32 tier the check runs on float32 copies of x and ref with
+    a float32 accumulator: its loss is within a few float32 roundings of
+    the exact check's, not equal to it, and codes next to a half-code
+    boundary may round the other way. A layer whose float32 ranking could
+    overflow (_float32_copies), and every layer past 24 bits, ranks with
+    the float64 check on float64 BLAS: that is the exact check up to 53
+    bits. Past 53 bits the exact check's product is code_matmul's
+    BLAS-free einsum, whose float64 partial sums round; the ranking caps
+    the budget at 53 bits and so takes the float64 BLAS product, which
+    rounds in BLAS's order. optimize_layer scores the candidate it keeps
+    with the exact check itself.
     """
     budget, extremes, x_buf, code_buf, acc_buf = _check_buffers(x, ref, bits_a, bits_w)
     copies = _float32_copies(x, w, ref) if code_buf.dtype == np.float32 else None
     if copies is None:
         work = (min(budget, EXACT_FLOAT_BITS), extremes, x_buf, code_buf, acc_buf)
-        return lambda tau: _check_loss(ref, x, w, tau, bits_a, bits_w, act_signed, work)
-    x32, ref32 = copies
-    work = (budget, extremes, code_buf, np.empty(ref.shape, np.float32))
-    return lambda tau: _rank_loss(x32, ref32, w, tau, bits_a, bits_w, act_signed, work)
+    else:
+        x, ref = copies
+        work = (budget, extremes, code_buf, code_buf, np.empty(ref.shape, np.float32))
+    return lambda tau: _check_loss(ref, x, w, tau, bits_a, bits_w, act_signed, work)
 
 
 def optimize_layer(
@@ -545,10 +515,7 @@ def smoothquant_tau(x: Tensor, w: Tensor, alpha: float = 0.5) -> np.ndarray:
     Channels where either statistic vanishes fall back to 1. Provided as a
     pass-through alternative to the learned factors; no tuning, no claims.
     """
-    x = as_real(x, "activations")
-    w = as_real(w, "weight")
-    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
-        raise DimensionError(f"incompatible layer shapes {x.shape} and {w.shape}")
+    x, w = _check_layer(x, w)
     if not (0.0 <= alpha <= 1.0):
         raise DomainError("alpha must lie in [0, 1]")
     act_max = np.max(np.abs(x), axis=0)

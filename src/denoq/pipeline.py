@@ -611,11 +611,19 @@ def run_eval(model_path, config: Config) -> EvalReport:
     trajectory's own layer inputs. Each layer's override scores its product
     as the sampler makes it (_scorer), so every quantized product runs once
     and eval holds no layer's inputs across timesteps; rows come out layer
-    by layer, each layer's in sampler order.
+    by layer, each layer's in sampler order. A config whose bit-widths or
+    activation signedness disagree with the model header is a ConfigError.
     """
     if not config.checkpoint:
         raise ConfigError("config names no checkpoint")
     qmodel = import_model(model_path)
+    header = (qmodel.bits_w, qmodel.bits_a, qmodel.act_signed)
+    wanted = (config.bits_w, config.bits_a, not config.act_unsigned)
+    if header != wanted:
+        raise ConfigError(
+            f"model file {model_path} has (bits_w, bits_a, act_signed) = {header}, "
+            f"the config {wanted}"
+        )
     model, schedule = load_checkpoint(config.checkpoint)
     specs = {s.name: s for s in model.quantizable_layers()}
     missing = [l.name for l in qmodel.layers if l.name not in specs]

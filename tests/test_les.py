@@ -63,6 +63,31 @@ def test_record_validation():
         LayerCalibRecord("l", x, np.array([1, 2, 3, 4]), rng.standard_normal((4, 2)))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x, w: les_loss(x, w, np.ones(4)),
+        lambda x, w: les_grad(
+            x, w, np.ones(4), QuantParams(1.0, 8), QuantParams(np.ones(3), 4, axis=1)
+        ),
+        lambda x, w: smoothquant_tau(x, w),
+    ],
+    ids=["les_loss", "les_grad", "smoothquant_tau"],
+)
+@pytest.mark.parametrize(
+    "x,w",
+    [
+        (np.ones(4), np.ones((4, 3))),
+        (np.ones((2, 4)), np.ones(4)),
+        (np.ones((2, 4)), np.ones((5, 3))),
+    ],
+    ids=["1-d x", "1-d w", "mismatched C_in"],
+)
+def test_layer_functions_refuse_shapes_that_make_no_layer(call, x, w):
+    with pytest.raises(DimensionError, match="incompatible layer shapes"):
+        call(x, w)
+
+
 def test_loss_is_zero_when_everything_representable():
     """Inputs and weights sitting exactly on their quantizer grids at tau=1
     reconstruct exactly, so the loss vanishes."""
@@ -490,6 +515,58 @@ def test_a_layer_past_float32_ranks_in_float64(monkeypatch):
     float64_ranking(monkeypatch)
     assert same_result(got, run())
     assert got.final_loss <= got.initial_loss
+
+
+def ranking_against_the_check(x, w, bits_a, bits_w, check_budget=None):
+    """(ranked, checked) over 20 random tau: each a list of (loss, s_x,
+    s_w bytes). checked is _check_loss on the float64 record, its budget
+    replaced by check_budget when given."""
+    ref = matmul(x, w)
+    rank = les._ranking(ref, x, w, bits_a, bits_w, True)
+    work = _check_buffers(x, ref, bits_a, bits_w)
+    if check_budget is not None:
+        work = (check_budget,) + work[1:]
+    ranked, checked = [], []
+    for seed in range(20):
+        tau = np.exp(Rng(seed).uniform(-2.0, 2.0, x.shape[1]))
+        for out, (loss, s_x, s_w) in (
+            (ranked, rank(tau)),
+            (checked, _check_loss(ref, x, w, tau, bits_a, bits_w, True, work)),
+        ):
+            out.append((loss, s_x, s_w.tobytes()))
+    return ranked, checked
+
+
+@pytest.mark.parametrize("bits_a", [8, 6])
+def test_float32_tier_ranking_is_the_check_in_float32(w4a8_layers, bits_a):
+    """W4A8 and W4A6 on the four bundled layers rank on float32 copies:
+    the same grid bit for bit, a loss within 1e-5 of the exact check's."""
+    cfg, records, _ = w4a8_layers
+    for rec in records.values():
+        x, w = rec.activations, rec.weight
+        assert _check_buffers(x, matmul(x, w), bits_a, cfg.bits_w)[3].dtype == np.float32
+        assert les._float32_copies(x, w, matmul(x, w)) is not None
+        ranked, checked = ranking_against_the_check(x, w, bits_a, cfg.bits_w)
+        for (loss, s_x, s_w), (want, want_x, want_w) in zip(ranked, checked):
+            assert (s_x, s_w) == (want_x, want_w)
+            assert abs(loss - want) <= 1e-5 * want
+
+
+def test_float64_tier_ranking_is_the_check():
+    """16 + 8 bits on 64 channels (30 bits) rank with the exact check."""
+    rec = make_record(15, n=96, c_in=64, c_out=16, outlier=(7, 40.0))
+    ranked, checked = ranking_against_the_check(rec.activations, rec.weight, 16, 8)
+    assert ranked == checked
+
+
+def test_ranking_past_53_bits_is_the_check_on_float64_blas():
+    """24 + 24 bits on 64 channels (54 bits): the exact check's product is
+    the einsum, the ranking's the float64 BLAS one of the check at 53."""
+    rec = make_record(16, n=96, c_in=64, c_out=16, outlier=(9, 40.0))
+    x, w = rec.activations, rec.weight
+    assert _check_buffers(x, matmul(x, w), 24, 24)[0] == 54
+    ranked, at53 = ranking_against_the_check(x, w, 24, 24, check_budget=53)
+    assert ranked == at53
 
 
 @pytest.mark.parametrize("act_signed", [True, False])

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -597,6 +598,35 @@ class TestCli:
         assert rc == 3
         assert "magic" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "kw,config_side",
+        [
+            (dict(bits_a=6), "(4, 6, True)"),
+            (dict(bits_w=8), "(8, 8, True)"),
+            (dict(act_unsigned=True), "(4, 8, False)"),
+        ],
+    )
+    def test_eval_with_a_config_that_disagrees_with_the_model_exits_2(
+        self, kw, config_side, tmp_path, capsys
+    ):
+        """A W4A8 signed model evaluated under another width or signedness
+        is refused, naming both sides, where it used to report the wrong
+        widths."""
+        out = tmp_path / "m.dmq"
+        cfgp = self.write_cfg(tmp_path)
+        assert cli.main(["quantize", "--config", str(cfgp), "--out", str(out)]) == 0
+        capsys.readouterr()
+        other = tmp_path / "other"
+        other.mkdir()
+        rc = cli.main(
+            ["eval", "--config", str(self.write_cfg(other, **kw)), "--model", str(out)]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: model file {out} has (bits_w, bits_a, act_signed) = "
+            f"(4, 8, True), the config {config_side}\n"
+        )
+
     def test_numerical_failures_exit_4(self, tmp_path, capsys, monkeypatch):
         cfgp = self.write_cfg(tmp_path)
         for exc in (NumericalError("values exploded"), HeadroomError("too wide")):
@@ -758,3 +788,22 @@ def test_ordering_sweep_seed_0_agrees_with_the_golden_file():
     assert seed0[0] == "0" and lines[5].startswith("median")
     golden = (ROOT / "golden" / "ordering.txt").read_text(encoding="utf-8")
     assert f"les_pts: endpoint_mse = {seed0[3]} " in golden
+
+
+def test_output_hashes_are_the_same_on_a_second_run(tmp_path):
+    """scripts/output_hashes.py hashes the seven files of one config the
+    same way twice, also when the checkpoint sits at another path, whose
+    report line it leaves out."""
+    spec = importlib.util.spec_from_file_location(
+        "output_hashes", ROOT / "scripts" / "output_hashes.py"
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    moved = tmp_path / "copy.ckpt"
+    moved.write_bytes(CHECKPOINT.read_bytes())
+    first = script.config_hashes(tiny_config(), "tiny")
+    second = script.config_hashes(tiny_config(checkpoint=str(moved)), "tiny")
+    assert first == second
+    assert [line.split()[1] for line in first] == [f"tiny/{f}" for f in script.FILES]
+    assert len(first) == 7 and all(len(line.split()[0]) == 64 for line in first)
+    assert list(tmp_path.iterdir()) == [moved]
