@@ -10,9 +10,11 @@ directory that is removed afterwards.
 
 The variants are configs/w4a8.cfg and configs/w8a8.cfg, each as written
 and with: the Adam optimizer, unsigned activations, 6-bit activations,
-W3A5, propagated quantized inputs, 16/16 and 24/24 bits. Running the
-script in two checkouts and diffing the outputs shows whether a change
-moves any output byte.
+W3A5, propagated quantized inputs, 16/16 and 24/24 bits, T = 2 (the
+LES descent then folds groups of 8 or more rows per timestep) and
+alpha = 0 (every timestep weight is 1). Running the script in two
+checkouts and diffing the outputs shows whether a change moves any output
+byte.
 
 Options:
   --seeds S [S ...]   seeds to run (default 0 1)
@@ -41,6 +43,8 @@ VARIANTS = (
     ("propagate", dict(propagate_quantized_inputs=True)),
     ("16_16", dict(bits_w=16, bits_a=16)),
     ("24_24", dict(bits_w=24, bits_a=24)),
+    ("T2", dict(T=2)),
+    ("alpha0", dict(alpha=0.0)),
 )
 
 FILES = (

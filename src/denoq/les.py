@@ -32,11 +32,18 @@ new tau: the fitted MinMax scales, float64 in every dtype, must be
 positive reals, so a layer whose scaled activations or weights overflow
 fails there with DomainError. It does not clamp codes: a MinMax scale
 fitted at this tau bounds every code within the range already (see
-_codes_into). The descent's batch step runs on the validated record and
-the clipped tau, so its products skip tensor.matmul's scans; the
-weighter's check that every batch loss is finite stops a descent whose
-losses overflow. The public les_loss and les_grad refuse such a result
-with DomainError themselves.
+_codes_into). Its two per-column passes run on wide views of the record
+against repeated rows (_repeated_rows), which gives the same bits in
+longer loops.
+
+The descent's batch step (_les_pass) runs on the validated record and
+the clipped tau, against the grid of the last refresh resolved once: the
+activation scale, the weight-scale row and both code bounds. So its
+products skip tensor.matmul's scans and its fake-quant reads no
+QuantParams. The record's timesteps are looked up in the weighter once
+per layer, and the weighter's check that every batch loss is finite
+stops a descent whose losses overflow. The public les_loss and les_grad
+refuse such a result with DomainError themselves.
 
 Gradients use the straight-through convention: rounding passes gradients
 unchanged, clamped elements pass nothing, and the quantizer scales are held
@@ -65,6 +72,10 @@ from .timestep_weighting import TimestepWeighter
 # log-space steps badly enough to underflow tau to zero.
 _MAX_GRAD_NORM = 10.0
 _LOG_TAU_BOUND = float(np.log(1e4))
+
+# Rows of a keep-best check taken together in its per-column passes
+# (_repeated_rows): on 64 channels, 8 192 elements per inner loop.
+_REPEAT = 128
 
 
 @dataclass
@@ -119,19 +130,37 @@ def _scaled_pair(x: Tensor, w: Tensor, tau: np.ndarray) -> tuple[Tensor, Tensor]
     return x / tau[None, :], w * tau[:, None]
 
 
-def _fake_quant(v: Tensor, params: QuantParams, rounded: bool):
-    """Fake-quantize v; returns (values, straight-through mask).
+def _fake_quant(v: Tensor, scale, low: int, high: int, rounded: bool):
+    """Fake-quantize v on a resolved grid; returns (values, straight-through
+    mask).
 
-    The mask marks elements inside the representable range before rounding,
-    which is where the straight-through estimator passes gradients.
+    The mask marks the elements inside [low, high] before rounding, which
+    is where the straight-through estimator passes gradients: exactly the
+    ratios the clamp leaves as they are. The clamp is np.clip's, bound
+    first as in _codes_into, so a -0.0 stays -0.0 as np.clip keeps it.
+    Rounding after the clamp gives the values of rounding before it, since
+    rint(clip(r)) == clip(rint(r)) for every finite r with integer bounds;
+    only the sign of a zero code can differ (a ratio in [-1/2, 0) against a
+    bound of 0), which no product or loss of the pass sees.
     """
-    s = params.scale_for(v.shape)
-    l, u = params.bounds
-    ratio = v / s
-    mask = (ratio >= l) & (ratio <= u)
+    ratio = v / scale
+    clamped = np.maximum(low, ratio)
+    np.minimum(high, clamped, out=clamped)
+    mask = clamped == ratio
     if rounded:
-        np.rint(ratio, out=ratio)
-    return s * _clamp(ratio, l, u, ratio), mask
+        np.rint(clamped, out=clamped)
+    clamped *= scale
+    return clamped, mask
+
+
+def _grid(act_params: QuantParams, weight_params: QuantParams, x: Tensor, w: Tensor) -> tuple:
+    """A frozen grid in the form _les_pass takes: the activation scale and
+    the weight scales broadcast against x and w, then the (lowest, highest)
+    code of each."""
+    return (
+        act_params.scale_for(x.shape), weight_params.scale_for(w.shape),
+        act_params.bounds, weight_params.bounds,
+    )
 
 
 def _finite(result: np.ndarray, what: str) -> np.ndarray:
@@ -143,18 +172,23 @@ def _finite(result: np.ndarray, what: str) -> np.ndarray:
 
 def _les_pass(
     x: np.ndarray, w: np.ndarray, ref: np.ndarray, tau: np.ndarray,
-    act_params: QuantParams, weight_params: QuantParams, rounded: bool,
-    sample_weights=None,
+    grid: tuple, rounded: bool, sample_weights=None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """One forward pass of the scaled, quantized layer on validated inputs.
 
-    ref is the full-precision product matmul(x, w). Returns the per-sample
-    losses and, when sample_weights is given, the straight-through gradient
-    of their weighted mean with respect to log_tau (None otherwise).
+    ref is the full-precision product matmul(x, w). grid is the frozen
+    quantization grid, resolved (_grid): the activation scale, the weight
+    scales as a [1 x C_out] row, and the (lowest, highest) code of each.
+    optimize_layer resolves it once per scale refresh; les_loss and
+    les_grad resolve it from their QuantParams. Returns the per-sample
+    losses and, when sample_weights is given, the straight-through
+    gradient of their weighted mean with respect to log_tau (None
+    otherwise).
     """
     x_hat, w_hat = _scaled_pair(x, w, tau)
-    qx, mask_x = _fake_quant(x_hat, act_params, rounded)
-    qw, mask_w = _fake_quant(w_hat, weight_params, rounded)
+    s_a, s_w, (l_a, u_a), (l_w, u_w) = grid
+    qx, mask_x = _fake_quant(x_hat, s_a, l_a, u_a, rounded)
+    qw, mask_w = _fake_quant(w_hat, s_w, l_w, u_w, rounded)
     # Every operand below is made from validated inputs and clamped codes,
     # so the products skip matmul's scans. A product that overflows shows
     # as a non-finite result, which les_loss and les_grad refuse and the
@@ -204,7 +238,8 @@ def les_loss(
         x_hat, w_hat = _scaled_pair(x, w, tau)
         act_params = minmax_scale(x_hat, bits_a, signed=act_signed)
         weight_params = minmax_scale(w_hat, bits_w, signed=True, axis=1)
-    losses = _les_pass(x, w, matmul(x, w), tau, act_params, weight_params, rounded)[0]
+    grid = _grid(act_params, weight_params, x, w)
+    losses = _les_pass(x, w, matmul(x, w), tau, grid, rounded)[0]
     return _finite(losses, "les_loss")
 
 
@@ -235,7 +270,8 @@ def les_grad(
         lam = as_real(sample_weights, "sample weights").reshape(-1)
         if lam.shape[0] != b:
             raise DimensionError("one sample weight per activation row required")
-    grad = _les_pass(x, w, matmul(x, w), tau, act_params, weight_params, rounded, lam)[1]
+    grid = _grid(act_params, weight_params, x, w)
+    grad = _les_pass(x, w, matmul(x, w), tau, grid, rounded, lam)[1]
     return _finite(grad, "les_grad")
 
 
@@ -277,25 +313,44 @@ def _codes_into(
 def _check_buffers(x: Tensor, ref: Tensor, bits_a: int, bits_w: int) -> tuple:
     """What a run of keep-best checks of one layer reuses.
 
-    The column maxima and minima of x, stacked [2 x C_in]: dividing by a
-    positive tau is monotone, so the extremes of x / tau are those of
-    extremes / tau, bit for bit. Then buffers shaped like x for the scaled
-    x and its codes, and one shaped like ref for the product. The codes
-    buffer is float32 when the product runs in the float32 tier of
+    The column maxima and minima of x (_extremes). Then buffers shaped like
+    x for the scaled x and its codes, and one shaped like ref for the
+    product, in C order, as _check_loss's wide views of them need. The
+    codes buffer is float32 when the product runs in the float32 tier of
     code_matmul (tensor.code_dtype); in the other tiers the codes go into
     the float64 buffer of the scaled x.
     """
     budget = accumulator_budget(bits_a, bits_w, 0, x.shape[1])
-    x_buf = np.empty_like(x)
-    dtype = code_dtype(budget)
-    code_buf = np.empty(x.shape, dtype) if dtype is np.float32 else x_buf
-    extremes = np.stack((x.max(axis=0), x.min(axis=0)))
-    return budget, extremes, x_buf, code_buf, np.empty_like(ref)
+    x_buf = np.empty(x.shape, x.dtype)
+    code_buf = np.empty(x.shape, np.float32) if code_dtype(budget) is np.float32 else x_buf
+    return budget, _extremes(x), x_buf, code_buf, np.empty(ref.shape, ref.dtype)
+
+
+def _extremes(x: Tensor) -> np.ndarray:
+    """The column maxima and minima of x, stacked [2 x C_in]: dividing by a
+    positive tau is monotone, so the extremes of x / tau are those of
+    extremes / tau, bit for bit."""
+    return np.stack((x.max(axis=0), x.min(axis=0)))
+
+
+def _repeated_rows(x: Tensor, acc: np.ndarray) -> tuple:
+    """Buffers for the two per-column rows a keep-best check applies, each
+    to be filled k times, k = gcd(rows, _REPEAT): the fused divisor
+    ([k x C_in], in x's dtype) and the output scales ([k x C_out], in the
+    dtype of the accumulator acc).
+
+    Against a row of C factors numpy's inner loop is only C elements long.
+    _check_loss runs those two passes on a [rows/k x k*C] view against the
+    repeated row: the same elementwise operations, so the same bits, in
+    loops k times longer.
+    """
+    k = math.gcd(x.shape[0], _REPEAT)
+    return np.empty((k, x.shape[1]), x.dtype), np.empty((k, acc.shape[1]), acc.dtype)
 
 
 def _check_loss(
     ref: Tensor, x: Tensor, w: Tensor, tau: np.ndarray,
-    bits_a: int, bits_w: int, act_signed: bool, work: tuple,
+    bits_a: int, bits_w: int, act_signed: bool, work: tuple, repeat: tuple | None = None,
 ) -> tuple[float, float, np.ndarray]:
     """Deployment-faithful mean loss: fresh MinMax at this tau, real rounding.
 
@@ -306,8 +361,10 @@ def _check_loss(
     quantized product is the deployed one of an unrescued layer: x divided
     once by the fused divisor tau * s (what les.fuse exports), codes left
     unclamped (_codes_into), and a code product with both scales applied
-    outside the accumulation, into work's buffers (_check_buffers). Returns
-    the loss, the activation scale and the weight scale of each column.
+    outside the accumulation, into work's buffers (_check_buffers). The
+    divisor and the scales are applied as repeated rows (_repeated_rows),
+    into repeat's buffers when given. Returns the loss, the activation
+    scale and the weight scale of each column.
 
     The loss runs in the dtype of x and ref: on float32 copies (_ranking)
     the divisor and the scales' product are rounded to float32, and the
@@ -329,11 +386,20 @@ def _check_loss(
             "keep-best check: the MinMax scales at this tau are not positive "
             "reals (the scaled activations or weights overflow)"
         )
-    divisor = (tau * s_x).astype(x.dtype, copy=False)
-    x_codes = _codes_into(x, divisor[None, :], act_signed, x_buf, code_buf)
+    if repeat is None:
+        repeat = _repeated_rows(x, acc_buf)
+    divisor, scales = repeat
+    wide = x.shape[0] // divisor.shape[0]
+    # each row in float64, rounded once into its buffer's dtype
+    divisor[...] = tau * s_x
+    _codes_into(
+        x.reshape(wide, -1), divisor.reshape(1, -1), act_signed,
+        x_buf.reshape(wide, -1), code_buf.reshape(wide, -1),
+    )
     w_codes = _codes_into(w_hat, s_w[None, :], True, w_hat)
-    acc = code_matmul(x_codes, w_codes, budget, out=acc_buf)
-    acc *= (s_x * s_w).astype(acc.dtype, copy=False)[None, :]
+    acc = code_matmul(code_buf, w_codes, budget, out=acc_buf)
+    scales[...] = s_x * s_w
+    np.multiply(acc.reshape(wide, -1), scales.reshape(1, -1), out=acc.reshape(wide, -1))
     err = np.subtract(ref, acc, out=acc)
     rows = np.einsum("ij,ij->i", err, err, optimize=False)
     return float(np.mean(rows, dtype=np.float64)), s_x, s_w
@@ -377,15 +443,23 @@ def _ranking(
     the budget at 53 bits and so takes the float64 BLAS product, which
     rounds in BLAS's order. optimize_layer scores the candidate it keeps
     with the exact check itself.
+
+    Each branch makes only the buffers it uses: the float32 one a float32
+    codes buffer and a float32 accumulator, no float64 ones. The ranking
+    keeps its repeated rows (_repeated_rows) from call to call.
     """
-    budget, extremes, x_buf, code_buf, acc_buf = _check_buffers(x, ref, bits_a, bits_w)
-    copies = _float32_copies(x, w, ref) if code_buf.dtype == np.float32 else None
+    budget = accumulator_budget(bits_a, bits_w, 0, x.shape[1])
+    copies = _float32_copies(x, w, ref) if code_dtype(budget) is np.float32 else None
     if copies is None:
-        work = (min(budget, EXACT_FLOAT_BITS), extremes, x_buf, code_buf, acc_buf)
+        work = _check_buffers(x, ref, bits_a, bits_w)
+        work = (min(budget, EXACT_FLOAT_BITS),) + work[1:]
     else:
+        extremes = _extremes(x)
         x, ref = copies
+        code_buf = np.empty(x.shape, np.float32)
         work = (budget, extremes, code_buf, code_buf, np.empty(ref.shape, np.float32))
-    return lambda tau: _check_loss(ref, x, w, tau, bits_a, bits_w, act_signed, work)
+    repeat = _repeated_rows(x, work[4])
+    return lambda tau: _check_loss(ref, x, w, tau, bits_a, bits_w, act_signed, work, repeat)
 
 
 def optimize_layer(
@@ -426,6 +500,8 @@ def optimize_layer(
     c_in = x.shape[1]
     n_rows = x.shape[0]
     ref = matmul(x, w)
+    bounds = (code_bounds(bits_a, act_signed), code_bounds(bits_w, True))
+    found = weighter.lookup(record.timesteps)
     log_tau = np.zeros(c_in)
     tau = best_tau = identity = np.ones(c_in)
     initial = _check_loss(
@@ -444,15 +520,12 @@ def optimize_layer(
         cursor += batch_size
         if iteration % scale_refresh == 0:
             # The last keep-best ranking already fitted MinMax at this tau.
-            act_p = QuantParams(s_x, bits_a, act_signed)
-            wgt_p = QuantParams(s_w, bits_w, True, axis=1)
-        steps = weighter.lookup(record.timesteps[batch])
+            grid = (s_x, s_w[None, :]) + bounds
+        steps = found[batch]
         # The record and the clipped log_tau already guarantee what
         # les_loss / les_grad would validate.
         lam = weighter.weights(steps)
-        losses, grad = _les_pass(
-            x[batch], w, ref[batch], tau, act_p, wgt_p, True, lam
-        )
+        losses, grad = _les_pass(x[batch], w, ref[batch], tau, grid, True, lam)
         weighter.weighted_mean(losses, steps)
         # Outlier layers produce enormous early gradients; a norm clip keeps
         # log-space steps sane without touching the descent direction.

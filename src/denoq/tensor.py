@@ -42,7 +42,7 @@ Tensor = np.ndarray
 def as_real(x, name: str = "tensor") -> np.ndarray:
     """Convert to a float64 array, rejecting non-finite values."""
     arr = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DomainError(f"{name} contains non-finite values")
     return arr
 

@@ -15,7 +15,8 @@ Weights are frozen for the duration of one batch: weighted_mean computes
 every sample's weight first, then folds the batch's fresh losses into the
 running averages afterwards. A caller that reads a batch's weights and then
 folds its losses looks the batch up once (lookup) and hands both calls the
-StepLookup in place of the timesteps.
+StepLookup in place of the timesteps; one that draws its batches from a
+fixed set of rows looks the rows up once and indexes the lookup per batch.
 """
 
 from __future__ import annotations
@@ -40,6 +41,10 @@ class StepLookup:
 
     weighter: "TimestepWeighter"
     positions: np.ndarray
+
+    def __getitem__(self, rows) -> "StepLookup":
+        """The lookup of the timesteps at rows, without a new search."""
+        return StepLookup(self.weighter, self.positions[rows])
 
 
 class TimestepWeighter:
@@ -146,7 +151,7 @@ class TimestepWeighter:
         loss = float(batch_mean_loss)
         if not math.isfinite(loss) or loss < 0.0:
             raise DomainError(f"batch mean loss must be finite and >= 0, got {loss}")
-        self._fold(pos, np.array([loss]))
+        self._fold(pos.tolist(), [loss])
 
     def weighted_mean(
         self, losses: Sequence[float], timesteps: Sequence[int] | StepLookup
@@ -167,29 +172,43 @@ class TimestepWeighter:
             )
         if losses.shape[0] == 0:
             raise DimensionError("weighted_mean needs a non-empty batch")
-        if not np.all(np.isfinite(losses)) or np.any(losses < 0.0):
+        if not np.isfinite(losses).all() or (losses < 0.0).any():
             raise DomainError("per-sample losses must be finite and >= 0")
         result = float(np.mean(self._table()[pos] * losses))
-        self._fold(pos, losses)
+        self._fold(pos.tolist(), losses.tolist())
         return result
 
-    def _fold(self, pos: np.ndarray, losses: np.ndarray) -> None:
-        """update(t, mean of the batch's losses at t) for every t in the batch.
+    def _fold(self, pos: list, losses: list) -> None:
+        """update(t, mean of the batch's losses at t) for every t in the
+        batch: the one fold of the running averages.
 
-        np.mean sums fewer than 8 values in sequence, as bincount does, and
-        8 or more pairwise; those groups take np.mean itself, so every group
-        mean is the one np.mean gives, bit for bit.
+        A group of fewer than 8 losses is summed in order from 0.0 in
+        Python floats, which is the sum np.mean takes of so few values (and
+        np.bincount's); a group of 8 or more takes np.mean itself, which
+        sums pairwise there. So every group mean is np.mean's, bit for bit.
+        Then each position the batch touches takes its mean as its first
+        average or blends it into the one it has; no state changes unless
+        every mean is finite.
         """
-        counts = np.bincount(pos, minlength=self._avg.shape[0])
-        present = counts > 0
-        means = np.bincount(pos, weights=losses, minlength=self._avg.shape[0])
-        np.divide(means, counts, out=means, where=present)
-        for i in np.flatnonzero(counts >= 8):
-            means[i] = np.mean(losses[pos == i])
-        if not np.isfinite(means).all():  # a sum of huge losses can overflow
-            raise DomainError("batch mean loss must be finite")
-        blended = self.xi * self._avg + (1.0 - self.xi) * means
-        fresh = present & ~self._seen
-        self._avg = np.where(fresh, means, np.where(present, blended, self._avg))
-        self._seen |= present
+        sums: dict[int, float] = {}
+        counts: dict[int, int] = {}
+        for p, loss in zip(pos, losses):
+            if p in sums:
+                sums[p] += loss
+                counts[p] += 1
+            else:
+                sums[p] = 0.0 + loss
+                counts[p] = 1
+        means = {
+            p: total / counts[p] if counts[p] < 8
+            else float(np.mean([v for q, v in zip(pos, losses) if q == p]))
+            for p, total in sums.items()
+        }
+        if not all(map(math.isfinite, means.values())):
+            raise DomainError("batch mean loss must be finite")  # a sum overflowed
+        avg, seen, xi = self._avg.tolist(), self._seen.tolist(), self.xi
+        for p, mean in means.items():
+            avg[p] = xi * avg[p] + (1.0 - xi) * mean if seen[p] else mean
+            seen[p] = True
+        self._avg, self._seen = np.array(avg), np.array(seen)
         self._cached_table = None

@@ -716,3 +716,97 @@ class TestSmoothquant:
     def test_alpha_validation(self):
         with pytest.raises(DomainError):
             smoothquant_tau(np.ones((2, 2)), np.ones((2, 2)), alpha=1.5)
+
+
+def quantparams_pass(x, w, ref, tau, act_p, wgt_p, rounded, lam=None):
+    """The batch step as it was written against QuantParams, kept as the
+    oracle of the resolved-grid step: a mask from two comparisons, then
+    rint, then np.clip, then the scale."""
+
+    def fake_quant(v, p):
+        s = p.scale_for(v.shape)
+        lo, hi = p.bounds
+        ratio = v / s
+        mask = (ratio >= lo) & (ratio <= hi)
+        if rounded:
+            np.rint(ratio, out=ratio)
+        return s * np.clip(ratio, lo, hi), mask
+
+    x_hat, w_hat = _scaled_pair(x, w, tau)
+    qx, mask_x = fake_quant(x_hat, act_p)
+    qw, mask_w = fake_quant(w_hat, wgt_p)
+    err = ref - np.matmul(qx, qw)
+    losses = np.einsum("ij,ij->i", err, err, optimize=False)
+    if lam is None:
+        return losses, None
+    g = (-2.0 / x.shape[0]) * (lam[:, None] * err)
+    act_side = np.einsum(
+        "ic,ic->c", np.matmul(g, qw.T), np.where(mask_x, -x_hat, 0.0), optimize=False
+    )
+    wgt_side = np.einsum(
+        "cj,cj->c", np.matmul(qx.T, g), np.where(mask_w, w_hat, 0.0), optimize=False
+    )
+    return losses, act_side + wgt_side
+
+
+def grid_edge_layer(seed, act_signed):
+    """A 32-row layer on power-of-two scales, so that x / s and w / s are
+    exact: its code ratios include +-0.0, both code bounds, half-codes
+    (rint's ties), points half a code outside each bound and small
+    negatives that round to -0.0, mixed with random ratios."""
+    rng = np.random.default_rng(seed)
+    s_a = 2.0**-3
+    s_w = 2.0 ** rng.integers(-4, 0, 6).astype(float)
+    lo_a, hi_a = (-128, 127) if act_signed else (0, 255)
+    edges = [0.0, -0.0, lo_a, hi_a, lo_a - 0.5, hi_a + 0.5, 2.5, -3.5, 0.5, -0.5, -0.25]
+    r = rng.uniform(lo_a - 20, hi_a + 20, (32, 8))
+    r.flat[rng.choice(r.size, 120, replace=False)] = rng.choice(edges, 120)
+    q = rng.uniform(-10.0, 10.0, (8, 6))
+    q.flat[rng.choice(q.size, 24, replace=False)] = rng.choice(
+        [0.0, -0.0, -8, 7, -8.5, 7.5, 1.5, -2.5, -0.5, -0.25], 24
+    )
+    x, w = s_a * r, q * s_w[None, :]
+    act_p = QuantParams(s_a, 8, act_signed)
+    wgt_p = QuantParams(s_w, 4, True, axis=1)
+    return x, w, act_p, wgt_p
+
+
+@pytest.mark.parametrize("act_signed", [True, False])
+@pytest.mark.parametrize("rounded", [True, False])
+@pytest.mark.parametrize("seed", range(4))
+def test_resolved_grid_batch_step_is_the_quantparams_pass(act_signed, rounded, seed):
+    """The batch step on the grid optimize_layer resolves (the activation
+    scale, the [1 x C_out] weight-scale row and both bounds) returns the
+    losses and gradient of les_loss / les_grad and of the QuantParams
+    pass, bit for bit, at tau = 1 (exact ratios on the edges) and at a
+    random tau."""
+    x, w, act_p, wgt_p = grid_edge_layer(seed, act_signed)
+    ref = matmul(x, w)
+    lam = np.random.default_rng(seed).uniform(0.0, 1.0, 32)
+    grid = (act_p.scale, wgt_p.scale[None, :], act_p.bounds, wgt_p.bounds)
+    for tau in (np.ones(8), np.exp(Rng(seed).uniform(-1.0, 1.0, 8))):
+        want_losses = quantparams_pass(x, w, ref, tau, act_p, wgt_p, rounded)[0]
+        want_grad = quantparams_pass(x, w, ref, tau, act_p, wgt_p, rounded, lam)[1]
+        losses, grad = les._les_pass(x, w, ref, tau, grid, rounded, lam)
+        assert losses.tobytes() == want_losses.tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
+        got = les_loss(x, w, tau, act_params=act_p, weight_params=wgt_p, rounded=rounded)
+        assert got.tobytes() == want_losses.tobytes()
+        got = les_grad(x, w, tau, act_p, wgt_p, lam, rounded=rounded)
+        assert got.tobytes() == want_grad.tobytes()
+
+
+def test_the_descent_looks_its_record_up_once(monkeypatch):
+    """optimize_layer searches the weighter for the record's timesteps
+    once, then takes every batch's positions from that lookup."""
+    rec = make_record(5, outlier=(2, 30.0))
+    calls = []
+    lookup = TimestepWeighter.lookup
+
+    def counted(self, timesteps):
+        calls.append(len(timesteps))
+        return lookup(self, timesteps)
+
+    monkeypatch.setattr(TimestepWeighter, "lookup", counted)
+    optimize_layer(rec, TimestepWeighter([1, 2, 3, 4]), Rng(0), iterations=30)
+    assert calls == [rec.timesteps.shape[0]]

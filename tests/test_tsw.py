@@ -305,3 +305,52 @@ def test_a_lookup_belongs_to_its_weighter():
         a.weighted_mean(np.ones(2), found)
     with pytest.raises(DomainError):
         a.lookup([3])
+
+
+@pytest.mark.parametrize("n_steps", [20, 2])
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 2.5])
+def test_the_fold_matches_the_dict_oracle_at_the_descents_shapes(n_steps, alpha):
+    """Batches of 32 rows, as the descent draws them: over 20 timesteps
+    almost every group has fewer than 8 rows, over 2 most have 8 or more,
+    which take np.mean. Weighted means, running averages and weights are the
+    oracle's, bit for bit, and so is the state after each refusal."""
+    rng = np.random.default_rng(n_steps * 10 + int(alpha * 2))
+    ts = [int(t) for t in rng.permutation(np.arange(1, 1000, 1000 // n_steps))[:n_steps]]
+    got, want = TimestepWeighter(ts, alpha=alpha, xi=0.95), DictWeighter(ts, alpha, 0.95)
+    sizes = set()
+    for step in range(120):
+        steps = rng.choice(ts, 32)
+        sizes.update(np.unique(steps, return_counts=True)[1].tolist())
+        losses = rng.uniform(0.0, 1.0, 32) * 10.0 ** rng.uniform(-8, 8, 32)
+        if step % 40 == 39:
+            bad = losses.copy()
+            bad[7] = -1.0 if step % 80 == 39 else np.inf
+            with pytest.raises(DomainError, match="per-sample losses must be finite and >= 0"):
+                got.weighted_mean(bad, got.lookup(steps))
+            huge = np.full(32, 1e308)
+            with pytest.raises(DomainError, match="batch mean loss must be finite"), \
+                    np.errstate(over="ignore"):
+                got.weighted_mean(huge, steps)
+        assert got.weighted_mean(losses, got.lookup(steps)) == want.weighted_mean(losses, steps)
+        assert [got.running_average(t) for t in ts] == [want.avg[t] for t in ts]
+        total = sum(want.avg.values())
+        assert got.weights(ts).tolist() == [want.weight_from(want.avg[t], total) for t in ts]
+    assert (max(sizes) >= 8) if n_steps == 2 else (min(sizes) < 8)
+
+
+def test_one_lookup_of_a_record_gives_each_batchs_positions():
+    """Indexing the lookup of a whole record with a batch's rows gives the
+    lookup of the batch's timesteps, for that weighter only."""
+    rng = np.random.default_rng(23)
+    ts = [980, 35, 512, 7, 250]
+    w = TimestepWeighter(ts, alpha=1.5)
+    record = rng.choice(ts, 320)
+    found = w.lookup(record)
+    for _ in range(20):
+        batch = rng.permutation(320)[:32]
+        part = found[batch]
+        assert part.weighter is w
+        assert part.positions.tolist() == w.lookup(record[batch]).positions.tolist()
+        assert w.weights(part).tolist() == w.weights(record[batch]).tolist()
+    with pytest.raises(DomainError):
+        TimestepWeighter(ts).weights(found[:4])
