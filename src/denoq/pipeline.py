@@ -518,10 +518,10 @@ def run_quantize(config: Config) -> tuple[QuantizedModel, EvalReport]:
     tset_desc = _visit_order(schedule, config)
     propagate = config.propagate_quantized_inputs
 
-    def capture(tag: str, overrides, layers=None):
+    def capture(tag: str, overrides, layers=None, out=None):
         return collect_calibration(
             model, schedule, config.T, config.n, root.child(tag),
-            eta=config.eta, overrides=overrides or None, layers=layers,
+            eta=config.eta, overrides=overrides or None, layers=layers, out=out,
         )
 
     records = capture("calib", None, [specs[0].name] if propagate else None)
@@ -533,10 +533,13 @@ def run_quantize(config: Config) -> tuple[QuantizedModel, EvalReport]:
     summaries = []
     rows = []
     for idx, spec in enumerate(specs):
-        # With propagated inputs every layer reads a capture of its own,
-        # taken after the last one is freed, that records only that layer.
+        # With propagated inputs every layer reads a capture of its own that
+        # records only that layer. It is written into the activations of the
+        # layer before, whose record is dead by then (every quantizable layer
+        # takes the model's hidden width): one mapping serves every capture,
+        # so no capture pays its page faults again.
         if propagate and overrides:
-            records = capture(f"calib-{idx}", overrides, [spec.name])
+            records = capture(f"calib-{idx}", overrides, [spec.name], [spent])
         if not learns:
             les_result = None
         elif propagate:
@@ -546,7 +549,8 @@ def run_quantize(config: Config) -> tuple[QuantizedModel, EvalReport]:
             if isinstance(les_result, Exception):
                 raise les_result
         # Popped in the call, so no name holds the record into the next
-        # capture.
+        # capture; only its activations are kept, for that capture to reuse.
+        spent = records[spec.name].activations
         qlayer, summary, layer_rows = _quantize_layer(
             config, spec, records.pop(spec.name), les_result, tset_desc
         )

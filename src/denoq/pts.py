@@ -33,9 +33,9 @@ for any D.
 
 Every count and every sum belongs to one channel, so a large tensor's vote
 is split into channel shares by workers.share_slices and run by
-workers.run_shares: this process scores the first share in place, a forked
-child copies and scores each other one, and the shares are joined along
-the channel axis bit for bit.
+workers.run_shares: this process scores the first share and a forked child
+each other one, every share reading its columns of the activations in
+place, and the shares are joined along the channel axis bit for bit.
 """
 
 from __future__ import annotations
@@ -104,9 +104,14 @@ def _error_of_quotient(x: np.ndarray, q: np.ndarray, scale, l: int, u: int) -> n
 
 
 # Row blocks of the selection kernel hold the candidate error planes of one
-# block in about this many bytes: half of a 2 MiB per-core L2 cache, so the
-# planes are still cached when every rung compares them.
-_BLOCK_BYTES = 2_000_000
+# block in about this many bytes: half of a 2 MiB per-core L2 cache, which
+# leaves the other half for the block's rows of x and its running minima,
+# so all of them are still cached when every rung compares the planes. At
+# 2 MB the planes alone filled that L2, and a 32-column share's block took
+# about 3.1 MB in all: _ladder_votes on 20 480 x 32 took 30.0 ms against
+# 26.9 ms at 1 MB, and on 20 480 x 64 56.3 ms against 51.8 ms (2 vCPU Xeon,
+# 2 MiB L2 per core, 1 BLAS thread, median of 15 interleaved runs).
+_BLOCK_BYTES = 1_000_000
 
 
 def _shared_candidates(rung_scales, max_exponent: int):
@@ -274,18 +279,19 @@ def vote(per_sample: np.ndarray, kappa: float) -> PtsFactors:
     the smaller exponent.
     """
     votes = np.asarray(per_sample)
-    if not np.issubdtype(votes.dtype, np.integer):
+    if votes.dtype.kind not in "iu":
         raise DomainError("per-sample exponents must be integers")
     if votes.ndim != 2 or votes.shape[0] < 1:
         raise DimensionError("per-sample exponents must be a non-empty [N x C] matrix")
     if votes.size and votes.min() < 0:
         raise DomainError("per-sample exponents must be non-negative")
     _check_kappa(kappa)
+    n, c = votes.shape
     top = int(votes.max()) if votes.size else 0
-    counts = np.stack(
-        [np.count_nonzero(votes == d, axis=0) for d in range(top + 1)]
-    )
-    return _grant(counts, votes.shape[0], kappa)
+    # One bincount over the bins d * C + c, as _ladder_votes tallies.
+    bins = votes.astype(np.intp) * c + np.arange(c)
+    counts = np.bincount(bins.reshape(-1), minlength=(top + 1) * c)
+    return _grant(counts.reshape(top + 1, c), n, kappa)
 
 
 def _ladder_votes(x, rung_scales, max_exponent: int, l: int, u: int):
@@ -342,10 +348,12 @@ def calibrate_activation_scaling(
     its candidate e_c's error sum for channel c: the elementwise errors are
     the ones its own quantization would make, so no further pass is needed.
     Beyond x_hat the call needs at most one N x C float64 plane of block
-    buffers, whatever max_exponent is, and at most ~2 MB of candidate
+    buffers, whatever max_exponent is, and at most ~1 MB of candidate
     planes per block. A tensor large enough (workers.share_slices) is voted
-    in channel shares, all but the first in forked workers; the counts and
-    sums are joined along the channel axis, so the result is the same bits.
+    in channel shares, all but the first in forked workers, each reading
+    its columns of x_hat in place (a strided view, not a copy); the counts
+    and sums are joined along the channel axis, so the result is the same
+    bits.
 
     x_hat must already carry any learned channel scaling.
     """
@@ -362,13 +370,10 @@ def calibrate_activation_scaling(
     rung_scales = [s0 / float(2**g) for g in range(max_exponent + 1)]  # exact
     shares = workers.share_slices(c, n * c)
 
-    def share_votes(cols: slice):
-        # A child copies its columns; this process reads its own in place.
-        x = x_hat[:, cols] if cols is shares[0] else np.ascontiguousarray(x_hat[:, cols])
-        return _ladder_votes(x, rung_scales, max_exponent, l, u)
-
     outcomes = workers.run_shares(
-        share_votes, shares, lambda cols: f"PTS worker for channels {cols.start}-{cols.stop - 1}"
+        lambda cols: _ladder_votes(x_hat[:, cols], rung_scales, max_exponent, l, u),
+        shares,
+        lambda cols: f"PTS worker for channels {cols.start}-{cols.stop - 1}",
     )
     counts = np.concatenate([votes for votes, _ in outcomes], axis=2)
     errors = np.concatenate([errs for _, errs in outcomes], axis=2)

@@ -533,6 +533,7 @@ def collect_calibration(
     eta: float = 0.0,
     overrides=None,
     layers=None,
+    out=None,
 ) -> dict[str, LayerCalibRecord]:
     """Capture quantizable layers' inputs across n sampling runs.
 
@@ -549,6 +550,13 @@ def collect_calibration(
     override (_recorder) that copies each step's input straight into its
     rows of the record, then runs the caller's override or the matmul. The
     records are the same bits as one whole run's.
+
+    out, when given, holds one distinct array per recorded layer, in
+    checkpoint order, from an earlier call's records that the caller no
+    longer needs: the capture overwrites every row of them and returns them
+    as its records' activations, and no new mapping is made. An array of
+    the wrong shape is a DimensionError; one outside a shared_arrays
+    mapping, which a forked share could not write into, is a DomainError.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
@@ -560,7 +568,18 @@ def collect_calibration(
         specs = [spec for spec in specs if spec.name in layers]
     grid = ddim_timesteps(schedule.t_max, steps)
     timesteps = np.repeat(grid[:0:-1], n)  # sampler visit order
-    activations = workers.shared_arrays([(timesteps.size, spec.c_in) for spec in specs])
+    shapes = [(timesteps.size, spec.c_in) for spec in specs]
+    if out is None:
+        activations = workers.shared_arrays(shapes)
+    else:
+        activations = list(out)
+        if [a.shape for a in activations] != shapes:
+            raise DimensionError(
+                f"out holds arrays of shapes {[a.shape for a in activations]}, "
+                f"the capture records {shapes}"
+            )
+        if not all(workers.is_shared(a) for a in activations):
+            raise DomainError("out must hold arrays from workers.shared_arrays")
     overrides = overrides or {}
 
     def capture(rows, stream):

@@ -43,10 +43,13 @@ from .errors import DenoqError
 
 # Work is split into even shares, one per usable CPU, only while every share
 # keeps at least about this many elements. On a 2 vCPU Xeon (1 BLAS thread)
-# the PTS vote scores ~60 ns per element at D = 3, and forking a share and
-# joining it costs about 2 ms at 50 MB RSS: a share this size is ~30 ms of
-# voting, some fifteen of those round trips. A w4a8 layer (1 280 x 64) stays
-# whole; a rescue_wide layer (20 480 x 64) splits.
+# the PTS vote scores ~60 ns per element at D = 3, so a share this size is
+# ~30 ms of voting. A share in a child costs more than its work: at 78 MB
+# RSS an empty share took 3.3 ms from fork to join, a 20 480 x 32 vote
+# share that takes 28.8 ms in this process ended 9 ms later in a child
+# (37.9 ms for the two-share vote), and this process took about 800
+# copy-on-write page faults while the child lived (median of 25). A w4a8
+# layer (1 280 x 64) stays whole; a rescue_wide layer (20 480 x 64) splits.
 _SHARE_ELEMENTS = 500_000
 
 
@@ -84,6 +87,15 @@ def shared_arrays(shapes) -> list:
         np.frombuffer(buf, np.float64, math.prod(shape), offset).reshape(shape)
         for shape, offset in zip(shapes, offsets)
     ]
+
+
+def is_shared(a: np.ndarray) -> bool:
+    """Whether a is a C-contiguous float64 array in a shared_arrays()
+    mapping, so that what a forked child writes into it is seen here."""
+    layout = a.dtype == np.float64 and a.flags.c_contiguous
+    while isinstance(a, np.ndarray):
+        a = a.base
+    return layout and isinstance(a, memoryview) and isinstance(a.obj, mmap.mmap)
 
 
 @functools.cache

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from denoq import cli, pipeline, pts, toydiff, workers
-from denoq.errors import DenoqError, DomainError, NumericalError
+from denoq.errors import DenoqError, DimensionError, DomainError, NumericalError
 from denoq.pipeline import parse_config, quantize_to_file, run_eval
 from denoq.pts import calibrate_activation_scaling
 from denoq.tensor import Rng
@@ -319,6 +319,27 @@ def test_calibration_is_the_same_in_channel_shares(c, count, signed, monkeypatch
     assert len(forks) == min(count, c) - 1
     exps = np.frombuffer(whole[1], dtype=np.int64)
     assert exps.any()  # the case rescues something
+
+
+def test_every_share_votes_on_its_columns_in_place(monkeypatch, forks):
+    """No share copies its columns, and a strided view walked in blocks of
+    two rows gives the bits of the whole tensor voted in one process."""
+    x = activations(90, 9)
+    cpus(monkeypatch, 1)
+    whole = calibrated_bytes(x)
+    real = pts._ladder_votes
+
+    def in_place(cols, *args):
+        assert np.shares_memory(cols, x) and not cols.flags.c_contiguous
+        return real(cols, *args)
+
+    monkeypatch.setattr(pts, "_ladder_votes", in_place)
+    monkeypatch.setattr(pts, "_BLOCK_BYTES", 7 * 5 * 8 * 2)  # D = 3: 7 planes
+    split_small_tensors(monkeypatch)
+    cpus(monkeypatch, 2)
+    forks.clear()
+    assert calibrated_bytes(x) == whole
+    assert len(forks) == 1
 
 
 def test_a_tensor_splits_only_at_the_size_rule(monkeypatch, forks):
@@ -667,6 +688,70 @@ def test_runs_in_row_shares_are_bit_identical(
         forks.clear()
         assert capture_and_endpoint(bundled, n, eta, overrides) == whole
         assert len(forks) == 2 * (count - 1)
+
+
+@pytest.mark.parametrize("layers", [None, ["skip"]], ids=["all", "one"])
+@pytest.mark.parametrize("count", [1, 2])
+def test_a_capture_into_spent_records_is_a_fresh_capture(
+    count, layers, bundled, quantized_runners, monkeypatch, forks
+):
+    """out= takes the activations of an earlier capture and overwrites them
+    with the bits of a capture of its own, in row shares too."""
+    model, schedule = bundled
+    split_small_runs(monkeypatch)
+    cpus(monkeypatch, count)
+
+    def capture(seed, overrides, out=None):
+        return collect_calibration(
+            model, schedule, 5, 256, Rng(seed), eta=0.5, overrides=overrides,
+            layers=layers, out=out,
+        )
+
+    spent = [r.activations for r in capture(1, None).values()]
+    fresh = capture(3, quantized_runners)
+    forks.clear()
+    reused = capture(3, quantized_runners, out=spent)
+    assert len(forks) == count - 1
+    assert list(reused) == list(fresh)
+    for name, array in zip(reused, spent):
+        assert reused[name].activations is array
+        assert reused[name].activations.tobytes() == fresh[name].activations.tobytes()
+        assert reused[name].timesteps.tobytes() == fresh[name].timesteps.tobytes()
+
+
+def test_a_capture_refuses_arrays_it_cannot_fill(bundled, monkeypatch):
+    model, schedule = bundled
+    cpus(monkeypatch, 2)
+
+    def capture(out):
+        return collect_calibration(model, schedule, 5, 64, Rng(0), layers=["res1"], out=out)
+
+    spent = capture(None)["res1"].activations
+    before = spent.tobytes()
+    rows, c = spent.shape
+    (wide,) = workers.shared_arrays([(rows, c + 1)])
+    with pytest.raises(DimensionError, match="shapes"):
+        capture([wide])
+    with pytest.raises(DimensionError, match="shapes"):
+        capture([spent, spent])
+    with pytest.raises(DomainError, match="shared_arrays"):
+        capture([spent.copy()])  # a child's rows would never arrive
+    with pytest.raises(DomainError, match="shared_arrays"):
+        capture([wide[:, :c]])  # a strided view
+    assert spent.tobytes() == before
+
+
+def test_propagate_mode_maps_one_record_for_all_its_captures(monkeypatch):
+    made = []
+    real = workers.shared_arrays
+
+    def shared_arrays(shapes):
+        made.append(shapes)
+        return real(shapes)
+
+    monkeypatch.setattr(workers, "shared_arrays", shared_arrays)
+    pipeline.run_quantize(small_w4a8(**RESCUE_WIDE))
+    assert len(made) == 1
 
 
 def test_a_share_starts_from_the_runs_own_noise(bundled, monkeypatch):
