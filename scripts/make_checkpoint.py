@@ -25,8 +25,6 @@ from denoq.tensor import Rng  # noqa: E402
 from denoq.toydiff import (  # noqa: E402
     NoiseSchedule,
     ToyDenoiser,
-    _sigmoid,
-    _silu,
     collect_calibration,
     ring_data,
     sample,
@@ -34,6 +32,24 @@ from denoq.toydiff import (  # noqa: E402
 )
 
 SEED = 1337
+
+
+# The trainer keeps the SiLU the bundled checkpoint was trained with. The
+# sampler's cheaper v / (1 + exp(-v)) (denoq.toydiff._silu) differs from it
+# in the last bits, and the checkpoint's bytes depend on every one of them.
+def _sigmoid(v):
+    """sigmoid(v) from exp(-|v|), which cannot overflow.
+
+    The numerator is 1 for v >= 0 and exp(-|v|) below zero; since
+    exp(-|v|) <= 1, np.maximum(ev, v >= 0) picks exactly that.
+    """
+    ev = np.exp(-np.abs(v))
+    den = ev + 1.0
+    return np.maximum(ev, v >= 0) / den
+
+
+def _silu(v):
+    return v * _sigmoid(v)
 
 
 def _silu_prime(v):

@@ -7,9 +7,15 @@ scaling plus power-of-two rescue — and records their endpoint trajectory
 MSEs in golden/ordering.txt. Deterministic: rebuilding writes the same
 bytes. The acceptance suite re-measures the same three numbers and checks
 them against this file.
+
+Options:
+  --check   write nothing; print a unified diff of golden/ordering.txt
+            against the rebuilt lines and exit 1 if they differ, 0 if not
 """
 
+import argparse
 import dataclasses
+import difflib
 import pathlib
 import sys
 
@@ -53,12 +59,29 @@ def golden_lines(config_path) -> list[str]:
     return lines
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    parser.add_argument(
+        "--check", action="store_true",
+        help="compare with golden/ordering.txt instead of writing it",
+    )
+    args = parser.parse_args(argv)
     out = ROOT / "golden" / "ordering.txt"
+    text = "\n".join(golden_lines(ROOT / "configs" / "w4a8.cfg")) + "\n"
+    if args.check:
+        old = out.read_text(encoding="utf-8") if out.is_file() else ""
+        diff = difflib.unified_diff(
+            old.splitlines(keepends=True), text.splitlines(keepends=True),
+            fromfile=str(out), tofile="rebuilt",
+        )
+        sys.stdout.writelines(diff)
+        print(f"{out}: {'reproduced' if old == text else 'differs'}")
+        return 0 if old == text else 1
     out.parent.mkdir(parents=True, exist_ok=True)
-    lines = golden_lines(ROOT / "configs" / "w4a8.cfg")
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print("\n".join(lines))
+    out.write_text(text, encoding="utf-8")
+    print(text, end="")
     print(f"\nwrote {out}")
     return 0
 

@@ -76,6 +76,14 @@ class PtsFactors:
         object.__setattr__(self, "exponents", exps)
         object.__setattr__(self, "agreement", agree)
 
+    @classmethod
+    def _trusted(cls, exponents: np.ndarray, agreement: np.ndarray, kappa: float):
+        """Take over what _grant builds, unchecked: int64 exponents >= 0 and
+        float64 agreement fractions in [0, 1], as matching vectors."""
+        factors = object.__new__(cls)
+        factors.__dict__.update(exponents=exponents, agreement=agreement, kappa=kappa)
+        return factors
+
 
 def _check_ladder(base_scale: float, max_exponent: int) -> None:
     if not (base_scale > 0.0 and np.isfinite(base_scale)):
@@ -263,7 +271,7 @@ def _grant(counts: np.ndarray, n: int, kappa: float) -> PtsFactors:
     mode = np.argmax(counts, axis=0)
     agreement = counts[mode, np.arange(counts.shape[1])] / n
     exponents = np.where(agreement > kappa, mode, 0).astype(np.int64)
-    return PtsFactors(exponents, agreement, float(kappa))
+    return PtsFactors._trusted(exponents, agreement, float(kappa))
 
 
 def _check_kappa(kappa: float) -> None:

@@ -138,27 +138,17 @@ _PARAM_SHAPES = (
 )
 
 
-def _sigmoid(v, out=None, den=None):
-    """sigmoid(v) from exp(-|v|), which cannot overflow.
-
-    The numerator is 1 for v >= 0 and exp(-|v|) below zero; since
-    exp(-|v|) <= 1, np.maximum(ev, v >= 0) picks exactly that. The result
-    goes into out and the denominator into den, arrays of v's shape other
-    than v; each is a new array when not given.
+def _silu(v, out=None, ev=None):
+    """silu(v) = v / (1 + exp(-v)) in four passes, into out (which may be v)
+    or a new array; ev (not v) takes the denominator. Within 2 ulp for
+    v >= -709. Below -709.78, exp(-v) overflows to inf without a warning
+    and the result is -0.0; the true value is under 2e-306 in magnitude.
     """
-    ev = np.abs(v, out=out)
-    np.negative(ev, out=ev)
-    np.exp(ev, out=ev)
-    den = np.add(ev, 1.0, out=den)
-    np.maximum(ev, v >= 0, out=ev)
-    return np.divide(ev, den, out=ev)
-
-
-def _silu(v, out=None, ev=None, den=None):
-    """silu(v) = v * sigmoid(v), into out (which may be v itself) or a new
-    array; ev and den are _sigmoid's buffers."""
-    sig = _sigmoid(v, ev, den)
-    return np.multiply(v, sig, out=sig if out is None else out)
+    ev = np.negative(v, out=ev)
+    with np.errstate(over="ignore"):
+        np.exp(ev, out=ev)
+    np.add(ev, 1.0, out=ev)
+    return np.divide(v, ev, out=out)
 
 
 class _ForwardBuffers:
@@ -166,19 +156,21 @@ class _ForwardBuffers:
 
     sample() makes one set per call and hands it to every forward of that
     call, so a trajectory does not allocate these per step and nothing
-    outlives the call. forward writes only into these arrays:
+    outlives the call. forward writes only into these arrays, and each
+    layer product without an override is written straight into one:
         h0      the stem input [x, embed[t]];
         h       the stem activation, then the skip input, then the mid
-                activation;
-        r       the residual activation, then the residual sum and its
-                activation;
-        ev, den SiLU's exp(-|v|) and denominator.
+                product and its activation;
+        r       the res1 product and its activation, then the skip
+                product, the residual sum and its activation;
+        s       the res2 product;
+        ev      SiLU's denominator 1 + exp(-v).
     """
 
     def __init__(self, batch: int, width: int, hidden: int):
         self.batch = batch
         self.h0 = np.empty((batch, width))
-        self.h, self.r, self.ev, self.den = (np.empty((batch, hidden)) for _ in range(4))
+        self.h, self.r, self.s, self.ev = (np.empty((batch, hidden)) for _ in range(4))
 
 
 class ToyDenoiser:
@@ -266,10 +258,12 @@ class ToyDenoiser:
         layer, to record or score it, does so in one. buffers, from
         forward_buffers(len(x)), receives the intermediate activations, so a
         caller that runs many steps allocates them once; without it the
-        call makes its own. An override's input is one of these buffers,
-        rewritten later in the call or by the next call that shares them,
-        so an override that keeps its input copies it. The call writes
-        into no other array: not x, not an override's product.
+        call makes its own. A layer without an override writes its product
+        into one of these buffers too, so only the head's output is a new
+        array. An override's input is one of these buffers, rewritten later
+        in the call or by the next call that shares them, so an override
+        that keeps its input copies it. The call writes into no other
+        array: not x, not an override's product.
         """
         x = as_real(x, "x")
         if x.ndim != 2 or x.shape[1] != self.dim:
@@ -282,22 +276,22 @@ class ToyDenoiser:
         if b.batch != x.shape[0]:
             raise DimensionError(f"buffers hold {b.batch} rows, x has {x.shape[0]}")
 
-        def run(name, a):
+        def run(name, a, out):
             fn = overrides.get(name)
-            return fn(a) if fn is not None else a @ self.params[f"{name}_w"]
+            return fn(a) if fn is not None else np.matmul(a, self.params[f"{name}_w"], out=out)
 
         p = self.params
         b.h0[:, : self.dim] = x
         b.h0[:, self.dim :] = p["embed"][t]
         h1 = np.matmul(b.h0, p["stem_w"], out=b.h)
         np.add(h1, p["stem_b"], out=h1)
-        _silu(h1, h1, b.ev, b.den)
-        r = _silu(run("res1", h1), b.r, b.ev, b.den)
-        r = run("res2", r)
+        _silu(h1, h1, b.ev)
+        r = _silu(run("res1", h1, b.r), b.r, b.ev)
+        r = run("res2", r, b.s)
         # Each buffer is rewritten only once every product of it has run.
-        sk = run("skip", np.multiply(h1, p["gain"], out=b.h))
-        h4 = _silu(np.add(r, sk, out=b.r), b.r, b.ev, b.den)
-        m = _silu(run("mid", h4), b.h, b.ev, b.den)
+        sk = run("skip", np.multiply(h1, p["gain"], out=b.h), b.r)
+        h4 = _silu(np.add(r, sk, out=b.r), b.r, b.ev)
+        m = _silu(run("mid", h4, b.h), b.h, b.ev)
         return m @ p["head_w"] + p["head_b"]
 
 
@@ -329,8 +323,7 @@ def ddim_timesteps(t_max: int, steps: int) -> np.ndarray:
     """Ascending step grid 0 = g_0 < g_1 < ... < g_steps = t_max."""
     if not (1 <= steps <= t_max):
         raise DomainError(f"steps must lie in [1, {t_max}]")
-    grid = np.unique(np.rint(np.linspace(0.0, t_max, steps + 1)).astype(np.int64))
-    return grid
+    return np.unique(np.rint(np.linspace(0.0, t_max, steps + 1)).astype(np.int64))
 
 
 def ddim_step(
@@ -433,7 +426,6 @@ def sample(
     x = x[rows]
     buffers = model.forward_buffers(x.shape[0])
     states = [x]
-    evaluated = []
     for i in range(len(grid) - 1, 0, -1):
         t, t_prev = int(grid[i]), int(grid[i - 1])
         with np.errstate(over="ignore", invalid="ignore"):
@@ -446,8 +438,7 @@ def sample(
         noise = rng.standard_normal((batch, model.dim))[rows] if eta > 0.0 else None
         x = ddim_step(x, eps_hat, t, t_prev, schedule, eta=eta, noise=noise)
         states.append(x)
-        evaluated.append(t)
-    return Trajectory(np.array(states), np.array(evaluated, dtype=np.int64), float(eta))
+    return Trajectory(np.array(states), grid[:0:-1].copy(), float(eta))
 
 
 # A sampler run splits into row shares only while every share keeps at

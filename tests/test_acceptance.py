@@ -195,7 +195,7 @@ def test_c04_vote_matches_brute_force_exhaustively():
         got = vote(matrix, kappa)
         want_e, want_a = _oracle_vote(matrix, kappa)
         assert np.array_equal(got.exponents, want_e), (matrix, kappa)
-        assert np.allclose(got.agreement, want_a, atol=0), (matrix, kappa)
+        assert np.array_equal(got.agreement, want_a), (matrix, kappa)
         checked += 1
 
     # every single-column vote set with N <= 6 votes over exponents {0,1,2}

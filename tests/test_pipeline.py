@@ -333,10 +333,10 @@ class TestVariants:
         assert rescued == {"res1": 0, "res2": 0, "skip": 1, "mid": 0}
         digest = lambda p: hashlib.sha256(p.read_bytes()).hexdigest()  # noqa: E731
         assert digest(out) == (
-            "4b1c5cf3fefe3c1d87378c515706dca5dd8e977f4a5082ff158f275dad7995ae"
+            "bca82bb6dc9c16303d8052b72ec4d866ed022fe22e1e516789e156d57d5836c4"
         )
         assert digest(rep) == (
-            "7c492879c3f1894759608102bd2cc3b1f1d3d9bcc53049c31f8af4b23b6b8d07"
+            "0ba5547397d5a56287f8a09d6b0f594cfdc037b5a46e9416799ff7e9a72bff7b"
         )
 
     @pytest.mark.parametrize(
@@ -344,18 +344,18 @@ class TestVariants:
         [
             (
                 dict(pts_layers="none"),
-                "4db0c6dc49efbe81033b47f2dbf6785205111a8b431a1e02b2228debbcebb16c",
-                "6eaa0204a60d20cde579492a9c9d0fa78b5d009420f2d35d2798ac51a6eec8bf",
+                "3a1d1c896f061ab404c32b09a3eac68f830cc29a342fd8cb12eefcbb7191cdb9",
+                "1da22974fe7ffe9ef15f3db1b09b28e9b3dfea380c6efa782ac03a44d157a260",
             ),
             (
                 dict(optimizer="adam"),
-                "2ba1c71920ff2502d70bd99f873df777722e7d43a51a005f284af93b0652b8bd",
-                "2f0737e3b6b8c3c031a7e4d67cdac3b647d8b2921adbfab97c801610f76c7eff",
+                "b5b430019f67dcc2dfa3f3ffc98c8920c85dbb9d539cf558d5cb4091d1561255",
+                "ec2bdafcbaca12f8061f07f2c72227f59e39c038d290873a7d36bbba32c55c9b",
             ),
             (
                 dict(act_unsigned=True),
-                "d772f6d7e7c94862979db90f2e14c0660536c618940759704d1274748f6f80e2",
-                "97898b2c59e30040e0d4da1e977ea260162eaf64ae54893f7987c536b6831c3f",
+                "a789500c0647e9e93d90cfcc6674cf6c74dd64381572c313446dcf4900192ae0",
+                "1d52452ef135cb7998a9dca4d579d99fe0a593f6b6a67926809a2f99a5dd9dcb",
             ),
         ],
         ids=["pts_none", "adam", "act_unsigned"],
@@ -769,6 +769,35 @@ def test_golden_file_reproduces_at_one_blas_thread():
         env=env, check=True, timeout=300, capture_output=True,
     )
     assert done.stdout == (ROOT / "golden" / "ordering.txt").read_bytes()
+
+
+def test_regenerate_golden_check_writes_nothing(tmp_path, monkeypatch, capsys):
+    """--check exits 0 on a file that matches the rebuilt lines and 1 with
+    a diff on one that does not; neither it nor --help or a typo writes
+    the file."""
+    spec = importlib.util.spec_from_file_location(
+        "regenerate_golden", ROOT / "scripts" / "regenerate_golden.py"
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    lines = ["# a header", "minmax: endpoint_mse = 0.5", "ordering: x is true"]
+    monkeypatch.setattr(script, "golden_lines", lambda config_path: lines)
+    monkeypatch.setattr(script, "ROOT", tmp_path)
+    golden = tmp_path / "golden" / "ordering.txt"
+    golden.parent.mkdir()
+    good = ("\n".join(lines) + "\n").encode()
+    golden.write_bytes(good)
+    assert script.main(["--check"]) == 0
+    bad = good.replace(b"0.5", b"0.25")
+    golden.write_bytes(bad)
+    assert script.main(["--check"]) == 1
+    assert "-minmax: endpoint_mse = 0.25\n+minmax: endpoint_mse = 0.5\n" in capsys.readouterr().out
+    for argv in (["--help"], ["--chek"]):
+        with pytest.raises(SystemExit):
+            script.main(argv)
+    assert golden.read_bytes() == bad
+    assert script.main([]) == 0
+    assert golden.read_bytes() == good
 
 
 def test_ordering_sweep_seed_0_agrees_with_the_golden_file():

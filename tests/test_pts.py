@@ -354,6 +354,13 @@ def test_vote_equals_per_channel_bincount(seed, n, c, top, kappa):
     exps, agree = bincount_vote(votes, kappa)
     assert np.array_equal(got.exponents, exps)
     assert got.agreement.tobytes() == agree.tobytes()
+    # vote builds its factors unchecked; the checking constructor takes
+    # them as they are.
+    assert (got.exponents.dtype, got.agreement.dtype) == (np.int64, np.float64)
+    checked = PtsFactors(got.exponents, got.agreement, kappa)
+    assert checked.exponents.tobytes() == got.exponents.tobytes()
+    assert checked.agreement.tobytes() == got.agreement.tobytes()
+    assert checked.kappa == got.kappa and type(got.kappa) is float
 
 
 @settings(max_examples=60, deadline=None)

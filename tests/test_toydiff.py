@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import struct
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -76,12 +77,13 @@ def load_script(name):
     return module
 
 
-# The trainer's SiLU derivative lives with the trainer.
-_silu_prime = load_script("make_checkpoint")._silu_prime
+# The trainer keeps the SiLU formula the bundled checkpoint was trained with.
+_trainer = load_script("make_checkpoint")
 
 
 def old_silu(v):
-    """The three-branch formula _silu replaced, kept as its oracle."""
+    """The three-branch formula the trainer's _silu replaced, kept as its
+    oracle."""
     ev = np.exp(-np.abs(v))
     sig = np.where(v >= 0, 1.0 / (1.0 + ev), ev / (1.0 + ev))
     return v * sig
@@ -93,25 +95,88 @@ def old_silu_prime(v):
     return sig * (1.0 + v * (1.0 - sig))
 
 
+def new_silu(v):
+    """The sampler's formula, written out in plain numpy."""
+    with np.errstate(over="ignore"):
+        return v / (1.0 + np.exp(-v))
+
+
+def ulp_error(got: float, v: float, mpmath) -> float:
+    """|got - silu(v)| in units in the last place of silu(v), exact silu
+    from mpmath at 60 digits."""
+    with mpmath.workdps(60):
+        mv = mpmath.mpf(v)
+        exact = mv / (1 + mpmath.exp(-mv))
+        return float(abs(mpmath.mpf(got) - exact) / np.spacing(abs(float(exact))))
+
+
 class TestSilu:
     EDGES = np.array(
         [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
          1e-300, -1e-300, 800.0, -800.0, 36.0, -36.0, 745.0, -745.0, 1.0, -1.0]
     )
+    TRAINER = [(_trainer._silu, old_silu), (_trainer._silu_prime, old_silu_prime)]
 
-    @pytest.mark.parametrize("fn,oracle", [(_silu, old_silu), (_silu_prime, old_silu_prime)])
+    @staticmethod
+    def batch(seed):
+        rng = Rng(seed)
+        return rng.standard_normal((257, 64)) * 10.0 ** rng.uniform(-3, 2, (257, 64))
+
+    @pytest.mark.parametrize("fn,oracle", TRAINER)
     def test_edges_match_the_old_formula_bit_for_bit(self, fn, oracle):
         assert fn(self.EDGES).tobytes() == oracle(self.EDGES).tobytes()
         assert fn(self.EDGES[None, :]).tobytes() == oracle(self.EDGES[None, :]).tobytes()
 
     @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("fn,oracle", [(_silu, old_silu), (_silu_prime, old_silu_prime)])
+    @pytest.mark.parametrize("fn,oracle", TRAINER)
     def test_random_batches_match_the_old_formula_bit_for_bit(self, seed, fn, oracle):
-        rng = Rng(seed)
-        v = rng.standard_normal((257, 64)) * 10.0 ** rng.uniform(-3, 2, (257, 64))
+        v = self.batch(seed)
         before = v.copy()
         assert fn(v).tobytes() == oracle(v).tobytes()
         assert np.array_equal(v, before)  # the input is left alone
+
+    def test_edges_match_the_formula_bit_for_bit(self):
+        assert _silu(self.EDGES).tobytes() == new_silu(self.EDGES).tobytes()
+        assert _silu(self.EDGES[None, :]).tobytes() == new_silu(self.EDGES[None, :]).tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_batches_match_the_formula_bit_for_bit(self, seed):
+        v = self.batch(seed)
+        assert _silu(v).tobytes() == new_silu(v).tobytes()
+        out, ev = np.empty_like(v), np.empty_like(v)
+        assert _silu(v, out, ev) is out
+        assert out.tobytes() == new_silu(v).tobytes()
+
+    def test_within_two_ulp_of_the_exact_value(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = Rng(7)
+        mags = 10.0 ** rng.uniform(-8, np.log10(709.0), 3000)
+        v = np.concatenate([mags, -mags, self.EDGES[self.EDGES >= -709.0], [-709.0, 709.0]])
+        got = _silu(v)
+        worst = max(ulp_error(g, x, mpmath) for g, x in zip(got, v) if x != 0.0)
+        assert worst <= 2.0, worst
+        assert got[v == 0.0].tobytes() == v[v == 0.0].tobytes()  # signed zeros kept
+
+    @pytest.mark.parametrize("floating", [{}, {"all": "raise"}], ids=["default", "raise"])
+    def test_far_below_the_overflow_point_gives_negative_zero_silently(self, floating):
+        v = np.array([-709.79, -710.0, -745.0, -800.0, -1e300, -np.finfo(np.float64).max])
+        with warnings.catch_warnings(), np.errstate(**floating):
+            warnings.simplefilter("error")
+            got = _silu(v)
+        assert np.all(got == 0.0) and np.all(np.signbit(got))
+
+    def test_input_is_left_alone_unless_it_is_out(self):
+        v = self.batch(9)
+        before = v.copy()
+        want = new_silu(v).tobytes()
+        assert _silu(v).tobytes() == want
+        assert _silu(v, np.empty_like(v)).tobytes() == want
+        assert _silu(v, None, np.empty_like(v)).tobytes() == want
+        ev = np.empty_like(v)
+        assert _silu(v, ev, ev).tobytes() == want  # the denominator may share out
+        assert v.tobytes() == before.tobytes()
+        assert _silu(v, v, np.empty_like(v)) is v
+        assert v.tobytes() == want
 
 
 class TestSchedule:
@@ -679,6 +744,31 @@ class TestServedForward:
         assert x.tobytes() == x_before.tobytes()
         assert len(products) == 12
         assert all(a.tobytes() == kept.tobytes() for a, kept in products)
+
+    @pytest.mark.parametrize("overridden", [(), ("res2",), ("res1", "mid"), ("skip",)])
+    def test_products_in_buffers_equal_the_plain_forward(self, bundled, overridden):
+        """Layer products written into the shared buffers give the bits of
+        the architecture written out with fresh arrays, whichever layers an
+        override takes, over calls that reuse the buffers."""
+        model, _ = bundled
+        p = model.params
+        x = Rng(6).standard_normal((7, 2))
+        overrides = {
+            name: (lambda a, name=name: a @ model.layer_weight(name) * 1.0)
+            for name in overridden
+        }
+
+        def plain(t):
+            h1 = _silu(np.concatenate([x, np.tile(p["embed"][t], (7, 1))], 1) @ p["stem_w"]
+                       + p["stem_b"])
+            r = _silu(h1 @ p["res1_w"]) @ p["res2_w"]
+            h4 = _silu(r + (h1 * p["gain"]) @ p["skip_w"])
+            return _silu(h4 @ p["mid_w"]) @ p["head_w"] + p["head_b"]
+
+        buffers = model.forward_buffers(7)
+        for t in (9, 2, 14, 2):
+            got = model.forward(x, t, overrides=overrides, buffers=buffers)
+            assert got.tobytes() == plain(t).tobytes()
 
     def test_buffers_must_match_the_batch(self, bundled):
         model, _ = bundled
