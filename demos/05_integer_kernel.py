@@ -3,7 +3,7 @@
 
 Deployment never multiplies activations by 2^delta at run time: the
 exponents are folded into the weight codes once, by left shift, and the
-matmul runs on plain integers. This demo shows the fold, the 64-bit
+matmul runs on plain integers. This demo shows the fold, the 53-bit
 accumulator budget, and bit-exact agreement with the real-arithmetic
 reference.
 """
@@ -50,17 +50,17 @@ def main():
           f"{layer.accumulator_budget}-bit budget, so the float32 tier holds "
           f"them exactly ({acc.codes.dtype} accumulator)")
 
-    print("\nthe accumulator budget: bits_x + bits_w + max_shift + log2(C_in) <= 63")
+    print("\nthe accumulator budget: bits_x + bits_w + max_shift + log2(C_in) <= 53")
     big = 1 << 15
     x16 = IntTensor(np.full((1, big), -(1 << 15), dtype=np.int64), 16)
     w16 = IntTensor(np.full((big, 1), -(1 << 15), dtype=np.int64), 16)
-    worst = execute(x16, shift_weights(w16, np.full(big, 16, dtype=np.int64)))
-    print(f"  16 + 16 + 16 + 15 = 63: accepted, worst-case sum = 2^61 "
-          f"({int(worst.codes[0, 0]) == big * (1 << 15) * (1 << 31)})")
+    worst = execute(x16, shift_weights(w16, np.full(big, 6, dtype=np.int64)))
+    print(f"  16 + 16 + 6 + 15 = 53: accepted, worst-case sum = 2^51 "
+          f"({int(worst.codes[0, 0]) == big * (1 << 15) * (1 << 21) == 1 << 51})")
     try:
         x17 = IntTensor(np.full((1, 2 * big), -(1 << 15), dtype=np.int64), 16)
         w17 = IntTensor(np.full((2 * big, 1), -(1 << 15), dtype=np.int64), 16)
-        execute(x17, shift_weights(w17, np.full(2 * big, 16, dtype=np.int64)))
+        execute(x17, shift_weights(w17, np.full(2 * big, 6, dtype=np.int64)))
     except HeadroomError as exc:
         print(f"  one more channel doubling: rejected ({exc})")
 

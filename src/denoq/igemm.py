@@ -16,12 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, DomainError, HeadroomError
-from .tensor import IntTensor, Tensor, ceil_log2, code_dtype, code_matmul
+from .tensor import EXACT_FLOAT_BITS, IntTensor, Tensor, ceil_log2, code_dtype, code_matmul
 
-# Shifted weight codes must stay within a 32-bit lane so the 64-bit
-# accumulator keeps headroom for the reduction.
+# Shifted weight codes must stay within a 32-bit lane, the width of the
+# widest weight codes (quant.MAX_BITS).
 WEIGHT_LANE_BITS = 32
-ACCUMULATOR_BITS = 64
 
 
 # The former local name; perfbench/spans.py imports it from here.
@@ -46,17 +45,17 @@ def headroom_problem(bits_x: int, bits_w: int, max_shift: int, c_in: int) -> str
     """Why the integer kernel cannot run a layer of these widths, or None.
 
     bits_w + max_shift must fit the weight lane, and the accumulator budget
-    bits_x + bits_w + max_shift + ceil(log2(c_in)) must stay <= 63, which
-    bounds the worst-case partial sum strictly below 2^63.
+    bits_x + bits_w + max_shift + ceil(log2(c_in)) must stay <= 53, so
+    every partial sum is an integer float64 holds exactly.
     """
     lane = _lane_problem(bits_w, max_shift)
     if lane is not None:
         return lane
     budget = accumulator_budget(bits_x, bits_w, max_shift, c_in)
-    if budget > ACCUMULATOR_BITS - 1:
+    if budget > EXACT_FLOAT_BITS:
         return (
             f"accumulator headroom exceeded: {bits_x} + {bits_w} + {max_shift} "
-            f"+ log2({c_in}) = {budget} > {ACCUMULATOR_BITS - 1}"
+            f"+ log2({c_in}) = {budget} > {EXACT_FLOAT_BITS}"
         )
     return None
 
@@ -90,7 +89,7 @@ class ShiftedWeights:
         object.__setattr__(self, "_operands", {})
 
     def operand(self, budget_bits: int) -> np.ndarray:
-        """The codes as code_matmul takes them at budget_bits."""
+        """The codes as code_matmul takes them at budget_bits (code_dtype)."""
         dtype = code_dtype(budget_bits)
         if dtype not in self._operands:
             self._operands[dtype] = self.codes.astype(dtype, copy=False)
@@ -129,10 +128,10 @@ def execute(x: IntTensor, w: ShiftedWeights) -> IntTensor:
     """Integer matmul of activation codes against pre-shifted weights.
 
     The call is rejected unless the layer passes headroom_problem(), which
-    bounds the worst-case partial sum strictly below 2^63. The accumulator
+    bounds the worst-case partial sum strictly below 2^53. The accumulator
     is the product of tensor.code_matmul in the dtype of the layer's tier
     (code_dtype): float32 or float64 BLAS, exact since every partial sum is
-    an integer below 2^24 or 2^53, or int64 past 53 bits.
+    an integer below 2^24 or 2^53; its nominal width is the budget.
     """
     if not isinstance(x, IntTensor):
         raise DomainError("execute expects IntTensor activations")
@@ -149,7 +148,7 @@ def execute(x: IntTensor, w: ShiftedWeights) -> IntTensor:
         raise HeadroomError(problem)
     budget = accumulator_budget(x.nominal_bits, w.source_bits, w.max_shift, c_in)
     acc = code_matmul(x.codes, w.operand(budget), budget)
-    return IntTensor._bounded(acc, ACCUMULATOR_BITS, True)
+    return IntTensor._bounded(acc, budget, True)
 
 
 def apply_output_scales(

@@ -23,15 +23,16 @@ the x and ref it is given. The ranking (_ranking) picks the best
 candidate: where the code product runs in the float32 tier
 (tensor.code_dtype), it gives the loss float32 copies of x and ref, at
 about half the cost of the float64 loss; elsewhere it gives it the
-float64 record, its code product always on float64 BLAS (see _ranking
-for past 53 bits). The exact check, the same loss on the float64 record,
-then scores only tau = 1 and the winner, so the losses a LesResult
-reports are exact, and a winner that the exact check does not score
-below tau = 1 gives way to it. The loss validates what can go wrong at a
-new tau: the fitted MinMax scales, float64 in every dtype, must be
-positive reals, so a layer whose scaled activations or weights overflow
-fails there with DomainError. It does not clamp codes: a MinMax scale
-fitted at this tau bounds every code within the range already (see
+float64 record, its code product on float64 BLAS. A layer whose budget
+exceeds 53 bits has no tier: its first check raises HeadroomError before
+the descent starts. The exact check, the same loss on the float64
+record, then scores only tau = 1 and the winner, so the losses a
+LesResult reports are exact, and a winner that the exact check does not
+score below tau = 1 gives way to it. The loss validates what can go
+wrong at a new tau: the fitted MinMax scales, float64 in every dtype,
+must be positive reals, so a layer whose scaled activations or weights
+overflow fails there with DomainError. It does not clamp codes: a MinMax
+scale fitted at this tau bounds every code within the range already (see
 _codes_into). Its two per-column passes run on wide views of the record
 against repeated rows (_repeated_rows), which gives the same bits in
 longer loops.
@@ -62,9 +63,7 @@ import numpy as np
 from .errors import DimensionError, DomainError
 from .igemm import accumulator_budget
 from .quant import SCALE_FLOOR, QuantParams, _clamp, code_bounds, minmax_scale
-from .tensor import (
-    EXACT_FLOAT_BITS, Rng, Tensor, as_real, code_dtype, code_matmul, matmul,
-)
+from .tensor import Rng, Tensor, as_real, code_dtype, code_matmul, matmul
 from .timestep_weighting import TimestepWeighter
 
 # Descent safeguards: gradients are norm-clipped and log factors bounded to
@@ -317,7 +316,7 @@ def _check_buffers(x: Tensor, ref: Tensor, bits_a: int, bits_w: int) -> tuple:
     x for the scaled x and its codes, and one shaped like ref for the
     product, in C order, as _check_loss's wide views of them need. The
     codes buffer is float32 when the product runs in the float32 tier of
-    code_matmul (tensor.code_dtype); in the other tiers the codes go into
+    code_matmul (tensor.code_dtype); in the float64 tier the codes go into
     the float64 buffer of the scaled x.
     """
     budget = accumulator_budget(bits_a, bits_w, 0, x.shape[1])
@@ -437,12 +436,8 @@ def _ranking(
     the exact check's, not equal to it, and codes next to a half-code
     boundary may round the other way. A layer whose float32 ranking could
     overflow (_float32_copies), and every layer past 24 bits, ranks with
-    the float64 check on float64 BLAS: that is the exact check up to 53
-    bits. Past 53 bits the exact check's product is code_matmul's
-    BLAS-free einsum, whose float64 partial sums round; the ranking caps
-    the budget at 53 bits and so takes the float64 BLAS product, which
-    rounds in BLAS's order. optimize_layer scores the candidate it keeps
-    with the exact check itself.
+    the exact check itself, on float64 BLAS. optimize_layer scores the
+    candidate it keeps with the exact check.
 
     Each branch makes only the buffers it uses: the float32 one a float32
     codes buffer and a float32 accumulator, no float64 ones. The ranking
@@ -452,7 +447,6 @@ def _ranking(
     copies = _float32_copies(x, w, ref) if code_dtype(budget) is np.float32 else None
     if copies is None:
         work = _check_buffers(x, ref, bits_a, bits_w)
-        work = (min(budget, EXACT_FLOAT_BITS),) + work[1:]
     else:
         extremes = _extremes(x)
         x, ref = copies

@@ -62,7 +62,7 @@ class QuantizedModel:
 
     Every layer must run on the integer kernel: a layer whose shifted
     weights overflow the weight lane, or whose accumulator budget exceeds
-    63 bits, is not a deployable model and is a FormatError.
+    53 bits, is not a deployable model and is a FormatError.
     """
 
     bits_w: int

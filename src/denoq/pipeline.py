@@ -82,8 +82,8 @@ class Config:
     Field notes:
         bits_w, bits_a: 2..16 are the supported storage widths; up to 32
             is accepted when the integer kernel has the headroom (see
-            _check_headroom): 24/24 fits (57 bits on 64 channels with D = 3),
-            32/32 does not (70 bits).
+            _check_headroom): 22/22 fits (53 bits on 64 channels with D = 3),
+            24/24 does not (54 bits even unrescued).
         T: sampler steps, which is also the calibration timestep subset.
         n: trajectories collected for calibration (and used for evaluation).
         B: optimization batch size. iterations: optimization steps per layer.

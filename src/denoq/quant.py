@@ -34,8 +34,8 @@ from .tensor import IntTensor, Tensor, as_real, code_dtype, code_matmul
 SCALE_FLOOR = 1e-12
 
 # Bit-widths 2..16 are the supported storage range; widths up to 32 are
-# accepted where the integer kernel's headroom allows them (24/24 on 64
-# channels needs 57 of its 63 bits; 32/32 would need 70 and is refused).
+# accepted where the integer kernel's 53-bit budget allows them (W32A8 on
+# 64 channels needs 46 bits and fits; 24/24 needs 54 and is refused).
 MAX_BITS = 32
 
 
@@ -198,10 +198,10 @@ class QuantizedLayer:
             left shifts, ready for igemm.execute (igemm.shift_weights,
             which refuses codes that overflow the 32-bit weight lane).
 
-    Neither the weight lane nor the accumulator budget is checked here, so
-    a layer too wide for the integer kernel can still run through
-    quantized_matmul_reference; a QuantizedModel, the unit that is
-    exported and imported, refuses it.
+    Neither the weight lane nor the accumulator budget is checked here; a
+    QuantizedModel, the unit that is exported and imported, refuses a
+    layer that breaks either. Past 53 bits activation_codes, and with it
+    quantized_matmul_reference, raises HeadroomError (tensor.code_dtype).
     """
 
     name: str
@@ -309,12 +309,13 @@ def quantized_matmul_reference(x: Tensor, layer: QuantizedLayer) -> Tensor:
     Computes the factored product: integer codes are multiplied and summed
     with the scales applied outside the accumulation. Power-of-two exponents
     are folded onto the weight codes (exactly, since scaling by 2^d is
-    exponent arithmetic). While codes and partial sums stay below 2^53 the
-    whole accumulation is exact integer arithmetic, which is what makes the
-    bit-shift integer path reproducible against this function bit for bit,
-    and what lets the product run on float32 or float64 BLAS (see
-    tensor.code_matmul). The product comes back in the dtype of the layer's
-    tier, and one pass scales it into float64.
+    exponent arithmetic). The layer's budget keeps partial sums below 2^53
+    (a wider layer raises HeadroomError), so the whole accumulation is
+    exact integer arithmetic, which is what makes the bit-shift integer
+    path reproducible against this function bit for bit, and what lets
+    the product run on float32 or float64 BLAS (see tensor.code_matmul).
+    The product comes back in the dtype of the layer's tier, and one pass
+    scales it into float64.
     """
     x = as_real(x, "layer input")
     if x.ndim != 2 or x.shape[1] != layer.c_in:

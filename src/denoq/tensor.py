@@ -9,7 +9,7 @@ identical inputs give identical bits, and the tests check that at 1 and 2
 BLAS threads. Across builds their last bits may differ.
 
 Products of integer codes go through :func:`code_matmul` instead, in one
-of three tiers chosen by the worst-case budget bits_a + bits_w + max_shift +
+of two tiers chosen by the worst-case budget bits_a + bits_w + max_shift +
 ceil(log2 C_in). :func:`code_dtype` is the one place that maps a budget to
 its tier, and a tier holds its codes, its weight operand and its
 accumulator in that dtype:
@@ -17,13 +17,12 @@ accumulator in that dtype:
 * at most 24 bits, float32: every partial sum is an integer float32 holds
   exactly, so the product runs on float32 BLAS (sgemm);
 * at most 53 bits, float64: the same holds for float64, so it runs on
-  float64 BLAS;
-* past 53 bits, int64: a fixed-order einsum (ascending reduction index, no
-  BLAS), in the operands' common dtype. This is the only product in the
-  package that does not run on BLAS.
+  float64 BLAS.
 
-In the two BLAS tiers the result is the same in any summation order and at
-any thread count, because no partial sum is ever rounded.
+A larger budget has no tier: code_dtype refuses it with HeadroomError.
+So every code product runs on BLAS, and its result is the same in any
+summation order and at any thread count, because no partial sum is ever
+rounded.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, HeadroomError
 
 # Convention: a "Tensor" in this package is a float64 ndarray.
 Tensor = np.ndarray
@@ -84,8 +83,7 @@ class IntTensor:
             lo, hi, what = -(1 << (b - 1)), (1 << (b - 1)) - 1, "two's complement"
         else:
             lo, hi, what = 0, (1 << b) - 1, "unsigned"
-        # int64 storage already bounds signed 64-bit codes (accumulators).
-        if codes.size and not (self.signed and b == 64):
+        if codes.size:
             if int(codes.min()) < lo or int(codes.max()) > hi:
                 raise DomainError(f"codes exceed the {b}-bit {what} range")
 
@@ -143,10 +141,16 @@ def ceil_log2(n: int) -> int:
 
 def code_dtype(budget_bits: int) -> type:
     """The dtype that holds the codes, weight operand and accumulator of a
-    code product whose partial sums stay below 2^budget_bits."""
+    code product whose partial sums stay below 2^budget_bits; past 53 bits
+    no float type holds them exactly, and HeadroomError is raised."""
     if budget_bits <= EXACT_FLOAT32_BITS:
         return np.float32
-    return np.float64 if budget_bits <= EXACT_FLOAT_BITS else np.int64
+    if budget_bits <= EXACT_FLOAT_BITS:
+        return np.float64
+    raise HeadroomError(
+        f"an accumulator budget of {budget_bits} bits exceeds the "
+        f"{EXACT_FLOAT_BITS} bits float64 holds exactly"
+    )
 
 
 def code_matmul(a: np.ndarray, b: np.ndarray, budget_bits: int, out=None) -> np.ndarray:
@@ -155,20 +159,13 @@ def code_matmul(a: np.ndarray, b: np.ndarray, budget_bits: int, out=None) -> np.
     a and b hold exact integers in any numeric dtype; an operand already in
     the dtype of its tier (code_dtype) is not copied. budget_bits bounds
     every partial sum below 2^budget_bits (code widths of both operands,
-    any folded shift, plus ceil(log2 K)). In the float tiers every partial
-    sum is an integer that dtype holds exactly, so the BLAS product is
-    exact, identical in any order, and comes back in that dtype. Past 53
-    bits the fixed-order einsum runs in the operands' common dtype. out,
-    when given, receives the product (in the float tiers it may be any
-    float dtype that holds it).
+    any folded shift, plus ceil(log2 K)), and must be at most 53. Every
+    partial sum is then an integer the tier's float dtype holds exactly, so
+    the BLAS product is exact, identical in any order, and comes back in
+    that dtype. out, when given, receives the product (it may be any float
+    dtype that holds it).
     """
     dtype = code_dtype(budget_bits)
-    if dtype is np.int64:
-        dtype = np.result_type(a, b)
-        return np.einsum(
-            "ik,kj->ij", a.astype(dtype, copy=False), b.astype(dtype, copy=False),
-            optimize=False, out=out,
-        )
     return np.matmul(a.astype(dtype, copy=False), b.astype(dtype, copy=False), out=out)
 
 

@@ -145,28 +145,28 @@ def test_c03_bit_shift_kernel_matches_reference_path():
         want = quantized_matmul_reference(x, layer)
         if not np.array_equal(got, want):
             bad += 1
-    # accumulator headroom boundary: the exact worst case at a 63-bit budget
-    # is accepted and bit-exact against arbitrary-precision integers; one
-    # more input channel is rejected.
+    # accumulator headroom boundary: the exact worst case at a 53-bit budget
+    # (16 + 16 + 6 + 15) is accepted and bit-exact against arbitrary-precision
+    # integers; one more input channel doubling is rejected.
     c_in = 1 << 15
     x16 = IntTensor(np.full((1, c_in), -(1 << 15), dtype=np.int64), 16)
     w16 = IntTensor(np.full((c_in, 1), -(1 << 15), dtype=np.int64), 16)
-    sw16 = shift_weights(w16, np.full(c_in, 16, dtype=np.int64))
+    sw16 = shift_weights(w16, np.full(c_in, 6, dtype=np.int64))
     acc = execute(x16, sw16)
-    boundary_ok = int(acc.codes[0, 0]) == c_in * (1 << 15) * (1 << 31)
-    with pytest.raises(HeadroomError):
+    boundary_ok = int(acc.codes[0, 0]) == c_in * (1 << 15) * (1 << 21) == 1 << 51
+    with pytest.raises(HeadroomError, match="54 > 53"):
         execute(
             IntTensor(np.full((1, 2 * c_in), -(1 << 15), dtype=np.int64), 16),
             shift_weights(
                 IntTensor(np.full((2 * c_in, 1), -(1 << 15), dtype=np.int64), 16),
-                np.full(2 * c_in, 16, dtype=np.int64),
+                np.full(2 * c_in, 6, dtype=np.int64),
             ),
         )
     _report(
         3,
         "integer shift kernel bit-exact vs real-arithmetic path, 100 layers",
         bad == 0 and boundary_ok,
-        f"{bad} mismatched layers; 63-bit boundary case exact and 64-bit rejected",
+        f"{bad} mismatched layers; 53-bit boundary case exact and 54-bit rejected",
     )
 
 

@@ -21,7 +21,9 @@ CHECKPOINT = Path(__file__).resolve().parent.parent / "checkpoints" / "toy2d.ckp
 _BASE = {"n": "2", "T": "2", "iterations": "2", "B": "4", "D": "2", "seed": "0"}
 
 _EDGES = st.sampled_from([-1.0, 0.0, 5e-324, 1.0, 1e308, math.inf, -math.inf, math.nan])
-_BITS = st.one_of(st.integers(2, 16), st.sampled_from([1, 24, 31, 32, 33]))
+# 20 and 22 sit on both sides of the 53-bit budget: with D = 2 counted
+# on the skip layer, 22/22 needs 52 bits and 24/22 needs 54.
+_BITS = st.one_of(st.integers(2, 16), st.sampled_from([1, 20, 22, 24, 31, 32, 33]))
 _FIELDS = {
     "bits_w": _BITS,
     "bits_a": _BITS,
@@ -103,6 +105,20 @@ def test_every_run_exits_0_or_prints_one_error_line(values, flags):
         if code == 0:
             seed = ["--seed", str(flags["--seed"])] if "--seed" in flags else []
             _assert_front_door(*_main(["eval", "--config", str(cfg), "--model", model] + seed))
+
+
+@pytest.mark.parametrize("bits_w,code", [(22, 0), (24, 2)])
+def test_the_53_bit_budget_at_the_front_door(tmp_path, bits_w, code):
+    """With 22-bit activations and D = 2 counted on the skip layer, 22-bit
+    weights need 52 bits and run; 24-bit weights need 54 and are refused
+    with one error line."""
+    fields = dict(_BASE, bits_w=bits_w, bits_a=22, checkpoint=CHECKPOINT)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in fields.items()))
+    got, err = _main(["quantize", "--config", str(cfg), "--out", str(tmp_path / "m.dmq")])
+    _assert_front_door(got, err)
+    assert got == code
+    assert ("'skip'" in err and "54 > 53" in err) if code else err == ""
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,7 @@ from denoq.quant import (
     quantize,
     quantized_matmul_reference,
 )
-from denoq.tensor import IntTensor, Rng, ceil_log2
+from denoq.tensor import IntTensor, Rng, ceil_log2, code_dtype
 
 
 def test_shift_examples():
@@ -62,7 +62,7 @@ def test_execute_small_product():
     out = execute(x, w)
     # row [3, -1] against shifted cols [[4,0],[1,4]]
     assert out.codes.tolist() == [[11, -4]]
-    assert out.nominal_bits == 64
+    assert out.nominal_bits == 8 + 4 + 1 + 1  # the layer's accumulator budget
 
 
 def test_execute_rejects_reduction_mismatch():
@@ -73,54 +73,48 @@ def test_execute_rejects_reduction_mismatch():
 
 
 class TestAccumulatorHeadroom:
-    """16-bit codes, 16-bit shifts: the accumulator budget
-    bits_x + source_bits + max_shift + ceil(log2(c_in)) must stay <= 63."""
+    """16-bit codes, 6-bit shifts: the accumulator budget
+    bits_x + source_bits + max_shift + ceil(log2(c_in)) must stay <= 53."""
 
     def _inputs(self, c_in):
-        # worst-case magnitudes: x at -2^15, w at -2^15 shifted by 16
+        # worst-case magnitudes: x at -2^15, w at -2^15 shifted by 6
         x = IntTensor(np.full((1, c_in), -(1 << 15), dtype=np.int64), 16)
         w_codes = np.full((c_in, 1), -(1 << 15), dtype=np.int64)
-        w = shift_weights(IntTensor(w_codes, 16), np.full(c_in, 16, dtype=np.int64))
+        w = shift_weights(IntTensor(w_codes, 16), np.full(c_in, 6, dtype=np.int64))
         return x, w
 
     def test_boundary_accepted_and_exact(self):
-        c_in = 1 << 15  # 16+16+16+15 = 63: the last width that fits
+        c_in = 1 << 15  # 16+16+6+15 = 53: the last width that fits
         x, w = self._inputs(c_in)
         out = execute(x, w)
+        assert out.codes.dtype == np.float64
         # independent arbitrary-precision check
         expect = sum(
             int(xv) * int(wv) for xv, wv in zip(x.codes[0], w.codes[:, 0])
         )
         assert int(out.codes[0, 0]) == expect
-        assert expect == c_in * (1 << 15) * (1 << 31)  # both negatives cancel
+        assert expect == c_in * (1 << 15) * (1 << 21) == 1 << 51  # both negatives cancel
 
     def test_one_step_past_boundary_rejected(self):
-        x, w = self._inputs(1 << 16)  # 16+16+16+16 = 64 > 63
-        with pytest.raises(HeadroomError, match="63"):
+        x, w = self._inputs(1 << 16)  # 16+16+6+16 = 54 > 53
+        with pytest.raises(HeadroomError, match="54 > 53"):
             execute(x, w)
 
 
 @pytest.mark.parametrize("budget", range(54, 64))
-def test_budgets_past_53_bits_stay_exact_in_int64(budget):
-    """Past the exact-float budget execute() falls back to int64 and still
-    equals arbitrary-precision integer arithmetic, up to the 63-bit limit."""
+def test_budgets_past_53_bits_are_refused(budget):
+    """No float type holds every partial sum past 53 bits: execute() and
+    code_dtype refuse every such budget."""
     c_in, shift, source_bits = 64, 3, 20
     bits_x = budget - ceil_log2(c_in) - shift - source_bits
-    rng = Rng(budget)
-    lo_x, hi_x = -(1 << (bits_x - 1)), (1 << (bits_x - 1)) - 1
-    x_codes = np.where(rng.integers(0, 2, (6, c_in)) == 1, hi_x, lo_x)
-    x_codes[0, :] = lo_x  # the worst-case row
-    lo_w, hi_w = -(1 << (source_bits - 1)), (1 << (source_bits - 1)) - 1
-    w_codes = np.where(rng.integers(0, 2, (c_in, 5)) == 1, hi_w, lo_w)
-    w_codes[:, 0] = lo_w
-    delta = rng.integers(0, shift + 1, c_in)
+    x = IntTensor(np.full((6, c_in), -(1 << (bits_x - 1))), bits_x)
+    delta = np.zeros(c_in, dtype=np.int64)
     delta[0] = shift
-    x = IntTensor(x_codes, bits_x)
-    w = shift_weights(IntTensor(w_codes, source_bits), delta)
-    out = execute(x, w)
-    assert out.codes.dtype == np.int64
-    exact = x.codes.astype(object) @ w.codes.astype(object)
-    assert [int(v) for v in out.codes.ravel()] == [int(v) for v in exact.ravel()]
+    w = shift_weights(IntTensor(np.ones((c_in, 5), dtype=np.int64), source_bits), delta)
+    with pytest.raises(HeadroomError, match=f"= {budget} > 53"):
+        execute(x, w)
+    with pytest.raises(HeadroomError, match=f"{budget} bits exceeds the 53"):
+        code_dtype(budget)
 
 
 @settings(max_examples=60, deadline=None)
@@ -214,10 +208,7 @@ _TIERS = {
 def _layer_at_budget(budget, signed, seed, c_in=64, c_out=7):
     """A layer whose accumulator budget is exactly `budget` bits.
 
-    Rescue exponents span [lo, hi] with one channel at each end. At 63
-    bits they start at 9, so every shifted weight is a multiple of 2^9 and
-    the float64 accumulation of quantized_matmul_reference stays exact
-    below 2^62: both paths have one exact answer to match.
+    Rescue exponents span [lo, hi] with one channel at each end.
     """
     bits_a, bits_w, lo, hi = _TIERS[budget]
     rng = Rng(seed)
@@ -246,15 +237,14 @@ def _layer_at_budget(budget, signed, seed, c_in=64, c_out=7):
     return layer, x
 
 
-@pytest.mark.parametrize("budget", [24, 25, 53, 54, 63])
+@pytest.mark.parametrize("budget", [24, 25, 53])
 @pytest.mark.parametrize("signed", [True, False])
 def test_prepared_layer_matches_the_reference_in_every_tier(budget, signed):
     """activation_codes -> execute on the layer's prepared shifted weights
     -> dequantize_output equals quantized_matmul_reference bit for bit, on
-    both sides of the float32 and float64 tier limits and at the 63-bit
-    limit, and its accumulator equals arbitrary-precision integers. Codes
-    and accumulator are float32 within 24 bits, float64 within 53 bits and
-    int64 above."""
+    both sides of the float32 tier limit and at the 53-bit limit, and its
+    accumulator equals arbitrary-precision integers. Codes and accumulator
+    are float32 within 24 bits and float64 within 53 bits."""
     layer, x = _layer_at_budget(budget, signed, seed=budget + 100 * signed)
     codes = activation_codes(x, layer)
     l, u = layer.act_params.bounds
@@ -264,17 +254,34 @@ def test_prepared_layer_matches_the_reference_in_every_tier(budget, signed):
         layer.weight_codes.codes.astype(object)
         * (2 ** layer.pts_exponents.astype(object))[:, None]
     )
-    tier_dtype = {24: np.float32, 25: np.float64, 53: np.float64}.get(budget, np.int64)
+    tier_dtype = {24: np.float32, 25: np.float64, 53: np.float64}[budget]
     assert codes.codes.dtype == tier_dtype and acc.codes.dtype == tier_dtype
     assert [int(v) for v in acc.codes.ravel()] == [int(v) for v in exact.ravel()]
     got = dequantize_output(acc, layer.act_params.scale, layer.weight_scale_vector())
     assert np.array_equal(got, quantized_matmul_reference(x, layer))
 
 
+@pytest.mark.parametrize("budget", [54, 63])
+@pytest.mark.parametrize("signed", [True, False])
+def test_a_prepared_layer_past_53_bits_is_refused(budget, signed):
+    """A layer past 53 bits can be built, and its shifted weights fit the
+    lane, but it has no tier: activation_codes, execute and
+    quantized_matmul_reference each raise HeadroomError."""
+    layer, x = _layer_at_budget(budget, signed, seed=budget + 100 * signed)
+    assert layer.accumulator_budget == budget
+    with pytest.raises(HeadroomError, match=f"{budget} bits exceeds the 53"):
+        activation_codes(x, layer)
+    codes = IntTensor(np.zeros(x.shape, dtype=np.int64), layer.act_params.bits)
+    with pytest.raises(HeadroomError, match=f"= {budget} > 53"):
+        execute(codes, layer.shifted_weights)
+    with pytest.raises(HeadroomError, match=f"{budget} bits exceeds the 53"):
+        quantized_matmul_reference(x, layer)
+
+
 def test_shifted_weights_convert_once_for_float32():
     """execute hands code_matmul the weights in the dtype of the layer's
     tier: a copy made on first use and the same array on every later call,
-    one per dtype; past 53 bits the int64 codes themselves."""
+    one per dtype; past 53 bits there is no tier to convert to."""
     sw = shift_weights(IntTensor(np.array([[3, -8], [7, 0]]), 4), np.array([2, 0]))
     assert sw._operands == {}
     x = IntTensor(np.array([[1, -2]]), 8)
@@ -286,7 +293,8 @@ def test_shifted_weights_convert_once_for_float32():
     wide = sw.operand(25)
     assert wide.dtype == np.float64 and np.array_equal(wide, sw.codes)
     assert sw.operand(53) is wide
-    assert sw.operand(54) is sw.codes
+    with pytest.raises(HeadroomError):
+        sw.operand(54)
 
 
 def test_layer_prepares_its_shifted_weights_once():
@@ -309,10 +317,11 @@ def test_a_layer_past_the_weight_lane_cannot_be_prepared():
 
 
 def test_headroom_problem_names_each_limit():
-    assert headroom_problem(24, 24, 3, 64) is None  # 57 bits
-    assert "63" in headroom_problem(32, 32, 0, 64)  # 70 bits
-    assert headroom_problem(25, 20, 12, 64) is None  # exactly 63
-    assert "63" in headroom_problem(26, 20, 12, 64)
+    assert headroom_problem(22, 22, 3, 64) is None  # exactly 53 bits
+    assert "= 54 > 53" in headroom_problem(24, 24, 0, 64)
+    assert "= 57 > 53" in headroom_problem(24, 24, 3, 64)
+    assert "= 70 > 53" in headroom_problem(32, 32, 0, 64)
+    assert headroom_problem(8, 32, 0, 64) is None  # 46 bits: 32-bit weights fit
     assert "weight lane" in headroom_problem(8, 30, 3, 64)
     assert headroom_problem(8, 29, 3, 64) is None
 

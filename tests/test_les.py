@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from denoq import les, pipeline
-from denoq.errors import DimensionError, DomainError
+from denoq.errors import DimensionError, DomainError, HeadroomError
 from denoq.les import (
     LayerCalibRecord,
     _check_buffers,
@@ -517,15 +517,12 @@ def test_a_layer_past_float32_ranks_in_float64(monkeypatch):
     assert got.final_loss <= got.initial_loss
 
 
-def ranking_against_the_check(x, w, bits_a, bits_w, check_budget=None):
+def ranking_against_the_check(x, w, bits_a, bits_w):
     """(ranked, checked) over 20 random tau: each a list of (loss, s_x,
-    s_w bytes). checked is _check_loss on the float64 record, its budget
-    replaced by check_budget when given."""
+    s_w bytes). checked is _check_loss on the float64 record."""
     ref = matmul(x, w)
     rank = les._ranking(ref, x, w, bits_a, bits_w, True)
     work = _check_buffers(x, ref, bits_a, bits_w)
-    if check_budget is not None:
-        work = (check_budget,) + work[1:]
     ranked, checked = [], []
     for seed in range(20):
         tau = np.exp(Rng(seed).uniform(-2.0, 2.0, x.shape[1]))
@@ -559,14 +556,17 @@ def test_float64_tier_ranking_is_the_check():
     assert ranked == checked
 
 
-def test_ranking_past_53_bits_is_the_check_on_float64_blas():
-    """24 + 24 bits on 64 channels (54 bits): the exact check's product is
-    the einsum, the ranking's the float64 BLAS one of the check at 53."""
+def test_optimize_layer_refuses_a_budget_past_53_bits(monkeypatch):
+    """24 + 24 bits on 64 channels need 54 bits, which no float tier holds
+    exactly: optimize_layer raises HeadroomError before its descent
+    starts, and so does the ranking."""
+    monkeypatch.setattr(les, "_les_pass", lambda *a: pytest.fail("the descent ran"))
     rec = make_record(16, n=96, c_in=64, c_out=16, outlier=(9, 40.0))
+    with pytest.raises(HeadroomError, match="54 bits exceeds the 53"):
+        optimize_layer(rec, TimestepWeighter([1, 2, 3, 4]), Rng(0), bits_a=24, bits_w=24)
     x, w = rec.activations, rec.weight
-    assert _check_buffers(x, matmul(x, w), 24, 24)[0] == 54
-    ranked, at53 = ranking_against_the_check(x, w, 24, 24, check_budget=53)
-    assert ranked == at53
+    with pytest.raises(HeadroomError, match="54 bits"):
+        les._ranking(matmul(x, w), x, w, 24, 24, True)
 
 
 @pytest.mark.parametrize("act_signed", [True, False])

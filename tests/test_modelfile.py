@@ -287,23 +287,25 @@ def one_layer_file(path, bits_w, bits_a, c_in, exps=None, c_out=2):
 
 class TestIntegerKernelHeadroom:
     """A model must run on the integer kernel: shifted weights within the
-    32-bit lane, and bits_a + bits_w + max shift + ceil(log2 C_in) <= 63."""
+    32-bit lane, and bits_a + bits_w + max shift + ceil(log2 C_in) <= 53."""
 
     def test_a_fitting_hand_written_file_imports(self, tmp_path):
-        # 24 + 24 + 3 + log2(64) = 57 bits
-        p = one_layer_file(tmp_path / "ok.dmq", 24, 24, 64, exps=[3] + [0] * 63)
-        assert import_model(p).layers[0].shifted_weights.max_shift == 3
+        # 22 + 22 + 3 + log2(64) = 53 bits, the widest budget that fits
+        p = one_layer_file(tmp_path / "ok.dmq", 22, 22, 64, exps=[3] + [0] * 63)
+        layer = import_model(p).layers[0]
+        assert layer.shifted_weights.max_shift == 3 and layer.accumulator_budget == 53
 
-    def test_a_budget_past_63_bits_is_a_format_error(self, tmp_path):
-        # 32 + 32 + 0 + log2(64) = 70 bits
-        p = one_layer_file(tmp_path / "wide.dmq", 32, 32, 64)
-        with pytest.raises(FormatError, match=r"wide\.dmq.*'a'.*70 > 63"):
+    def test_a_budget_past_53_bits_is_a_format_error(self, tmp_path):
+        # 24 + 24 + 3 + log2(64) = 57 bits
+        p = one_layer_file(tmp_path / "wide.dmq", 24, 24, 64, exps=[3] + [0] * 63)
+        with pytest.raises(FormatError, match=r"wide\.dmq.*'a'.*57 > 53"):
             import_model(p)
 
-    def test_a_budget_past_63_bits_exits_3(self, tmp_path, capsys):
-        p = one_layer_file(tmp_path / "wide.dmq", 32, 32, 64)
+    def test_a_budget_past_53_bits_exits_3(self, tmp_path, capsys):
+        p = one_layer_file(tmp_path / "wide.dmq", 24, 24, 64, exps=[3] + [0] * 63)
         assert cli.main(["export-inspect", "--model", str(p)]) == 3
-        assert "70 > 63" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "57 > 53" in err
 
     def test_an_exponent_past_the_weight_lane_is_a_format_error(self, tmp_path):
         p = one_layer_file(tmp_path / "e40.dmq", 4, 8, 6, exps=[0, 40, 0, 0, 0, 0])
@@ -325,11 +327,11 @@ class TestIntegerKernelHeadroom:
         assert cli.main(["export-inspect", "--model", str(p)]) == 3
         assert "weight lane" in capsys.readouterr().err
 
-    def test_quantized_model_refuses_a_budget_past_63_bits(self):
+    def test_quantized_model_refuses_a_budget_past_53_bits(self):
         rng = Rng(3)
         w = rng.standard_normal((64, 2))
-        wp = minmax_scale(w, 32, signed=True, axis=1)
-        ap = QuantParams(0.5, 32, True)
+        wp = minmax_scale(w, 24, signed=True, axis=1)
+        ap = QuantParams(0.5, 24, True)
         layer = QuantizedLayer("wide", quantize(w, wp), wp, ap, np.full(64, 0.5))
-        with pytest.raises(FormatError, match="'wide'.*70 > 63"):
-            QuantizedModel(32, 32, True, (layer,))
+        with pytest.raises(FormatError, match="'wide'.*54 > 53"):
+            QuantizedModel(24, 24, True, (layer,))

@@ -394,8 +394,8 @@ class TestHeadroomRefusal:
     @pytest.mark.parametrize(
         "kw,what",
         [
-            (dict(bits_w=32, bits_a=32), "70 > 63"),  # the old 32/32 mode
-            (dict(bits_w=24, bits_a=32, D=2), "64 > 63"),  # D counts on skip
+            (dict(bits_w=32, bits_a=32), "70 > 53"),  # the old 32/32 mode
+            (dict(bits_w=22, bits_a=24, D=2), "'skip'.*54 > 53"),  # D counts on skip
             (dict(bits_w=31, D=2), "weight lane"),  # 31 + 2 > 32 on skip
             (dict(bits_w=30, D=3, pts_layers="all"), "'res1'.*weight lane"),
         ],
@@ -413,20 +413,26 @@ class TestHeadroomRefusal:
         report = quantize_to_file(cfg, out)
         assert repr(run_eval(out, cfg).endpoint_mse) == repr(report.endpoint_mse)
 
-    def test_24_bit_mode_fits(self, monkeypatch):
-        """24/24 with D = 3 on the skip layer needs 57 bits: not refused."""
-        monkeypatch.setattr(pipeline, "collect_calibration", _no_capture)
-        with pytest.raises(AssertionError, match="capture ran"):
-            run_quantize(tiny_config(bits_w=24, bits_a=24, D=3))
+    def test_22_bit_mode_fits(self, tmp_path):
+        """22/22 with D = 3 counted on the skip layer needs exactly 53 bits:
+        the model quantizes, exports, and evaluates on the integer path."""
+        cfg = tiny_config(bits_w=22, bits_a=22, D=3)
+        out = tmp_path / "b22.dmq"
+        report = quantize_to_file(cfg, out)
+        assert repr(run_eval(out, cfg).endpoint_mse) == repr(report.endpoint_mse)
 
     def test_refusal_exits_2(self, tmp_path, capsys, monkeypatch):
+        """24/24 needs 54 bits even on an unrescued layer: one error line,
+        exit 2, no model file."""
         monkeypatch.setattr(pipeline, "collect_calibration", _no_capture)
-        cfgp = write_cfg(tmp_path, bits_w=32, bits_a=32)
+        cfgp = write_cfg(tmp_path, bits_w=24, bits_a=24)
         rc = cli.main(
             ["quantize", "--config", str(cfgp), "--out", str(tmp_path / "x.dmq")]
         )
         assert rc == 2
-        assert "cannot run on the integer kernel" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert "cannot run on the integer kernel" in err and "54 > 53" in err
         assert not (tmp_path / "x.dmq").exists()
 
     def test_eval_of_a_file_past_the_lane_exits_3(self, runs, tmp_path, capsys):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from denoq.errors import DimensionError, DomainError, IntegrityError
+from denoq.errors import DimensionError, DomainError, HeadroomError, IntegrityError
+from denoq.igemm import execute
 from denoq.quant import (
     QuantParams,
     QuantizedLayer,
@@ -228,21 +229,22 @@ class TestQuantizedLayer:
         bound = 0.5 * layer.act_params.scale * np.sum(np.abs(w_real), axis=0)
         assert np.all(np.abs(got - want) <= bound[None, :] + 1e-12)
 
-    def test_32_bit_layer_keeps_the_fixed_order_product(self):
-        """bits_w = bits_a = 32 on 64 channels is a 70-bit budget, past what
-        float64 holds exactly, so the product keeps its fixed einsum order."""
-        layer = self._layer(c_in=64, c_out=5, bits_w=32, bits_a=32, seed=6)
+    def test_32_bit_weights_fit_only_with_narrow_activations(self):
+        """32-bit weights with 8-bit activations on 64 channels need 46
+        bits: the float64 tier runs them exactly, as the integer path does.
+        bits_a = 32 needs 70, past what float64 holds exactly, and the
+        reference refuses it."""
         x = Rng(6).standard_normal((11, 64)) * 1e7
+        layer = self._layer(c_in=64, c_out=5, bits_w=32, bits_a=8, seed=6)
+        assert layer.accumulator_budget == 46
         got = quantized_matmul_reference(x, layer)
-        codes = activation_codes(x, layer).codes.astype(np.float64)
-        acc = np.einsum(
-            "ik,kj->ij", codes, layer.weight_codes.codes.astype(np.float64),
-            optimize=False,
-        )
-        want = apply_output_scales(
-            acc, layer.act_params.scale, layer.weight_scale_vector()
-        )
-        assert np.array_equal(got, want)
+        acc = execute(activation_codes(x, layer), layer.shifted_weights)
+        assert acc.codes.dtype == np.float64
+        scales = layer.weight_scale_vector()
+        assert np.array_equal(got, apply_output_scales(acc.codes, layer.act_params.scale, scales))
+        wide = self._layer(c_in=64, c_out=5, bits_w=32, bits_a=32, seed=6)
+        with pytest.raises(HeadroomError, match="70 bits exceeds the 53"):
+            quantized_matmul_reference(x, wide)
 
     def test_reference_path_exact_when_input_representable(self):
         layer = self._layer(seed=4)

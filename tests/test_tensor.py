@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from denoq.errors import DimensionError, DomainError
+from denoq.errors import DimensionError, DomainError, HeadroomError
 from denoq.tensor import (
     IntTensor,
     Rng,
     as_real,
     ceil_log2,
+    code_dtype,
     code_matmul,
     matmul,
 )
@@ -44,8 +45,8 @@ def test_matmul_matches_triple_loop():
 
 
 class TestCodeMatmul:
-    """Products of integer codes: BLAS within the 53-bit budget, the fixed
-    einsum order above it."""
+    """Products of integer codes: BLAS within the 53-bit budget, refused
+    above it."""
 
     def _extreme_codes(self, seed, shape, bits):
         # every entry at the lowest or the highest code of its width
@@ -82,18 +83,17 @@ class TestCodeMatmul:
         assert got.dtype == np.float32
         assert np.array_equal(got, (a @ b).astype(np.float64))
 
-    def test_above_the_budget_takes_the_fixed_order_in_the_operand_dtype(self):
-        rng = Rng(5)
-        a = rng.integers(-(1 << 31), 1 << 31, (9, 64))
-        b = rng.integers(-(1 << 31), 1 << 31, (64, 7))
-        fa, fb = a.astype(np.float64), b.astype(np.float64)
-        got = code_matmul(fa, fb, 54)
-        assert np.array_equal(got, np.einsum("ik,kj->ij", fa, fb, optimize=False))
-        small_a = rng.integers(-100, 100, (3, 4))
-        small_b = rng.integers(-100, 100, (4, 2))
-        ints = code_matmul(small_a, small_b, 54)
-        assert ints.dtype == np.int64
-        assert np.array_equal(ints, small_a @ small_b)
+    def test_above_the_budget_is_refused(self):
+        """Two tiers: float32 up to 24 bits, float64 up to 53; a larger
+        budget has none, whatever the operands' dtype."""
+        assert code_dtype(24) is np.float32 and code_dtype(25) is np.float64
+        assert code_dtype(53) is np.float64
+        with pytest.raises(HeadroomError, match="54 bits exceeds the 53"):
+            code_dtype(54)
+        small = Rng(5).integers(-100, 100, (3, 4))
+        for a in (small, small.astype(np.float64)):
+            with pytest.raises(HeadroomError):
+                code_matmul(a, a.T, 54)
 
 
 def _near_max_unsigned(seed, shape, bits):
@@ -290,6 +290,8 @@ class TestIntTensor:
             IntTensor(np.array([[-9]]), 4)
         with pytest.raises(DomainError):
             IntTensor(np.array([[8]]), 4)
+        # the whole int64 range is the 64-bit two's complement range
+        IntTensor(np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max]), 64)
 
     def test_unsigned_range_check(self):
         t = IntTensor(np.array([[0, 15]]), 4, signed=False)
