@@ -25,13 +25,13 @@ split into shares that workers.run_shares runs side by side, and the run
 goes on once every share is back. So run_quantize is sequential code, and
 it raises errors in the order a sequential run meets them. The shares are:
 the layers of independent LES; the trajectories of every calibration
-capture (toydiff.collect_calibration) and of every endpoint half but one
-(toydiff.sample_endpoint), cut at multiples of 64 rows so that BLAS gives
-each row the bits of the whole run (see toydiff._ROW_QUANTUM); the
-channels of a large layer's PTS vote (pts.calibrate_activation_scaling);
-and the timesteps of a large layer's report rows. Eval's quantized half,
-whose layer overrides keep each step's score as they run (_scorer),
-samples whole. The share count never changes an output byte.
+capture and of every endpoint half (toydiff.sample_endpoint), cut at
+multiples of 64 rows so that BLAS gives each row the bits of the whole run
+(see toydiff._ROW_QUANTUM); the channels of a large layer's PTS vote
+(pts.calibrate_activation_scaling); and the timesteps of a large layer's
+report rows. Every report MSE is one sum over its block's per-row squared
+errors (_row_errors, _mean_error), and a row's sum depends on that row
+alone, so the share count never changes an output byte.
 
 Quantized layers run, in quantize and in eval alike, on the deployed
 integer path: activation codes against the layer's prepared shift-folded
@@ -57,18 +57,13 @@ from .les import LesResult, fuse, optimize_layer, smoothquant_tau
 from .modelfile import QuantizedModel, export_model, import_model
 from .pts import calibrate_activation_scaling
 from .quant import QuantParams, QuantizedLayer, minmax_scale, quantize
-# Unused here; kept because the benchmark's span tracer (perfbench/spans.py)
-# patches this name.
-from .quant import quantized_matmul_reference  # noqa: F401
 from .tensor import Rng, matmul
 from .timestep_weighting import TimestepWeighter
-from .toydiff import (
-    collect_calibration,
-    ddim_timesteps,
-    load_checkpoint,
-    sample,
-    sample_endpoint,
-)
+from .toydiff import collect_calibration, ddim_timesteps, load_checkpoint, sample_endpoint
+# Unused here; kept because the benchmark's span tracer (perfbench/spans.py)
+# patches these names.
+from .quant import quantized_matmul_reference  # noqa: F401
+from .toydiff import sample  # noqa: F401
 
 _PTS_CHOICES = ("skip_only", "all", "none")
 _BASELINE_CHOICES = ("none", "smoothquant")
@@ -230,9 +225,9 @@ class LayerSummary:
     tau_max: float
     rescued: int
     delta_max: int
-    agreement_min: float | None
-    initial_loss: float | None
-    final_loss: float | None
+    agreement_min: float | None = None
+    initial_loss: float | None = None
+    final_loss: float | None = None
 
 
 @dataclass(frozen=True)
@@ -358,14 +353,15 @@ def _check_headroom(config: Config, specs) -> None:
             )
 
 
-def _check_finite(arr, what: str):
-    if not np.all(np.isfinite(arr)):
-        raise NumericalError(f"{what} contains non-finite values")
+def _row_errors(x, w, q) -> np.ndarray:
+    """Per-row sums of squared error of q against x @ w, each row's alone."""
+    d = matmul(x, w) - q
+    return np.einsum("ij,ij->i", d, d)
 
 
-def _layer_mse(x, w, q) -> float:
-    """Mean squared error of a layer's product q on x against x @ w."""
-    return float(np.mean((matmul(x, w) - q) ** 2))
+def _mean_error(row_sums: np.ndarray, c_out: int) -> float:
+    """A block's mean squared error from all its rows' _row_errors."""
+    return float(np.sum(row_sums) / (row_sums.size * c_out))
 
 
 def _visit_order(schedule, config: Config) -> list:
@@ -428,7 +424,7 @@ def _layer_rows(name: str, record, run, tset_desc: list) -> list:
     """(layer, timestep, mse) rows of one layer runner on its calibration
     record, in sampler order."""
     return [
-        (name, t, _layer_mse(x, record.weight, run(x)))
+        (name, t, _mean_error(_row_errors(x, record.weight, run(x)), record.weight.shape[1]))
         for t in tset_desc
         for x in (record.activations[record.timesteps == t],)
     ]
@@ -566,26 +562,24 @@ def run_quantize(config: Config) -> tuple[QuantizedModel, EvalReport]:
     return qmodel, report
 
 
-def _endpoint(model, schedule, config: Config, root: Rng, overrides=None, whole=False):
+def _endpoint(model, schedule, config: Config, root: Rng, overrides=None):
     """Endpoint of the evaluation trajectory, full precision or, with
-    overrides, quantized. Every call draws the same noise, so two pair. The
-    run goes in row shares (toydiff.sample_endpoint), with the same bits,
-    unless whole is set: an override that keeps state must see every row."""
+    overrides (as toydiff.sample_endpoint takes them), quantized, in row
+    shares. Every call draws the same noise, so two pair."""
     init = root.child("eval-init").standard_normal((config.n, model.dim))
-    args = (model, schedule, config.T, config.n, root.child("eval-noise"))
-    kwargs = {"eta": config.eta, "overrides": overrides, "x_init": init}
-    return sample(*args, **kwargs).endpoint if whole else sample_endpoint(*args, **kwargs)
+    return sample_endpoint(
+        model, schedule, config.T, config.n, root.child("eval-noise"),
+        eta=config.eta, overrides=overrides, x_init=init,
+    )
 
 
-def _paired_endpoint_mse(
-    model, schedule, config: Config, overrides, root: Rng, whole=False
-) -> float:
+def _paired_endpoint_mse(model, schedule, config: Config, overrides, root: Rng) -> float:
     """Endpoint MSE between quantized and full-precision trajectories that
-    share initial noise (and, when eta > 0, the injected noise sequence).
-    whole runs the quantized one in this process (see _endpoint)."""
+    share initial noise (and, when eta > 0, the injected noise sequence)."""
     full = _endpoint(model, schedule, config, root)
-    quantized = _endpoint(model, schedule, config, root, overrides, whole)
-    _check_finite(quantized, "quantized trajectory endpoint")
+    quantized = _endpoint(model, schedule, config, root, overrides)
+    if not np.all(np.isfinite(quantized)):
+        raise NumericalError("quantized trajectory endpoint contains non-finite values")
     return float(np.mean((quantized - full) ** 2))
 
 
@@ -594,13 +588,14 @@ def _paired_endpoint_mse(
 # ---------------------------------------------------------------------------
 
 
-def _scorer(run, weight: np.ndarray, mses: list):
+def _scorer(run, weight: np.ndarray, slots):
     """An override that runs a layer on its runner run, once per call, and
-    appends the product's mean squared error against weight's to mses."""
+    writes the product's _row_errors against weight's into the next slot."""
+    slots = iter(slots)
 
     def score(a):
         q = run(a)
-        mses.append(_layer_mse(a, weight, q))
+        next(slots)[...] = _row_errors(a, weight, q)
         return q
 
     return score
@@ -614,9 +609,11 @@ def run_eval(model_path, config: Config) -> EvalReport:
     per-timestep mean squared output error measured on the quantized
     trajectory's own layer inputs. Each layer's override scores its product
     as the sampler makes it (_scorer), so every quantized product runs once
-    and eval holds no layer's inputs across timesteps; rows come out layer
-    by layer, each layer's in sampler order. A config whose bit-widths or
-    activation signedness disagree with the model header is a ConfigError.
+    and eval holds no layer's inputs across timesteps, only each step's row
+    sums, in a [steps x n] workers.shared_arrays table per layer; rows come
+    out layer by layer, each layer's in sampler order. A config whose
+    bit-widths or activation signedness disagree with the header is a
+    ConfigError.
     """
     if not config.checkpoint:
         raise ConfigError("config names no checkpoint")
@@ -637,14 +634,21 @@ def run_eval(model_path, config: Config) -> EvalReport:
     if absent:
         raise DomainError(f"model file misses quantizable layers: {absent}")
     root = Rng(config.seed)
-    mses = {l.name: [] for l in qmodel.layers}
-    scored = {
-        l.name: _scorer(_layer_runner(l), model.layer_weight(l.name), mses[l.name])
-        for l in qmodel.layers
-    }
-    endpoint = _paired_endpoint_mse(model, schedule, config, scored, root, whole=True)
     tset_desc = _visit_order(schedule, config)
-    rows = [(name, t, mse) for name, kept in mses.items() for t, mse in zip(tset_desc, kept)]
+    runners = {l.name: _layer_runner(l) for l in qmodel.layers}
+    tables = dict(zip(runners, workers.shared_arrays([(len(tset_desc), config.n)] * len(runners))))
+
+    def scored(rows):
+        return {
+            name: _scorer(run, model.layer_weight(name), tables[name][:, rows])
+            for name, run in runners.items()
+        }
+
+    endpoint = _paired_endpoint_mse(model, schedule, config, scored, root)
+    rows = [
+        (name, t, _mean_error(sums, specs[name].c_out))
+        for name, table in tables.items() for t, sums in zip(tset_desc, table)
+    ]
     summaries = tuple(
         LayerSummary(
             l.name,
@@ -652,9 +656,6 @@ def run_eval(model_path, config: Config) -> EvalReport:
             float((l.fused_tau / l.act_params.scale).max()),
             int(np.count_nonzero(l.pts_exponents)),
             int(l.pts_exponents.max()) if l.pts_exponents.size else 0,
-            None,
-            None,
-            None,
         )
         for l in qmodel.layers
     )

@@ -13,9 +13,9 @@ of the tensor. This module provides that subject:
   divided by the same factors, so the function is unchanged but the
   activation statistics are pathological),
 * a deterministic DDIM-style sampler with one per-layer hook (overrides)
-  and calibration capture built on it; a large capture or endpoint run is
-  split by trajectories into row shares over the usable CPUs (see
-  _row_shares), with the bits of one whole run,
+  and calibration capture built on it; sample_endpoint splits a large run,
+  capture included, by trajectories into row shares over the usable CPUs
+  (see _row_shares), with the bits of one whole run,
 * a documented binary checkpoint format so a trained model can be committed
   and reloaded byte for byte (scripts/make_checkpoint.py trains the bundled
   one).
@@ -463,22 +463,6 @@ def _row_shares(n: int, steps: int) -> list:
     return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
 
 
-def _in_row_shares(work, n: int, steps: int, rng: Rng, what: str) -> list:
-    """work(rows, rng) for every row share of an n-trajectory run, in share
-    order, on workers.run_shares. Each share starts from rng's state: the
-    first one, which this process runs last, takes rng itself, so rng ends
-    where one whole run leaves it; every other one takes a copy.
-
-    The first error in share order is raised. That is the error one whole
-    run raises, unless the rows of different shares fail differently: then
-    it may name a later step than one whole run does."""
-    return workers.run_shares(
-        lambda rows: work(rows, rng if rows.start == 0 else copy.deepcopy(rng)),
-        _row_shares(n, steps),
-        lambda rows: f"{what} for rows {rows.start}-{rows.stop - 1}",
-    )
-
-
 def sample_endpoint(
     model: ToyDenoiser,
     schedule: NoiseSchedule,
@@ -489,15 +473,26 @@ def sample_endpoint(
     eta: float = 0.0,
     overrides=None,
     x_init=None,
+    what: str = "sampler worker",
 ) -> np.ndarray:
-    """sample(...).endpoint, bit for bit, run in row shares across the
-    usable CPUs (see _row_shares)."""
-    parts = _in_row_shares(
-        lambda rows, stream: sample(
-            model, schedule, steps, batch, stream,
-            eta=eta, overrides=overrides, x_init=x_init, rows=rows,
+    """sample(...).endpoint, bit for bit, in row shares over the usable CPUs
+    (see _row_shares): the one place a sampler run is split. overrides is
+    forward's mapping, or a callable of a share's row slice that returns
+    the share's mapping, whose overrides may write into its rows of a
+    workers.shared_arrays table. what names a dying share's work.
+
+    Each share starts from rng's state: the first, which this process runs
+    last, takes rng itself, so rng ends where one whole run leaves it; the
+    others take copies. The first error in share order is raised: one whole
+    run's, unless shares' rows fail differently (it may name a later step)."""
+    share_overrides = overrides if callable(overrides) else lambda rows: overrides
+    parts = workers.run_shares(
+        lambda rows: sample(
+            model, schedule, steps, batch, rng if rows.start == 0 else copy.deepcopy(rng),
+            eta=eta, overrides=share_overrides(rows), x_init=x_init, rows=rows,
         ).endpoint,
-        batch, len(_grid(schedule, steps)) - 1, rng, "sampler worker",
+        _row_shares(batch, len(_grid(schedule, steps)) - 1),
+        lambda rows: f"{what} for rows {rows.start}-{rows.stop - 1}",
     )
     return np.concatenate(parts)
 
@@ -537,10 +532,11 @@ def collect_calibration(
     calibration.
 
     The activations live in one workers.shared_arrays mapping, and the run
-    goes in row shares (see _row_shares). A recorded layer runs under an
-    override (_recorder) that copies each step's input straight into its
-    rows of the record, then runs the caller's override or the matmul. The
-    records are the same bits as one whole run's.
+    goes in row shares through sample_endpoint, whose endpoint is dropped.
+    A recorded layer runs under an override (_recorder) that copies each
+    step's input straight into its rows of the record, then runs the
+    caller's override or the matmul. The records are the same bits as one
+    whole run's.
 
     out, when given, holds one distinct array per recorded layer, in
     checkpoint order, from an earlier call's records that the caller no
@@ -573,17 +569,19 @@ def collect_calibration(
             raise DomainError("out must hold arrays from workers.shared_arrays")
     overrides = overrides or {}
 
-    def capture(rows, stream):
-        recording = dict(overrides)
+    def recording(rows):
+        share = dict(overrides)
         for spec, a in zip(specs, activations):
-            recording[spec.name] = _recorder(
+            share[spec.name] = _recorder(
                 a.reshape(len(grid) - 1, n, spec.c_in)[:, rows],
                 model.layer_weight(spec.name),
                 overrides.get(spec.name),
             )
-        sample(model, schedule, steps, n, stream, eta=eta, overrides=recording, rows=rows)
+        return share
 
-    _in_row_shares(capture, n, len(grid) - 1, rng, "capture worker")
+    sample_endpoint(
+        model, schedule, steps, n, rng, eta=eta, overrides=recording, what="capture worker"
+    )
     return {
         spec.name: LayerCalibRecord(spec.name, a, timesteps, model.layer_weight(spec.name))
         for spec, a in zip(specs, activations)

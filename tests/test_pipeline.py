@@ -336,7 +336,7 @@ class TestVariants:
             "bca82bb6dc9c16303d8052b72ec4d866ed022fe22e1e516789e156d57d5836c4"
         )
         assert digest(rep) == (
-            "0ba5547397d5a56287f8a09d6b0f594cfdc037b5a46e9416799ff7e9a72bff7b"
+            "65b211fca652bd0460ab3c6184271f9f70b44cba848b989e472a8c8a9976c993"
         )
 
     @pytest.mark.parametrize(
@@ -345,17 +345,17 @@ class TestVariants:
             (
                 dict(pts_layers="none"),
                 "3a1d1c896f061ab404c32b09a3eac68f830cc29a342fd8cb12eefcbb7191cdb9",
-                "1da22974fe7ffe9ef15f3db1b09b28e9b3dfea380c6efa782ac03a44d157a260",
+                "d685d683c31e8260e2487990b20688c2f578269ec1e0f085bcab7fd81a24a044",
             ),
             (
                 dict(optimizer="adam"),
                 "b5b430019f67dcc2dfa3f3ffc98c8920c85dbb9d539cf558d5cb4091d1561255",
-                "ec2bdafcbaca12f8061f07f2c72227f59e39c038d290873a7d36bbba32c55c9b",
+                "9c4a1407372797c0cde05830d8bf64b49c3fee873453fcadcb863ce46888ee10",
             ),
             (
                 dict(act_unsigned=True),
                 "a789500c0647e9e93d90cfcc6674cf6c74dd64381572c313446dcf4900192ae0",
-                "1d52452ef135cb7998a9dca4d579d99fe0a593f6b6a67926809a2f99a5dd9dcb",
+                "0e79d4e4dbb928dc888bb5e2e7be58a274fb728868412cb0ca25dc490172a1e4",
             ),
         ],
         ids=["pts_none", "adam", "act_unsigned"],

@@ -775,26 +775,32 @@ def test_a_share_starts_from_the_runs_own_noise(bundled, monkeypatch):
 
 
 def propagate_forks(count: int) -> int:
-    """Forks of a propagate-mode quantize and eval at n = 256 and count
+    """Forks of a propagate-mode quantize and eval at n >= 256 and count
     CPUs: a row share per extra CPU (up to four shares) in each layer's
-    capture, in both endpoint halves of quantize and in eval's
-    full-precision half. The PTS vote and the report rows stay whole."""
-    return (len(LAYERS) + 3) * (min(count, 4) - 1)
+    capture and in both endpoint halves of quantize and of eval. The PTS
+    vote and the report rows stay whole."""
+    return (len(LAYERS) + 4) * (min(count, 4) - 1)
 
 
-@pytest.mark.parametrize("kw", [RESCUE_WIDE, PROPAGATE_LES], ids=["rescue_wide", "les"])
+@pytest.mark.parametrize(
+    "kw",
+    [dict(n=256, **RESCUE_WIDE), dict(n=256, **PROPAGATE_LES), dict(n=1000, eta=0.5, **RESCUE_WIDE)],
+    ids=["rescue_wide", "les", "rescue_wide-n1000-eta0.5"],
+)
 def test_quantize_outputs_do_not_depend_on_row_shares(kw, tmp_path, monkeypatch, forks):
-    """n = 256 is four 64-row quanta; the size rule is lowered so that each
-    CPU up to four takes one."""
+    """n = 256 is four 64-row quanta, and n = 1000 is sixteen, the last one
+    short; the size rule is lowered so that each CPU up to four takes a
+    share. The eval report's bytes are compared too."""
     split_small_runs(monkeypatch)
-    config = small_w4a8(n=256, **kw)
+    config = small_w4a8(**kw)
     outputs = {}
-    for count in (1, 2, 4):
+    for count in (1, 2, 3, 4):
         cpus(monkeypatch, count)
         forks.clear()
         outputs[count] = run_bytes(config, tmp_path / str(count))
         assert len(forks) == propagate_forks(count)
     assert outputs[2] == outputs[1]
+    assert outputs[3] == outputs[1]
     assert outputs[4] == outputs[1]
 
 
@@ -808,9 +814,9 @@ def test_quantize_without_propagation_splits_its_capture_and_endpoint(
     cpus(monkeypatch, 2)
     forks.clear()
     assert run_bytes(config, tmp_path / "2") == whole
-    # One LES share, one capture share, one share of each endpoint half in
-    # quantize and one of eval's full-precision half.
-    assert len(forks) == 5
+    # One LES share, one capture share, and one share of each endpoint half
+    # in quantize and in eval.
+    assert len(forks) == 6
 
 
 def sample_of_row(row: int, error):
@@ -857,16 +863,33 @@ def test_the_first_share_in_row_order_raises_first(monkeypatch):
         collect_calibration(model, schedule, 4, 256, Rng(0))
 
 
-# A capture passes the sampler no x_init; an endpoint half does.
+# A capture passes the sampler no x_init; an endpoint half does. Eval's
+# quantized half is the only run of eval with overrides.
 ROW_WORKERS = {
     "capture": (lambda kwargs: kwargs.get("x_init") is None, "capture worker"),
     "endpoint": (lambda kwargs: kwargs.get("x_init") is not None, "sampler worker"),
+    "eval": (lambda kwargs: kwargs.get("overrides") is not None, "sampler worker"),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(ROW_WORKERS))
 def test_a_dying_row_share_names_its_rows(kind, tmp_path, capsys, monkeypatch):
     when, what = ROW_WORKERS[kind]
+    cfgp = tmp_path / "run.cfg"
+    cfgp.write_text(
+        f"checkpoint = {CHECKPOINT}\nn = 256\nT = 6\nles = false\n"
+        "pts_layers = all\npropagate_quantized_inputs = true\n"
+    )
+    model = tmp_path / "m.dmq"
+    if kind == "eval":
+        # The model to evaluate, made before the sampler is patched.
+        assert cli.main(["quantize", "--config", str(cfgp), "--out", str(model)]) == 0
+        run = lambda: run_eval(model, parse_config(cfgp))  # noqa: E731
+        argv = ["eval", "--config", str(cfgp), "--model", str(model)]
+    else:
+        run = lambda: pipeline.run_quantize(small_w4a8(n=256, **RESCUE_WIDE))  # noqa: E731
+        argv = ["quantize", "--config", str(cfgp), "--out", str(model)]
+    capsys.readouterr()
     real = toydiff.sample
     dies = in_a_child(die)
 
@@ -880,15 +903,8 @@ def test_a_dying_row_share_names_its_rows(kind, tmp_path, capsys, monkeypatch):
     cpus(monkeypatch, 2)
     message = f"{what} for rows 128-255 ended without a result (exit status 3)"
     with pytest.raises(DenoqError) as info:
-        pipeline.run_quantize(small_w4a8(n=256, **RESCUE_WIDE))
+        run()
     assert type(info.value) is DenoqError
     assert str(info.value) == message
-
-    cfgp = tmp_path / "run.cfg"
-    cfgp.write_text(
-        f"checkpoint = {CHECKPOINT}\nn = 256\nT = 6\nles = false\n"
-        "pts_layers = all\npropagate_quantized_inputs = true\n"
-    )
-    rc = cli.main(["quantize", "--config", str(cfgp), "--out", str(tmp_path / "m.dmq")])
-    assert rc == 2
+    assert cli.main(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
