@@ -10,12 +10,13 @@ directory that is removed afterwards.
 
 The variants are configs/w4a8.cfg and configs/w8a8.cfg, each as written
 and with: the Adam optimizer, unsigned activations, 6-bit activations,
-W3A5, propagated quantized inputs, 16/16 and 22/22 bits, T = 2 (the LES
-descent then folds groups of 8 or more rows per timestep) and alpha = 0
-(every timestep weight is 1). 22/22 is the widest width the headroom
-check accepts: with D = 3 counted on the skip layer it needs 53 bits,
-and every layer runs in the float64 tier. Running the script in two
-checkouts and diffing the outputs shows whether a change moves any
+W3A5, propagated quantized inputs, 16/16 and 22/22 bits, W23A24 without
+rescue, T = 2 (the LES descent then folds groups of 8 or more rows per
+timestep) and alpha = 0 (every timestep weight is 1). 22/22 is the widest
+width the headroom check accepts with D = 3: counted on the skip layer it
+needs 53 bits, and every layer runs in the float64 tier. 23/24 with D = 0
+exports every layer at a budget of exactly 53 bits. Running the script in
+two checkouts and diffing the outputs shows whether a change moves any
 output byte.
 
 Options:
@@ -45,6 +46,7 @@ VARIANTS = (
     ("propagate", dict(propagate_quantized_inputs=True)),
     ("16_16", dict(bits_w=16, bits_a=16)),
     ("22_22", dict(bits_w=22, bits_a=22)),
+    ("23_24", dict(bits_w=23, bits_a=24, D=0)),
     ("T2", dict(T=2)),
     ("alpha0", dict(alpha=0.0)),
 )

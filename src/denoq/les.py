@@ -17,25 +17,24 @@ division where the loss above has two. The two agree except where x / tau
 lands next to a half-code boundary, so the keep-best check, which decides
 what is kept, uses the fused divisor.
 
-The keep-best check looks at every iteration's tau on the whole
-calibration set with one loss, _check_loss, which runs in the dtype of
-the x and ref it is given. The ranking (_ranking) picks the best
-candidate: where the code product runs in the float32 tier
-(tensor.code_dtype), it gives the loss float32 copies of x and ref, at
-about half the cost of the float64 loss; elsewhere it gives it the
-float64 record, its code product on float64 BLAS. A layer whose budget
-exceeds 53 bits has no tier: its first check raises HeadroomError before
-the descent starts. The exact check, the same loss on the float64
-record, then scores only tau = 1 and the winner, so the losses a
-LesResult reports are exact, and a winner that the exact check does not
-score below tau = 1 gives way to it. The loss validates what can go
-wrong at a new tau: the fitted MinMax scales, float64 in every dtype,
-must be positive reals, so a layer whose scaled activations or weights
-overflow fails there with DomainError. It does not clamp codes: a MinMax
-scale fitted at this tau bounds every code within the range already (see
-_codes_into). Its two per-column passes run on wide views of the record
-against repeated rows (_repeated_rows), which gives the same bits in
-longer loops.
+The keep-best check, _check_loss, is one loss built for one layer's x and
+ref: it makes its buffers once, from their dtypes, and returns the loss as
+a function of tau, in those dtypes. optimize_layer checks tau = 1 exactly,
+on the float64 record. It ranks every iteration's tau with a second check:
+on float32 copies of x and ref where the code product runs in the float32
+tier (tensor.code_dtype) and the copies stay in range (_float32_copies),
+at about half the cost of the float64 loss, else on the record itself. It
+then checks the winner exactly. So the losses a LesResult reports are
+exact, and a winner that the exact check does not score below tau = 1
+gives way to it. A layer whose budget exceeds 53 bits has no tier:
+building its first check raises HeadroomError before the descent starts.
+The check validates what can go wrong at a new tau: the fitted MinMax
+scales, float64 in every dtype, must be positive reals, so a layer whose
+scaled activations or weights overflow fails there with DomainError. It
+does not clamp codes: a MinMax scale fitted at this tau bounds every code
+within the range already (see _codes_into). Its two per-column passes run
+on wide views of x against rows repeated _REPEAT-fold, which gives the
+same bits in longer loops.
 
 The descent's batch step (_les_pass) runs on the validated record and
 the clipped tau, against the grid of the last refresh resolved once: the
@@ -73,7 +72,7 @@ _MAX_GRAD_NORM = 10.0
 _LOG_TAU_BOUND = float(np.log(1e4))
 
 # Rows of a keep-best check taken together in its per-column passes
-# (_repeated_rows): on 64 channels, 8 192 elements per inner loop.
+# (_check_loss): on 64 channels, 8 192 elements per inner loop.
 _REPEAT = 128
 
 
@@ -309,22 +308,6 @@ def _codes_into(
     return np.maximum(0.0, buf, out=buf if out is None else out)
 
 
-def _check_buffers(x: Tensor, ref: Tensor, bits_a: int, bits_w: int) -> tuple:
-    """What a run of keep-best checks of one layer reuses.
-
-    The column maxima and minima of x (_extremes). Then buffers shaped like
-    x for the scaled x and its codes, and one shaped like ref for the
-    product, in C order, as _check_loss's wide views of them need. The
-    codes buffer is float32 when the product runs in the float32 tier of
-    code_matmul (tensor.code_dtype); in the float64 tier the codes go into
-    the float64 buffer of the scaled x.
-    """
-    budget = accumulator_budget(bits_a, bits_w, 0, x.shape[1])
-    x_buf = np.empty(x.shape, x.dtype)
-    code_buf = np.empty(x.shape, np.float32) if code_dtype(budget) is np.float32 else x_buf
-    return budget, _extremes(x), x_buf, code_buf, np.empty(ref.shape, ref.dtype)
-
-
 def _extremes(x: Tensor) -> np.ndarray:
     """The column maxima and minima of x, stacked [2 x C_in]: dividing by a
     positive tau is monotone, so the extremes of x / tau are those of
@@ -332,81 +315,83 @@ def _extremes(x: Tensor) -> np.ndarray:
     return np.stack((x.max(axis=0), x.min(axis=0)))
 
 
-def _repeated_rows(x: Tensor, acc: np.ndarray) -> tuple:
-    """Buffers for the two per-column rows a keep-best check applies, each
-    to be filled k times, k = gcd(rows, _REPEAT): the fused divisor
-    ([k x C_in], in x's dtype) and the output scales ([k x C_out], in the
-    dtype of the accumulator acc).
-
-    Against a row of C factors numpy's inner loop is only C elements long.
-    _check_loss runs those two passes on a [rows/k x k*C] view against the
-    repeated row: the same elementwise operations, so the same bits, in
-    loops k times longer.
-    """
-    k = math.gcd(x.shape[0], _REPEAT)
-    return np.empty((k, x.shape[1]), x.dtype), np.empty((k, acc.shape[1]), acc.dtype)
-
-
 def _check_loss(
-    ref: Tensor, x: Tensor, w: Tensor, tau: np.ndarray,
-    bits_a: int, bits_w: int, act_signed: bool, work: tuple, repeat: tuple | None = None,
-) -> tuple[float, float, np.ndarray]:
-    """Deployment-faithful mean loss: fresh MinMax at this tau, real rounding.
+    ref: Tensor, x: Tensor, w: Tensor, extremes: np.ndarray,
+    bits_a: int, bits_w: int, act_signed: bool,
+):
+    """The keep-best check of one layer: check(tau) -> (loss, s_x, s_w),
+    the deployment-faithful mean loss with fresh MinMax at this tau and
+    real rounding, the activation scale and the weight scale of each
+    column. extremes are the column extremes of the float64 record
+    (_extremes).
+
+    Building it raises HeadroomError when the layer's budget has no tier
+    (tensor.code_dtype), and makes the buffers every call reuses, in C
+    order as the wide views below need: one shaped like x in x's dtype, a
+    codes buffer in the tier's dtype unless that is x's (then the codes
+    go into the first), an accumulator shaped like ref in ref's dtype, and
+    the two per-column rows, the fused divisor and the output scales.
+    Against a row of C factors numpy's inner loop is only C elements long,
+    so each row is repeated k = gcd(rows, _REPEAT) times and applied to a
+    [rows/k x k*C] view: the same elementwise operations, so the same
+    bits, in loops k times longer.
 
     The grid is minmax_scale's without its scans, in float64: the
-    activation scale from the column extremes of x divided by tau, the
-    weight scales from w * tau. It raises DomainError unless the scales are
-    positive reals (a tau at which x / tau or w * tau overflows). The
-    quantized product is the deployed one of an unrescued layer: x divided
-    once by the fused divisor tau * s (what les.fuse exports), codes left
-    unclamped (_codes_into), and a code product with both scales applied
-    outside the accumulation, into work's buffers (_check_buffers). The
-    divisor and the scales are applied as repeated rows (_repeated_rows),
-    into repeat's buffers when given. Returns the loss, the activation
-    scale and the weight scale of each column.
-
-    The loss runs in the dtype of x and ref: on float32 copies (_ranking)
-    the divisor and the scales' product are rounded to float32, and the
-    codes, scaling, error and row sums are float32. The mean is float64.
+    activation scale from extremes divided by tau, the weight scales from
+    w * tau. check raises DomainError unless the scales are positive reals
+    (a tau at which x / tau or w * tau overflows). The quantized product
+    is the deployed one of an unrescued layer: x divided once by the fused
+    divisor tau * s (what les.fuse exports), codes left unclamped
+    (_codes_into), and a code product with both scales applied outside the
+    accumulation. On float32 copies of x and ref (_float32_copies) the
+    divisor and the scales' product are rounded to float32, and the codes,
+    scaling, error and row sums are float32. The mean is float64.
     """
-    budget, extremes, x_buf, code_buf, acc_buf = work
+    budget = accumulator_budget(bits_a, bits_w, 0, x.shape[1])
+    codes = code_dtype(budget)
+    x_buf = np.empty(x.shape, x.dtype)
+    code_buf = x_buf if x.dtype == codes else np.empty(x.shape, codes)
+    acc_buf = np.empty(ref.shape, ref.dtype)
+    k = math.gcd(x.shape[0], _REPEAT)
+    divisor, scales = np.empty((k, x.shape[1]), x.dtype), np.empty((k, ref.shape[1]), ref.dtype)
+    wide = x.shape[0] // k
+    x_wide, buf_wide, code_wide = (v.reshape(wide, -1) for v in (x, x_buf, code_buf))
+    acc_wide = acc_buf.reshape(wide, -1)
     _, u_a = code_bounds(bits_a, act_signed)
     _, u_w = code_bounds(bits_w, True)
-    scaled = extremes / tau[None, :]
-    hi, lo = float(scaled.max()), float(scaled.min())
-    s_x = max(max(hi, -lo if act_signed else 0.0) / u_a, SCALE_FLOOR)
-    w_hat = w * tau[:, None]
-    s_w = np.maximum(np.max(np.abs(w_hat), axis=0) / u_w, SCALE_FLOOR)
-    # The floor makes every scale that is not NaN positive. lo is read on
-    # an unsigned grid too: minmax_scale refuses an overflowed minimum
-    # although it does not set the scale.
-    if not (math.isfinite(lo) and math.isfinite(s_x) and np.isfinite(s_w).all()):
-        raise DomainError(
-            "keep-best check: the MinMax scales at this tau are not positive "
-            "reals (the scaled activations or weights overflow)"
-        )
-    if repeat is None:
-        repeat = _repeated_rows(x, acc_buf)
-    divisor, scales = repeat
-    wide = x.shape[0] // divisor.shape[0]
-    # each row in float64, rounded once into its buffer's dtype
-    divisor[...] = tau * s_x
-    _codes_into(
-        x.reshape(wide, -1), divisor.reshape(1, -1), act_signed,
-        x_buf.reshape(wide, -1), code_buf.reshape(wide, -1),
-    )
-    w_codes = _codes_into(w_hat, s_w[None, :], True, w_hat)
-    acc = code_matmul(code_buf, w_codes, budget, out=acc_buf)
-    scales[...] = s_x * s_w
-    np.multiply(acc.reshape(wide, -1), scales.reshape(1, -1), out=acc.reshape(wide, -1))
-    err = np.subtract(ref, acc, out=acc)
-    rows = np.einsum("ij,ij->i", err, err, optimize=False)
-    return float(np.mean(rows, dtype=np.float64)), s_x, s_w
+
+    def check(tau: np.ndarray) -> tuple[float, float, np.ndarray]:
+        scaled = extremes / tau[None, :]
+        hi, lo = float(scaled.max()), float(scaled.min())
+        s_x = max(max(hi, -lo if act_signed else 0.0) / u_a, SCALE_FLOOR)
+        w_hat = w * tau[:, None]
+        s_w = np.maximum(np.max(np.abs(w_hat), axis=0) / u_w, SCALE_FLOOR)
+        # The floor makes every scale that is not NaN positive. lo is read
+        # on an unsigned grid too: minmax_scale refuses an overflowed
+        # minimum although it does not set the scale.
+        if not (math.isfinite(lo) and math.isfinite(s_x) and np.isfinite(s_w).all()):
+            raise DomainError(
+                "keep-best check: the MinMax scales at this tau are not positive "
+                "reals (the scaled activations or weights overflow)"
+            )
+        # each row in float64, rounded once into its buffer's dtype
+        divisor[...] = tau * s_x
+        _codes_into(x_wide, divisor.reshape(1, -1), act_signed, buf_wide, code_wide)
+        w_codes = _codes_into(w_hat, s_w[None, :], True, w_hat)
+        code_matmul(code_buf, w_codes, budget, out=acc_buf)
+        scales[...] = s_x * s_w
+        np.multiply(acc_wide, scales.reshape(1, -1), out=acc_wide)
+        err = np.subtract(ref, acc_buf, out=acc_buf)
+        rows = np.einsum("ij,ij->i", err, err, optimize=False)
+        return float(np.mean(rows, dtype=np.float64)), s_x, s_w
+
+    return check
 
 
-def _float32_copies(x: Tensor, w: Tensor, ref: Tensor) -> tuple | None:
-    """float32 copies of x and ref for the float32 ranking, or None when
-    the ranking could leave the float32 range at some tau of the descent.
+def _float32_copies(x: Tensor, w: Tensor, ref: Tensor, bits_a: int, bits_w: int) -> tuple | None:
+    """float32 copies (ref, x) for the float32 ranking, or None unless the
+    code product runs in the float32 tier and the ranking stays inside the
+    float32 range at every tau of the descent.
 
     The bound covers every intermediate of _check_loss in float32 for tau
     within [1/t, t] (t = 1e4, doubled against rounding). A fitted
@@ -417,43 +402,14 @@ def _float32_copies(x: Tensor, w: Tensor, ref: Tensor) -> tuple | None:
     errors at most C_out (max|ref| + e)^2, which must stay a factor of
     four inside float32's largest value.
     """
+    if code_dtype(accumulator_budget(bits_a, bits_w, 0, x.shape[1])) is not np.float32:
+        return None
     t = 2.0 * math.exp(_LOG_TAU_BOUND)
     big_x, big_w, big_ref = (float(np.max(np.abs(v))) for v in (x, w, ref))
     err = big_ref + x.shape[1] * (t * big_x + 1.0) * (t * big_w + 1.0)
     if not ref.shape[1] * err * err <= 0.25 * float(np.finfo(np.float32).max):
         return None
-    return x.astype(np.float32), ref.astype(np.float32)
-
-
-def _ranking(
-    ref: Tensor, x: Tensor, w: Tensor, bits_a: int, bits_w: int, act_signed: bool
-):
-    """The loss that ranks one layer's keep-best candidates: a function of
-    tau returning _check_loss's loss and grid.
-
-    In the float32 tier the check runs on float32 copies of x and ref with
-    a float32 accumulator: its loss is within a few float32 roundings of
-    the exact check's, not equal to it, and codes next to a half-code
-    boundary may round the other way. A layer whose float32 ranking could
-    overflow (_float32_copies), and every layer past 24 bits, ranks with
-    the exact check itself, on float64 BLAS. optimize_layer scores the
-    candidate it keeps with the exact check.
-
-    Each branch makes only the buffers it uses: the float32 one a float32
-    codes buffer and a float32 accumulator, no float64 ones. The ranking
-    keeps its repeated rows (_repeated_rows) from call to call.
-    """
-    budget = accumulator_budget(bits_a, bits_w, 0, x.shape[1])
-    copies = _float32_copies(x, w, ref) if code_dtype(budget) is np.float32 else None
-    if copies is None:
-        work = _check_buffers(x, ref, bits_a, bits_w)
-    else:
-        extremes = _extremes(x)
-        x, ref = copies
-        code_buf = np.empty(x.shape, np.float32)
-        work = (budget, extremes, code_buf, code_buf, np.empty(ref.shape, np.float32))
-    repeat = _repeated_rows(x, work[4])
-    return lambda tau: _check_loss(ref, x, w, tau, bits_a, bits_w, act_signed, work, repeat)
+    return ref.astype(np.float32), x.astype(np.float32)
 
 
 def optimize_layer(
@@ -474,13 +430,14 @@ def optimize_layer(
 
     Batches are drawn from a seeded shuffle, reshuffled each epoch. The
     quantizer grid is refreshed by MinMax every scale_refresh iterations and
-    frozen in between. A keep-best snapshot guards the outcome: every
-    iteration's tau is ranked by its full-set mean loss (_ranking, in
-    float32 in the float32 tier), and the best one is scored with the
-    exact check. The returned tau is that one if its exact loss is below
-    the exact loss at tau = 1, else tau = 1, so the result is never worse
-    than the starting point. initial_loss and final_loss are exact-check
-    losses.
+    frozen in between. A keep-best snapshot guards the outcome, as three
+    uses of the keep-best check (_check_loss): tau = 1 is checked exactly,
+    every iteration's tau is ranked by its full-set mean loss (on float32
+    copies in the float32 tier, _float32_copies), and the best one is
+    checked exactly. The returned tau is that one if its exact loss is
+    below the exact loss at tau = 1, else tau = 1, so the result is never
+    worse than the starting point. initial_loss and final_loss are
+    exact-check losses.
     """
     if iterations < 1:
         raise DomainError("iterations must be >= 1")
@@ -498,10 +455,10 @@ def optimize_layer(
     found = weighter.lookup(record.timesteps)
     log_tau = np.zeros(c_in)
     tau = best_tau = identity = np.ones(c_in)
-    initial = _check_loss(
-        ref, x, w, tau, bits_a, bits_w, act_signed, _check_buffers(x, ref, bits_a, bits_w)
-    )[0]
-    rank = _ranking(ref, x, w, bits_a, bits_w, act_signed)
+    extremes = _extremes(x)
+    initial = _check_loss(ref, x, w, extremes, bits_a, bits_w, act_signed)(identity)[0]
+    copies = _float32_copies(x, w, ref, bits_a, bits_w) or (ref, x)
+    rank = _check_loss(*copies, w, extremes, bits_a, bits_w, act_signed)
     best, s_x, s_w = rank(tau)
     m = v = np.zeros(c_in)  # Adam's moment estimates
     order = rng.permutation(n_rows)
@@ -545,12 +502,9 @@ def optimize_layer(
         if candidate < best:
             best = candidate
             best_tau = tau
+    del rank, copies  # frees the ranking's buffers before the exact check makes its own
     if best_tau is not identity:
-        del rank  # frees the ranking's buffers before the exact check makes its own
-        final = _check_loss(
-            ref, x, w, best_tau, bits_a, bits_w, act_signed,
-            _check_buffers(x, ref, bits_a, bits_w),
-        )[0]
+        final = _check_loss(ref, x, w, extremes, bits_a, bits_w, act_signed)(best_tau)[0]
         if final < initial:
             return LesResult(best_tau, initial, final)
     return LesResult(identity, initial, initial)

@@ -420,13 +420,16 @@ def _learn_layers(config: Config, names, records, root: Rng, tset_desc: list) ->
     return learned
 
 
-def _layer_rows(name: str, record, run, tset_desc: list) -> list:
+def _layer_rows(name: str, record, run, tset_desc: list, steps: slice) -> list:
     """(layer, timestep, mse) rows of one layer runner on its calibration
-    record, in sampler order."""
+    record at the timesteps tset_desc[steps], in sampler order. The record
+    holds each step's rows as one contiguous block, in tset_desc's order
+    (collect_calibration), so each block is a view."""
+    x, w = record.activations, record.weight
+    blocks = x.reshape(len(tset_desc), -1, x.shape[1])[steps]
     return [
-        (name, t, _mean_error(_row_errors(x, record.weight, run(x)), record.weight.shape[1]))
-        for t in tset_desc
-        for x in (record.activations[record.timesteps == t],)
+        (name, t, _mean_error(_row_errors(block, w, run(block)), w.shape[1]))
+        for t, block in zip(tset_desc[steps], blocks)
     ]
 
 
@@ -488,7 +491,7 @@ def _quantize_layer(
     )
     run = _layer_runner(qlayer)
     parts = workers.run_shares(
-        lambda steps: _layer_rows(spec.name, record, run, tset_desc[steps]),
+        lambda steps: _layer_rows(spec.name, record, run, tset_desc, steps),
         workers.share_slices(len(tset_desc), record.activations.size),
         lambda steps: f"report-row worker for layer {spec.name} at timesteps "
         f"{tset_desc[steps.start]}-{tset_desc[steps.stop - 1]}",

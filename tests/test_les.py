@@ -10,9 +10,9 @@ from denoq import les, pipeline
 from denoq.errors import DimensionError, DomainError, HeadroomError
 from denoq.les import (
     LayerCalibRecord,
-    _check_buffers,
     _check_loss,
     _codes_into,
+    _extremes,
     _scaled_pair,
     fuse,
     les_grad,
@@ -251,6 +251,12 @@ def test_optimize_is_deterministic():
     assert r1.final_loss == r2.final_loss
 
 
+def checker(ref, x, w, bits_a, bits_w, act_signed=True):
+    """The keep-best check of the float64 record x, as optimize_layer
+    builds its exact check."""
+    return _check_loss(ref, x, w, _extremes(x), bits_a, bits_w, act_signed)
+
+
 def direct_full_loss(ref, x, w, tau, bits_a, bits_w, act_signed):
     """The keep-best check written out plainly: MinMax on x / tau itself,
     activation codes against the fused divisor tau * s as the exported
@@ -269,35 +275,40 @@ def direct_full_loss(ref, x, w, tau, bits_a, bits_w, act_signed):
 @pytest.mark.parametrize("act_signed", [True, False])
 def test_keep_best_check_matches_the_direct_loss(bits_a, bits_w, act_signed):
     """Column extremes stand in for x / tau in the MinMax, and 8 + 4 bits
-    run in the float32 tier, 16 + 8 past it; the loss is the same bits."""
+    run in the float32 tier, 16 + 8 past it; the loss is the same bits.
+    One check scores every tau, and the first tau scored again after the
+    others gives the same bits: the reused buffers carry nothing over."""
     rec = make_record(11, n=96, c_in=16, c_out=12, outlier=(3, 40.0))
     x, w = rec.activations, rec.weight
     ref = matmul(x, w)
-    work = _check_buffers(x, ref, bits_a, bits_w)
-    assert work[3].dtype == (np.float32 if bits_a + bits_w + 4 <= 24 else np.float64)
-    for seed in range(5):
-        tau = np.exp(Rng(seed).uniform(-2.0, 2.0, 16))
-        got, s_x, _ = _check_loss(ref, x, w, tau, bits_a, bits_w, act_signed, work)
+    check = checker(ref, x, w, bits_a, bits_w, act_signed)
+    taus = [np.exp(Rng(seed).uniform(-2.0, 2.0, 16)) for seed in range(5)]
+    first = check(taus[0])
+    for tau in taus:
+        got, s_x, _ = check(tau)
         want, want_act = direct_full_loss(ref, x, w, tau, bits_a, bits_w, act_signed)
         assert got == want
         assert s_x == want_act.scale
+    again = check(taus[0])
+    assert (again[0], again[1], again[2].tobytes()) == (first[0], first[1], first[2].tobytes())
 
 
 @pytest.mark.parametrize("act_signed", [True, False])
-def test_keep_best_check_is_the_same_at_budgets_24_and_25(act_signed):
+def test_keep_best_check_is_the_same_at_budgets_24_and_25(act_signed, monkeypatch):
     """At a budget of 24 the check's code product runs on float32 BLAS, at
     25 on float64 BLAS. Both hold every partial sum of 8 + 4 bits on 16
     channels exactly, so loss and grid are the same bits."""
     rec = make_record(12, n=96, c_in=16, c_out=12, outlier=(5, 30.0))
     x, w = rec.activations, rec.weight
     ref = matmul(x, w)
-    _, extremes, x_buf, _, acc_buf = _check_buffers(x, ref, 8, 4)
-    float32_tier = (24, extremes, x_buf, np.empty(x.shape, np.float32), acc_buf)
-    float64_tier = (25, extremes, x_buf, x_buf, acc_buf)
+    checks = {}
+    for budget in (24, 25):
+        monkeypatch.setattr(les, "accumulator_budget", lambda *args, b=budget: b)
+        checks[budget] = checker(ref, x, w, 8, 4, act_signed)
     for seed in range(5):
         tau = np.exp(Rng(seed).uniform(-2.0, 2.0, 16))
-        at24, act24, wgt24 = _check_loss(ref, x, w, tau, 8, 4, act_signed, float32_tier)
-        at25, act25, wgt25 = _check_loss(ref, x, w, tau, 8, 4, act_signed, float64_tier)
+        at24, act24, wgt24 = checks[24](tau)
+        at25, act25, wgt25 = checks[25](tau)
         assert at24 == at25
         assert act24 == act25
         assert np.array_equal(wgt24, wgt25)
@@ -319,7 +330,7 @@ def test_keep_best_check_divides_once_like_the_exported_layer():
     # The second row is the column maximum that makes MinMax pick s itself.
     xs = np.array([[x], [127 * s * tau]])
     ref = matmul(xs, w)
-    got, got_act, _ = _check_loss(ref, xs, w, taus, 8, 4, True, _check_buffers(xs, ref, 8, 4))
+    got, got_act, _ = checker(ref, xs, w, 8, 4)(taus)
     assert got_act == s
     assert got == direct_full_loss(ref, xs, w, taus, 8, 4, True)[0]
     qw = quantize(w_scaled, wgt_p).codes
@@ -366,9 +377,7 @@ def test_unclamped_signed_codes_equal_clamped_codes(bits_a, tau_kind):
     w = rng.standard_normal((c, 8))
     tau = CHECK_TAUS[tau_kind](c)
     ref = matmul(x, w)
-    loss, s_x, s_w = _check_loss(
-        ref, x, w, tau, bits_a, 4, True, _check_buffers(x, ref, bits_a, 4)
-    )
+    loss, s_x, s_w = checker(ref, x, w, bits_a, 4)(tau)
     assert loss == direct_full_loss(ref, x, w, tau, bits_a, 4, True)[0]
     act_p, wgt_p = QuantParams(s_x, bits_a, True), QuantParams(s_w, 4, True, axis=1)
     for v, divisor, (l, u) in (
@@ -418,9 +427,9 @@ def test_keep_best_check_refuses_a_tau_that_overflows(act_signed, where):
         x[3, 2] = 1e305 if where == "act_max" else -1e305
         tau = np.full(8, 1e-4)
     ref = matmul(x, w)
-    work = _check_buffers(x, ref, 8, 4)
+    check = checker(ref, x, w, 8, 4, act_signed)
     with np.errstate(over="ignore"), pytest.raises(DomainError):
-        _check_loss(ref, x, w, tau, 8, 4, act_signed, work)
+        check(tau)
 
 
 def test_descent_whose_losses_overflow_fails_at_the_weighter():
@@ -456,7 +465,7 @@ def test_les_loss_and_les_grad_refuse_a_product_that_overflows():
 def float64_ranking(monkeypatch):
     """Make every layer rank its keep-best candidates with the float64
     check, the reference the float32 ranking is held to."""
-    monkeypatch.setattr(les, "_float32_copies", lambda x, w, ref: None)
+    monkeypatch.setattr(les, "_float32_copies", lambda x, w, ref, bits_a, bits_w: None)
 
 
 def same_result(a, b) -> bool:
@@ -486,8 +495,8 @@ def test_float32_ranking_keeps_the_float64_choice(w4a8_layers, monkeypatch, bits
     cfg = dataclasses.replace(cfg, bits_a=bits_a)
     assert len(records) == 4
     for rec in records.values():
-        ref = matmul(rec.activations, rec.weight)
-        assert les._float32_copies(rec.activations, rec.weight, ref) is not None
+        x, w = rec.activations, rec.weight
+        assert les._float32_copies(x, w, matmul(x, w), bits_a, cfg.bits_w) is not None
     learn = lambda name: pipeline._learn(  # noqa: E731
         cfg, name, records[name], Rng(cfg.seed), tset_desc
     )
@@ -507,7 +516,7 @@ def test_a_layer_past_float32_ranks_in_float64(monkeypatch):
     x = rec.activations.copy()
     x[5, 2] = 1e39
     rec = LayerCalibRecord("layer", x, rec.timesteps, rec.weight)
-    assert les._float32_copies(x, rec.weight, matmul(x, rec.weight)) is None
+    assert les._float32_copies(x, rec.weight, matmul(x, rec.weight), 8, 4) is None
     run = lambda: optimize_layer(  # noqa: E731
         rec, TimestepWeighter([1, 2, 3, 4]), Rng(2), iterations=60, lr=0.05
     )
@@ -519,17 +528,16 @@ def test_a_layer_past_float32_ranks_in_float64(monkeypatch):
 
 def ranking_against_the_check(x, w, bits_a, bits_w):
     """(ranked, checked) over 20 random tau: each a list of (loss, s_x,
-    s_w bytes). checked is _check_loss on the float64 record."""
+    s_w bytes). ranked is the check optimize_layer ranks with, on the
+    float32 copies where there are any; checked is the float64 record's."""
     ref = matmul(x, w)
-    rank = les._ranking(ref, x, w, bits_a, bits_w, True)
-    work = _check_buffers(x, ref, bits_a, bits_w)
+    copies = les._float32_copies(x, w, ref, bits_a, bits_w) or (ref, x)
+    rank = _check_loss(*copies, w, _extremes(x), bits_a, bits_w, True)
+    check = checker(ref, x, w, bits_a, bits_w)
     ranked, checked = [], []
     for seed in range(20):
         tau = np.exp(Rng(seed).uniform(-2.0, 2.0, x.shape[1]))
-        for out, (loss, s_x, s_w) in (
-            (ranked, rank(tau)),
-            (checked, _check_loss(ref, x, w, tau, bits_a, bits_w, True, work)),
-        ):
+        for out, (loss, s_x, s_w) in ((ranked, rank(tau)), (checked, check(tau))):
             out.append((loss, s_x, s_w.tobytes()))
     return ranked, checked
 
@@ -541,8 +549,7 @@ def test_float32_tier_ranking_is_the_check_in_float32(w4a8_layers, bits_a):
     cfg, records, _ = w4a8_layers
     for rec in records.values():
         x, w = rec.activations, rec.weight
-        assert _check_buffers(x, matmul(x, w), bits_a, cfg.bits_w)[3].dtype == np.float32
-        assert les._float32_copies(x, w, matmul(x, w)) is not None
+        assert les._float32_copies(x, w, matmul(x, w), bits_a, cfg.bits_w) is not None
         ranked, checked = ranking_against_the_check(x, w, bits_a, cfg.bits_w)
         for (loss, s_x, s_w), (want, want_x, want_w) in zip(ranked, checked):
             assert (s_x, s_w) == (want_x, want_w)
@@ -559,14 +566,14 @@ def test_float64_tier_ranking_is_the_check():
 def test_optimize_layer_refuses_a_budget_past_53_bits(monkeypatch):
     """24 + 24 bits on 64 channels need 54 bits, which no float tier holds
     exactly: optimize_layer raises HeadroomError before its descent
-    starts, and so does the ranking."""
+    starts, and so does building the keep-best check."""
     monkeypatch.setattr(les, "_les_pass", lambda *a: pytest.fail("the descent ran"))
     rec = make_record(16, n=96, c_in=64, c_out=16, outlier=(9, 40.0))
     with pytest.raises(HeadroomError, match="54 bits exceeds the 53"):
         optimize_layer(rec, TimestepWeighter([1, 2, 3, 4]), Rng(0), bits_a=24, bits_w=24)
     x, w = rec.activations, rec.weight
     with pytest.raises(HeadroomError, match="54 bits"):
-        les._ranking(matmul(x, w), x, w, 24, 24, True)
+        checker(matmul(x, w), x, w, 24, 24)
 
 
 @pytest.mark.parametrize("act_signed", [True, False])
@@ -590,9 +597,7 @@ def test_a_layer_that_overflows_fails_through_optimize_layer(act_signed, where):
 
 def exact_loss(rec, tau, bits_a=8, bits_w=4):
     x, w = rec.activations, rec.weight
-    ref = matmul(x, w)
-    work = _check_buffers(x, ref, bits_a, bits_w)
-    return _check_loss(ref, x, w, tau, bits_a, bits_w, True, work)
+    return checker(matmul(x, w), x, w, bits_a, bits_w)(tau)
 
 
 @pytest.mark.parametrize("optimizer", ["gd", "adam"])
@@ -615,22 +620,28 @@ def test_reported_losses_are_the_exact_check(optimizer, seed, outlier):
 def test_a_winner_the_exact_check_scores_worse_gives_way_to_tau_one(monkeypatch):
     """A ranking that prefers what the exact check scores worst picks a
     tau that is worse than tau = 1; the exact check of the winner keeps
-    tau = 1 and reports its loss."""
+    tau = 1 and reports its loss. optimize_layer builds three checks: the
+    exact one at tau = 1, the ranking, and the exact one of the winner.
+    Only the second is turned upside down."""
     rec = make_record(3, outlier=(2, 50.0))
-    ranked = []
+    ranked, built = [], []
 
-    def upside_down(ref, x, w, bits_a, bits_w, act_signed):
-        work = _check_buffers(x, ref, bits_a, bits_w)
+    def upside_down(*args):
+        check = _check_loss(*args)
+        built.append(check)
+        if len(built) != 2:
+            return check
 
         def rank(tau):
-            loss, s_x, s_w = _check_loss(ref, x, w, tau, bits_a, bits_w, act_signed, work)
+            loss, s_x, s_w = check(tau)
             ranked.append(loss)
             return -loss, s_x, s_w
 
         return rank
 
-    monkeypatch.setattr(les, "_ranking", upside_down)
+    monkeypatch.setattr(les, "_check_loss", upside_down)
     res = optimize_layer(rec, TimestepWeighter([1, 2, 3, 4]), Rng(0), iterations=40)
+    assert len(built) == 3
     assert max(ranked) > ranked[0]  # a tau other than 1 won the ranking
     assert np.array_equal(res.tau, np.ones(8))
     assert res.final_loss == res.initial_loss == exact_loss(rec, np.ones(8))[0]
